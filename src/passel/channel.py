@@ -22,8 +22,7 @@ constant-envelope self-phase rotation exact for any step count.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "ChannelError",
     "StepSizeError",
     "dbm_to_watts",
-    "watts_to_dbm",
     "rrc_time_taps",
     "pulse_spectrum",
     "rrc_modulate",
@@ -47,8 +45,6 @@ __all__ = [
     "edfa",
     "propagate_link",
     "standard_complex_noise",
-    "dump_waveform",
-    "load_waveform",
 ]
 
 PLANCK_J_S = 6.62607015e-34
@@ -66,10 +62,6 @@ class StepSizeError(RuntimeError):
 
 def dbm_to_watts(p_dbm: float) -> float:
     return 1e-3 * 10.0 ** (p_dbm / 10.0)
-
-
-def watts_to_dbm(p_w: float) -> float:
-    return 10.0 * math.log10(p_w / 1e-3)
 
 
 @dataclass(frozen=True)
@@ -449,14 +441,13 @@ def standard_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray
 
 
 def edfa(field: FieldWaveform, amp: AmplifierParams,
-         rng: np.random.Generator | None = None,
          gain_db: float | None = None,
          unit_noise: np.ndarray | None = None) -> FieldWaveform:
     """Amplify by sqrt(gain) and add white ASE on both polarizations.
 
-    Noise can come from ``rng`` (drawn here) or from a caller-supplied
-    ``unit_noise`` array of unit complex variance matching the samples; the
-    latter keeps batched runs independent of batch composition.
+    With ASE on, the caller supplies ``unit_noise``: unit complex variance,
+    shaped like the samples. Drawing it outside keeps batched runs
+    independent of batch composition.
     """
     if gain_db is None:
         gain_db = amp.gain_db
@@ -466,10 +457,8 @@ def edfa(field: FieldWaveform, amp: AmplifierParams,
     if amp.noise_on:
         var = amp.ase_variance_per_sample(gain_db, field.sample_rate_hz)
         if unit_noise is None:
-            if rng is None:
-                raise ChannelError("ASE enabled but no noise source given")
-            unit_noise = standard_complex_noise(rng, out.shape)
-        elif unit_noise.shape != out.shape:
+            raise ChannelError("ASE enabled but no noise source given")
+        if unit_noise.shape != out.shape:
             raise ChannelError("unit_noise shape mismatch")
         out = out + math.sqrt(var) * unit_noise
     return FieldWaveform(out, field.sample_rate_hz, symbol_scale=field.symbol_scale)
@@ -496,29 +485,3 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
         out = edfa(out, amp, gain_db=gain, unit_noise=noise)
     return out
 
-
-_WAVE_MAGIC = b"PSLWAVE1"
-
-
-def dump_waveform(field: FieldWaveform, path: str) -> None:
-    """Write one (2, T) waveform as little-endian complex64 with a 32-byte header."""
-    if field.samples.ndim != 2:
-        raise ChannelError("debug dump handles single (2, T) waveforms")
-    header = _WAVE_MAGIC + struct.pack("<dQ", field.sample_rate_hz, field.n_samples)
-    header += b"\x00" * (32 - len(header))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(field.samples[0].astype("<c8").tobytes())
-        fh.write(field.samples[1].astype("<c8").tobytes())
-
-
-def load_waveform(path: str) -> FieldWaveform:
-    with open(path, "rb") as fh:
-        header = fh.read(32)
-        if len(header) != 32 or header[:8] != _WAVE_MAGIC:
-            raise ChannelError("not a waveform dump")
-        rate, n = struct.unpack("<dQ", header[8:24])
-        data = np.frombuffer(fh.read(), dtype="<c8")
-    if data.size != 2 * n:
-        raise ChannelError("truncated waveform dump")
-    return FieldWaveform(data.reshape(2, n).astype(complex), rate)

@@ -23,8 +23,6 @@ from .harness import (
     emit_csv,
     paper_preset,
     parse_config,
-    parse_csv,
-    run_point,
     ss_bound_estimate,
     sweep,
     write_meta,
@@ -46,8 +44,6 @@ def _build_config(args) -> "ExperimentConfig":
         overrides["seed"] = args.seed
     if args.workers is not None:
         overrides["max_workers"] = args.workers
-    if args.timing:
-        overrides["include_timing"] = True
     if overrides:
         from dataclasses import replace
         cfg = replace(cfg, **overrides)
@@ -61,8 +57,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, help="worker process count")
     p.add_argument("--scale", choices=("desk", "paper"),
                    help="start from a built-in preset")
-    p.add_argument("--timing", action="store_true",
-                   help="record wall time per point (breaks byte-stable output)")
 
 
 def _cmd_run(args) -> int:

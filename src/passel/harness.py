@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Iterable
@@ -104,7 +103,7 @@ __all__ = [
 ]
 
 CSV_HEADER = ("scheme,metric,power_dbm,n_t,air_bits_4d,se_bits_s_hz,"
-              "ci95,sel_metric_mean,wall_s")
+              "ci95,sel_metric_mean")
 KNOWN_SCHEMES = ("mb", "ess", "ess+bsss", "ess+siss")
 SELECTION_SCHEMES = ("ess+bsss", "ess+siss")
 
@@ -124,7 +123,6 @@ class ExperimentConfig:
     n_blocks: int = 200
     seed: int = 1234
     max_workers: int = 1
-    include_timing: bool = False
     block_len_4d: int = 256
     dm_blocklength: int = 256
     dm_rate_bits_per_amp: float = 1.3
@@ -232,7 +230,7 @@ def _fmt_value(value) -> str:
 
 
 def config_text(cfg: ExperimentConfig) -> str:
-    """Canonical dump; parse_config(config_text(cfg)) == cfg."""
+    """Canonical dump, floats to 12 significant digits; feeds config_hash."""
     lines = ["%s = %s" % (f.name, _fmt_value(getattr(cfg, f.name)))
              for f in fields(ExperimentConfig)]
     return "\n".join(lines) + "\n"
@@ -319,7 +317,13 @@ def dm_bits_per_block(cfg: ExperimentConfig) -> int:
 
 
 class _PointState:
-    """Everything one (scheme, power, n_t) point needs to encode blocks."""
+    """Everything one (scheme, power, n_t) point needs to encode blocks.
+
+    mb samples amplitudes directly; every other scheme shapes payload_bits
+    per block through one sphere shaper. ess+bsss carries its index as pilot
+    bits absorbed by a higher matcher rate k_adj; ess+siss carries it as
+    pilot symbols in extra time slots.
+    """
 
     def __init__(self, cfg: ExperimentConfig, scheme: str, power_dbm: float, n_t: int):
         if scheme not in KNOWN_SCHEMES:
@@ -336,49 +340,37 @@ class _PointState:
         if n_amp % cfg.dm_blocklength:
             raise HarnessError("4*block_len_4d must be a multiple of dm_blocklength")
         self.n_dm = n_amp // cfg.dm_blocklength
-        k = dm_bits_per_block(cfg)
-        self.k_base = k
-        self.k_adj = k
+        self.k_base = self.k_adj = dm_bits_per_block(cfg)
         self.pilot_bits = 0
         self.pilot_syms = 0
-        self.book = None
-        self.pilots = None
-        self.metric_fn = None
         self.dist = None
-        self.sel_cfg = None
+        self.shaper = None
 
         if scheme == "mb":
             self.dist = mb_fit(cfg.dm_rate_bits_per_amp, self.alphabet)
-            self.shaper = None
             self.realized_bits_4d = None  # ideal matcher: no rate loss
-        elif scheme == "ess":
-            self.shaper = PasShaper(trellis_for(cfg.dm_blocklength, k, self.alphabet),
-                                    self.n)
-            self.realized_bits_4d = self.shaper.bits_per_selection_block / self.n
-        elif scheme == "ess+bsss":
-            self.pilot_bits = bsss_pilot_bits(n_t)
-            self.k_adj = k + math.ceil(self.pilot_bits / self.n_dm)
+        else:
+            if scheme == "ess+bsss":
+                self.pilot_bits = bsss_pilot_bits(n_t)
+                self.k_adj += math.ceil(self.pilot_bits / self.n_dm)
+            elif scheme == "ess+siss":
+                self.pilot_syms = siss_pilot_symbols(n_t)
             self.shaper = PasShaper(
                 trellis_for(cfg.dm_blocklength, self.k_adj, self.alphabet), self.n)
             self.payload_bits = self.shaper.bits_per_selection_block - self.pilot_bits
-            self.book = ScramblerBook.generate(cfg.seed, n_t, self.payload_bits)
-            self.sel_cfg = SelectionConfig(scheme="bsss", n_t=n_t,
-                                           metric=cfg.selection_metric,
-                                           block_len_4d=self.n)
-            self.metric_fn = self._build_metric(payload=None)
             self.realized_bits_4d = self.payload_bits / self.n
-        else:  # ess+siss
-            self.pilot_syms = siss_pilot_symbols(n_t)
-            self.shaper = PasShaper(trellis_for(cfg.dm_blocklength, k, self.alphabet),
-                                    self.n)
-            self.book = PermutationBook.generate(cfg.seed, n_t, self.n)
-            self.pilots = PilotBook.build(self.alphabet)
-            self.sel_cfg = SelectionConfig(scheme="siss", n_t=n_t,
+
+        if scheme in SELECTION_SCHEMES:
+            if scheme == "ess+bsss":
+                self.book = ScramblerBook.generate(cfg.seed, n_t, self.payload_bits)
+            else:
+                self.book = PermutationBook.generate(cfg.seed, n_t, self.n)
+                self.pilots = PilotBook.build(self.alphabet)
+            self.sel_cfg = SelectionConfig(scheme=scheme[len("ess+"):], n_t=n_t,
                                            metric=cfg.selection_metric,
                                            block_len_4d=self.n)
             self.metric_fn = self._build_metric(
                 payload=slice(self.pilot_syms, None) if self.pilot_syms else None)
-            self.realized_bits_4d = self.shaper.bits_per_selection_block / self.n
 
         self.block_len_tx = self.n + self.pilot_syms
         self.time_fraction = self.n / self.block_len_tx
@@ -394,30 +386,35 @@ class _PointState:
 
     def encode_block(self, rng: np.random.Generator):
         """One transmit block: (symbols (2, block_len_tx), cost, index)."""
-        if self.scheme == "mb":
+        if self.dist is not None:
             amps = mb_sample(self.dist, rng, 4 * self.n)
             signs = rng.integers(0, 2, size=4 * self.n, dtype=np.uint8)
             return pas_map(amps, signs), math.nan, 0
-        if self.scheme == "ess":
-            bits = rng.integers(0, 2, size=self.shaper.bits_per_selection_block,
-                                dtype=np.uint8)
-            return self.shaper.encode(bits), math.nan, 0
+        bits = rng.integers(0, 2, size=self.payload_bits, dtype=np.uint8)
         if self.scheme == "ess+bsss":
-            bits = rng.integers(0, 2, size=self.payload_bits, dtype=np.uint8)
             res = bsss_encode(bits, self.book, self.sel_cfg, self.shaper.encode,
                               self.metric_fn)
-            return res.symbols, res.cost, res.index
-        bits = rng.integers(0, 2, size=self.shaper.bits_per_selection_block,
-                            dtype=np.uint8)
-        payload = self.shaper.encode(bits)
-        res = siss_encode(payload, self.book, self.pilots, self.sel_cfg,
-                          self.metric_fn)
+        elif self.scheme == "ess+siss":
+            res = siss_encode(self.shaper.encode(bits), self.book, self.pilots,
+                              self.sel_cfg, self.metric_fn)
+        else:
+            return self.shaper.encode(bits), math.nan, 0
         return res.symbols, res.cost, res.index
 
-    def decoder_amp_priors(self, tx_payload: np.ndarray) -> np.ndarray:
-        if self.scheme == "mb":
-            return self.dist.probs
-        return empirical_amp_probs(tx_payload, self.alphabet)
+    def draw(self, n_blocks: int):
+        """Blocks 0..n_blocks-1 of every channel, one data substream each.
+
+        Returns (symbols (channels, blocks, 2, block_len_tx), costs, indices).
+        """
+        n_ch = self.cfg.n_channels
+        tx = np.empty((n_ch, n_blocks, 2, self.block_len_tx), dtype=complex)
+        costs = np.full((n_ch, n_blocks), math.nan)
+        indices = np.zeros((n_ch, n_blocks), dtype=int)
+        for c in range(n_ch):
+            for b in range(n_blocks):
+                rng = substream(self.cfg.seed, TAG_DATA, c, b)
+                tx[c, b], costs[c, b], indices[c, b] = self.encode_block(rng)
+        return tx, costs, indices
 
 
 def empirical_amp_probs(symbols: np.ndarray, alphabet: AmplitudeAlphabet | None = None
@@ -445,7 +442,6 @@ class ResultRow:
     se_bits_s_hz: float
     ci95: float
     sel_metric_mean: float
-    wall_s: float
 
 
 @dataclass
@@ -476,66 +472,59 @@ def _ase_noise_source(seed: int, block_indices: np.ndarray, per_block_shape: tup
     return unit_noise
 
 
-def _propagate_and_receive(cfg: ExperimentConfig, tx_blocks: np.ndarray,
-                           power_dbm: float, block_indices: np.ndarray):
-    """WDM-propagate (channels, blocks, 2, T) symbols; receive center channel.
-
-    Returns (rx_symbols (blocks, 2, T), tx_center (blocks, 2, T)).
-    """
-    wdm = link_wdm(cfg)
-    fiber = fiber_for(cfg)
-    amp = amp_for(cfg)
-    channels = [rrc_modulate(tx_blocks[c], wdm, power_dbm)
-                for c in range(cfg.n_channels)]
-    composite = wdm_mux(channels, wdm)
+def _propagate_and_receive(st: _PointState, tx: np.ndarray,
+                           block_ids: np.ndarray) -> np.ndarray:
+    """WDM-propagate (channels, blocks, 2, T) symbols; (blocks, 2, T) center rx."""
+    cfg = st.cfg
+    wdm, fiber = link_wdm(cfg), fiber_for(cfg)
+    composite = wdm_mux([rrc_modulate(tx[c], wdm, st.power_dbm)
+                         for c in range(cfg.n_channels)], wdm)
     noise = None
     if cfg.noise_on:
-        noise = _ase_noise_source(cfg.seed, block_indices,
-                                  (2, composite.n_samples))
-    out = propagate_link(composite, fiber, amp, link_steps(cfg),
+        noise = _ase_noise_source(cfg.seed, block_ids, (2, composite.n_samples))
+    out = propagate_link(composite, fiber, amp_for(cfg), link_steps(cfg),
                          unit_noise_for_span=noise)
-    center = wdm.center_channel
-    chan = wdm_demux(out, wdm, center)
     rx = RxChain.for_link(fiber, wdm)
-    y = matched_filter_sample(cdc(chan, rx), rx)
-    return y, tx_blocks[center]
+    return matched_filter_sample(cdc(wdm_demux(out, wdm, wdm.center_channel), rx), rx)
 
 
-def run_point_detailed(cfg: ExperimentConfig, scheme: str, power_dbm: float,
-                       n_t: int = 1) -> PointDetail:
-    t0 = time.perf_counter()
-    st = _PointState(cfg, scheme, power_dbm, n_t)
-    n_ch, n_blk = cfg.n_channels, cfg.n_blocks
-    tx = np.empty((n_ch, n_blk, 2, st.block_len_tx), dtype=complex)
-    costs = np.full((n_ch, n_blk), math.nan)
-    indices = np.zeros((n_ch, n_blk), dtype=int)
-    for c in range(n_ch):
-        for b in range(n_blk):
-            rng = substream(cfg.seed, TAG_DATA, c, b)
-            tx[c, b], costs[c, b], indices[c, b] = st.encode_block(rng)
+def _metric_label(cfg: ExperimentConfig, scheme: str) -> str:
+    return cfg.selection_metric if scheme in SELECTION_SCHEMES else "none"
 
-    y, tx_c = _propagate_and_receive(cfg, tx, power_dbm,
-                                     np.arange(n_blk))
+
+def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
+                  block_ids: np.ndarray, rate_penalty: float, row: dict,
+                  sel_costs: np.ndarray, resolved: dict) -> PointDetail:
+    """Propagate drawn blocks over the WDM link and rate the center channel.
+
+    tx/indices: (channels, blocks, ...) from _PointState.draw for the block
+    numbers in block_ids, which also key the amplifier noise. Blocks whose
+    pilot symbols are misdetected are dropped; the rest go through priors,
+    bit-metric AIR, the selection rate penalty in bits/4D (0, or log2(eta)/n
+    for the bound), shaping rate loss and spectral efficiency. row carries
+    the ResultRow fields fixed by the caller.
+    """
+    y = _propagate_and_receive(st, tx, block_ids)
+    center = link_wdm(st.cfg).center_channel
     pay = slice(st.pilot_syms, None)
-    y_pay, theta = mean_phase_comp(y[..., pay], tx_c[..., pay])
+    y_pay, theta = mean_phase_comp(y[..., pay], tx[center][..., pay])
 
-    keep = np.ones(n_blk, dtype=bool)
+    keep = np.ones(block_ids.size, dtype=bool)
     if st.pilot_syms:
         y_pil = y[..., :st.pilot_syms] * np.exp(-1j * theta)[..., None]
-        center = link_wdm(cfg).center_channel
-        for b in range(n_blk):
-            if st.pilots.detect_index(y_pil[b]) != indices[center, b]:
-                keep[b] = False
-    kept = np.flatnonzero(keep)
-    if kept.size == 0:
+        for b in range(block_ids.size):
+            keep[b] = st.pilots.detect_index(y_pil[b]) == indices[center, b]
+    if not keep.any():
         raise HarnessError("all blocks discarded by pilot detection")
 
-    tx_kept = tx_c[kept][..., pay]
-    y_kept = y_pay[kept]
-    amp_probs = st.decoder_amp_priors(tx_kept)
-    priors = constellation_priors(pas_constellation(st.alphabet), amp_probs,
-                                  st.alphabet)
-    air = air_bitwise(tx_kept, y_kept, priors)
+    tx_kept = tx[center][keep][..., pay]
+    if st.dist is not None:
+        amp_probs = st.dist.probs
+    else:
+        amp_probs = empirical_amp_probs(tx_kept, st.alphabet)
+    priors = constellation_priors(pas_constellation(st.alphabet), amp_probs, st.alphabet)
+    air = air_bitwise(tx_kept, y_pay[keep], priors)
+    air_net = max(0.0, air.air_bits_per_4d + rate_penalty)
     prior4 = air.prior_entropy_bits_per_4d
     if st.realized_bits_4d is None:
         rate_loss = 0.0
@@ -543,26 +532,31 @@ def run_point_detailed(cfg: ExperimentConfig, scheme: str, power_dbm: float,
         rate_loss = max(0.0, prior4 - st.realized_bits_4d)
     overhead = SelectionOverhead(bits_per_4d=rate_loss,
                                  time_fraction=st.time_fraction)
-    se = se_from_air(air.air_bits_per_4d, link_wdm(cfg), overhead)
-    wall = time.perf_counter() - t0 if cfg.include_timing else 0.0
-    sel_mean = float(np.nanmean(costs)) if scheme in SELECTION_SCHEMES else math.nan
-    row = ResultRow(scheme=scheme,
-                    metric=cfg.selection_metric if scheme in SELECTION_SCHEMES
-                    else "none",
-                    power_dbm=float(power_dbm), n_t=int(n_t),
-                    air_bits_4d=air.air_bits_per_4d, se_bits_s_hz=se,
-                    ci95=air.ci95_bits_per_4d, sel_metric_mean=sel_mean,
-                    wall_s=wall)
-    return PointDetail(row=row, prior_entropy_bits_4d=prior4,
+    se = se_from_air(air_net, link_wdm(st.cfg), overhead)
+    return PointDetail(row=ResultRow(power_dbm=st.power_dbm, air_bits_4d=air_net,
+                                     se_bits_s_hz=se, ci95=air.ci95_bits_per_4d,
+                                     **row),
+                       prior_entropy_bits_4d=prior4,
                        realized_bits_4d=st.realized_bits_4d,
                        rate_loss_bits_4d=rate_loss,
                        time_fraction=st.time_fraction,
                        noise_variance=air.noise_variance,
                        equivocation_per_block=air.equivocation_per_4d.reshape(
-                           kept.size, st.n),
-                       sel_costs=costs, kept_blocks=kept,
-                       n_discarded=int(n_blk - kept.size),
-                       resolved=_resolved_point(st))
+                           -1, st.n),
+                       sel_costs=sel_costs, kept_blocks=block_ids[keep],
+                       n_discarded=int(block_ids.size - keep.sum()),
+                       resolved=resolved)
+
+
+def run_point_detailed(cfg: ExperimentConfig, scheme: str, power_dbm: float,
+                       n_t: int = 1) -> PointDetail:
+    st = _PointState(cfg, scheme, power_dbm, n_t)
+    tx, costs, indices = st.draw(cfg.n_blocks)
+    sel_mean = float(np.nanmean(costs)) if scheme in SELECTION_SCHEMES else math.nan
+    row = dict(scheme=scheme, metric=_metric_label(cfg, scheme), n_t=int(n_t),
+               sel_metric_mean=sel_mean)
+    return _point_detail(st, tx, indices, np.arange(cfg.n_blocks), 0.0, row, costs,
+                         _resolved_point(st))
 
 
 def run_point(cfg: ExperimentConfig, scheme: str, power_dbm: float,
@@ -600,7 +594,6 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     subset is adjusted by log2(eta)/n before the spectral-efficiency
     conversion. eta=1 reproduces the plain sphere-shaping point exactly.
     """
-    t0 = time.perf_counter()
     power = cfg.powers_dbm[0] if power_dbm is None else float(power_dbm)
     eta = cfg.bound_eta if eta is None else float(eta)
     m_total = cfg.bound_m_total if m_total is None else int(m_total)
@@ -610,12 +603,7 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
         raise HarnessError("need m_total*eta >= 30 kept blocks, got %g"
                            % (m_total * eta))
     st = _PointState(cfg, "ess", power, 1)
-    n_ch = cfg.n_channels
-    tx = np.empty((n_ch, m_total, 2, st.n), dtype=complex)
-    for c in range(n_ch):
-        for b in range(m_total):
-            rng = substream(cfg.seed, TAG_DATA, c, b)
-            tx[c, b], _, _ = st.encode_block(rng)
+    tx, _, indices = st.draw(m_total)
 
     center = link_wdm(cfg).center_channel
     scorer = NliMetric(fiber_for(cfg), metric_wdm(cfg), metric_steps(cfg),
@@ -627,52 +615,28 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
         costs[lo:hi] = scorer(tx[center, lo:hi])
 
     n_keep = math.ceil(eta * m_total)
-    order = np.argsort(costs, kind="stable")
-    kept = np.sort(order[:n_keep])
-
-    y, tx_c = _propagate_and_receive(cfg, tx[:, kept], power, kept)
-    y_pay, _ = mean_phase_comp(y, tx_c)
-    amp_probs = empirical_amp_probs(tx_c, st.alphabet)
-    priors = constellation_priors(pas_constellation(st.alphabet), amp_probs,
-                                  st.alphabet)
-    air = air_bitwise(tx_c, y_pay, priors)
+    kept = np.sort(np.argsort(costs, kind="stable")[:n_keep])
     penalty = math.log2(eta) / st.n
-    air_adj = max(0.0, air.air_bits_per_4d + penalty)
-    prior4 = air.prior_entropy_bits_per_4d
-    rate_loss = max(0.0, prior4 - st.realized_bits_4d)
-    se = se_from_air(air_adj, link_wdm(cfg), SelectionOverhead(bits_per_4d=rate_loss))
-    wall = time.perf_counter() - t0 if cfg.include_timing else 0.0
-    row = ResultRow(scheme="bound", metric="nli", power_dbm=power,
-                    n_t=int(round(1.0 / eta)), air_bits_4d=air_adj,
-                    se_bits_s_hz=se, ci95=air.ci95_bits_per_4d,
-                    sel_metric_mean=float(costs[kept].mean()), wall_s=wall)
+    row = dict(scheme="bound", metric="nli", n_t=int(round(1.0 / eta)),
+               sel_metric_mean=float(costs[kept].mean()))
     resolved = _resolved_point(st)
     resolved.update({"scheme": "bound", "eta": eta, "m_total": m_total,
                      "rate_penalty_bits_per_4d": penalty,
                      "rate_penalty_formula": "log2(eta)/block_len_4d"})
-    return PointDetail(row=row, prior_entropy_bits_4d=prior4,
-                       realized_bits_4d=st.realized_bits_4d,
-                       rate_loss_bits_4d=rate_loss, time_fraction=1.0,
-                       noise_variance=air.noise_variance,
-                       equivocation_per_block=air.equivocation_per_4d.reshape(
-                           kept.size, st.n),
-                       sel_costs=costs[None, :], kept_blocks=kept,
-                       n_discarded=0, resolved=resolved)
+    return _point_detail(st, tx[:, kept], indices[:, kept], kept, penalty, row,
+                         costs[None, :], resolved)
 
 
 def _point_worker(args):
-    text, scheme, power, n_t = args
-    cfg = parse_config(text)
+    cfg, scheme, power, n_t = args
     try:
         detail = run_point_detailed(cfg, scheme, power, n_t)
         return detail.row, None, detail.resolved
     except Exception as exc:  # propagate as a diagnostic row
-        row = ResultRow(scheme=scheme,
-                        metric=cfg.selection_metric
-                        if scheme in SELECTION_SCHEMES else "none",
+        row = ResultRow(scheme=scheme, metric=_metric_label(cfg, scheme),
                         power_dbm=float(power), n_t=int(n_t),
                         air_bits_4d=math.nan, se_bits_s_hz=math.nan,
-                        ci95=math.nan, sel_metric_mean=math.nan, wall_s=0.0)
+                        ci95=math.nan, sel_metric_mean=math.nan)
         return row, "%s: %s" % (type(exc).__name__, exc), None
 
 
@@ -688,7 +652,7 @@ def sweep(cfg: ExperimentConfig):
         nts = cfg.n_t_values if scheme in SELECTION_SCHEMES else (1,)
         for power in cfg.powers_dbm:
             for n_t in nts:
-                points.append((config_text(cfg), scheme, float(power), int(n_t)))
+                points.append((cfg, scheme, float(power), int(n_t)))
 
     if cfg.max_workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=cfg.max_workers) as pool:
@@ -697,7 +661,7 @@ def sweep(cfg: ExperimentConfig):
         outcomes = [_point_worker(p) for p in points]
 
     rows, errors, resolved = [], {}, []
-    for (text, scheme, power, n_t), (row, err, res) in zip(points, outcomes):
+    for (_, scheme, power, n_t), (row, err, res) in zip(points, outcomes):
         rows.append(row)
         if err is not None:
             errors["%s p=%g n_t=%d" % (scheme, power, n_t)] = err
@@ -725,8 +689,7 @@ def _fmt_float(x: float) -> str:
 def _row_line(r: ResultRow) -> str:
     return ",".join([r.scheme, r.metric, _fmt_float(r.power_dbm), str(int(r.n_t)),
                      _fmt_float(r.air_bits_4d), _fmt_float(r.se_bits_s_hz),
-                     _fmt_float(r.ci95), _fmt_float(r.sel_metric_mean),
-                     _fmt_float(r.wall_s)])
+                     _fmt_float(r.ci95), _fmt_float(r.sel_metric_mean)])
 
 
 def emit_csv(rows: Iterable[ResultRow], path: str) -> None:
@@ -748,14 +711,13 @@ def parse_csv(path: str) -> list[ResultRow]:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 9:
+        if len(parts) != 8:
             raise HarnessError("bad CSV row: %r" % line)
         out.append(ResultRow(scheme=parts[0], metric=parts[1],
                              power_dbm=float(parts[2]), n_t=int(parts[3]),
                              air_bits_4d=float(parts[4]),
                              se_bits_s_hz=float(parts[5]), ci95=float(parts[6]),
-                             sel_metric_mean=float(parts[7]),
-                             wall_s=float(parts[8])))
+                             sel_metric_mean=float(parts[7])))
     return out
 
 

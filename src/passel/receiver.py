@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .channel import ChannelError, FieldWaveform, FiberParams, WdmConfig, pulse_spectrum
+from .channel import FieldWaveform, FiberParams, WdmConfig, pulse_spectrum
 from .shaping import AmplitudeAlphabet
 
 __all__ = [

@@ -20,7 +20,7 @@ for a smaller family are a prefix of those for a larger one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "ScramblerBook",
     "PermutationBook",
     "PilotBook",
-    "generate_books",
     "bsss_pilot_bits",
     "siss_pilot_symbols",
     "index_to_pilot_bits",
@@ -252,27 +251,13 @@ class PilotBook:
         return out
 
 
-def generate_books(seed: int, cfg: SelectionConfig, payload_bits: int | None = None,
-                   alphabet: AmplitudeAlphabet | None = None):
-    """Book(s) for the configured scheme, reproducible from the seed."""
-    if cfg.scheme == "bsss":
-        if payload_bits is None:
-            raise SelectionError("bit-level books need the payload bit count")
-        return ScramblerBook.generate(seed, cfg.n_t, payload_bits)
-    perm = PermutationBook.generate(seed, cfg.n_t, cfg.block_len_4d)
-    return perm, PilotBook.build(alphabet)
-
-
 def _score_candidates(metric_fn: Callable, stack: np.ndarray) -> np.ndarray:
-    """Evaluate a metric over (n_t, 2, T) candidates, batched when possible."""
-    n_t = stack.shape[0]
-    try:
-        costs = np.asarray(metric_fn(stack), dtype=float)
-        if costs.shape == (n_t,):
-            return costs
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(metric_fn(stack[i])) for i in range(n_t)])
+    """One batched metric call over (n_t, 2, T) candidates: one cost each."""
+    costs = np.asarray(metric_fn(stack), dtype=float)
+    if costs.shape != stack.shape[:1]:
+        raise SelectionError("metric returned costs of shape %s for %d candidates"
+                             % (costs.shape, stack.shape[0]))
+    return costs
 
 
 def bsss_encode(info_bits: np.ndarray, book: ScramblerBook, cfg: SelectionConfig,

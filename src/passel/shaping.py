@@ -44,7 +44,7 @@ __all__ = [
     "PasShaper",
 ]
 
-# guard against float fuzz in N*R before取 the ceiling
+# guard against float fuzz in N*R before taking the ceiling
 _RATE_EPS = 1e-9
 
 
@@ -377,12 +377,6 @@ class MbDistribution:
     def entropy_bits(self) -> float:
         p = np.asarray(self.probs)
         return float(-(p * np.log2(p)).sum())
-
-    @property
-    def mean_energy(self) -> float:
-        p = np.asarray(self.probs)
-        a = self.alphabet.as_array()
-        return float((p * a * a).sum())
 
 
 def _mb_probs(alphabet: AmplitudeAlphabet, lam: float) -> np.ndarray:

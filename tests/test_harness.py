@@ -5,7 +5,6 @@ coarse steps) so the full pipeline runs in seconds; physics fidelity is
 covered by the channel and receiver suites.
 """
 
-import hashlib
 import math
 import os
 from dataclasses import replace
@@ -47,8 +46,7 @@ def tiny_config(**overrides):
 
 class TestConfig:
     def test_text_roundtrip(self):
-        cfg = tiny_config(schemes=("mb", "ess+siss"), powers_dbm=(0.0, 1.5),
-                          include_timing=True)
+        cfg = tiny_config(schemes=("mb", "ess+siss"), powers_dbm=(0.0, 1.5))
         assert parse_config(config_text(cfg)) == cfg
 
     def test_overlay_and_comments(self):
@@ -96,7 +94,7 @@ class TestCsv:
     def row(self, **kw):
         base = dict(scheme="ess", metric="none", power_dbm=1.0, n_t=1,
                     air_bits_4d=9.5, se_bits_s_hz=8.8, ci95=0.01,
-                    sel_metric_mean=math.nan, wall_s=0.0)
+                    sel_metric_mean=math.nan)
         base.update(kw)
         return ResultRow(**base)
 
@@ -116,7 +114,7 @@ class TestCsv:
         for a, b in zip(rows, back):
             assert a.scheme == b.scheme and a.n_t == b.n_t
             for fld in ("power_dbm", "air_bits_4d", "se_bits_s_hz", "ci95",
-                        "sel_metric_mean", "wall_s"):
+                        "sel_metric_mean"):
                 x, y = getattr(a, fld), getattr(b, fld)
                 assert (math.isnan(x) and math.isnan(y)) or x == y
 
@@ -298,13 +296,6 @@ class TestSweepDeterminism:
         assert meta["seed"] == cfg.seed
         assert meta["resolved_defaults"]["dm_bits_per_block"] == 42
         assert meta["points"][0]["scheme"] == "ess"
-
-    def test_timing_column_zero_by_default(self, tmp_path):
-        cfg = tiny_config()
-        rows, _, _ = sweep(cfg)
-        assert all(r.wall_s == 0.0 for r in rows)
-        rows2, _, _ = sweep(replace(cfg, include_timing=True))
-        assert any(r.wall_s > 0.0 for r in rows2)
 
 
 class TestResolveDefaults:

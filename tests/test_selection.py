@@ -24,7 +24,6 @@ from passel.selection import (
     bsss_decode,
     bsss_encode,
     bsss_pilot_bits,
-    generate_books,
     index_to_pilot_bits,
     make_wk_metric,
     pilot_bits_to_index,
@@ -117,17 +116,6 @@ class TestBooks:
     def test_permutation_too_short(self):
         with pytest.raises(SelectionError):
             PermutationBook.generate(3, 2, 1)
-
-    def test_dispatcher(self):
-        cfg = SelectionConfig(scheme="bsss", n_t=4, block_len_4d=8)
-        book = generate_books(9, cfg, payload_bits=30)
-        assert isinstance(book, ScramblerBook) and book.masks.shape == (4, 30)
-        with pytest.raises(SelectionError):
-            generate_books(9, cfg)
-        cfg = SelectionConfig(scheme="siss", n_t=4, block_len_4d=8)
-        perms, pilots = generate_books(9, cfg)
-        assert isinstance(perms, PermutationBook) and perms.perms.shape == (4, 8)
-        assert isinstance(pilots, PilotBook)
 
     def test_config_validation(self):
         with pytest.raises(SelectionError):
@@ -402,26 +390,20 @@ class TestBsss:
         payload = shaper.bits_per_selection_block - 2
         book = ScramblerBook.generate(79, 4, payload)
         bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-        res = bsss_encode(bits, book, cfg, shaper.encode, lambda s: 1.0)
+        res = bsss_encode(bits, book, cfg, shaper.encode, lambda s: np.ones(len(s)))
         assert res.index == 0
 
-    def test_scalar_only_metric_fallback(self):
+    def test_wrong_cost_shape_raises(self):
+        # one batched metric call must return exactly one cost per candidate
         rng = substream(31, 16)
         shaper = small_shaper(8)
         cfg = SelectionConfig(scheme="bsss", n_t=4, metric="wk", block_len_4d=8)
         payload = shaper.bits_per_selection_block - 2
         book = ScramblerBook.generate(79, 4, payload)
-
-        def scalar_metric(s):
-            if s.ndim != 2:
-                raise ValueError("one block at a time")
-            return wk_metric(s, window=8, stride=8)
-
         bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-        a = bsss_encode(bits, book, cfg, shaper.encode, scalar_metric)
-        b = bsss_encode(bits, book, cfg, shaper.encode, make_wk_metric(window=8, stride=8))
-        assert a.index == b.index
-        assert np.array_equal(a.symbols, b.symbols)
+        for metric in (lambda s: 1.0, lambda s: np.ones((len(s), 1))):
+            with pytest.raises(SelectionError):
+                bsss_encode(bits, book, cfg, shaper.encode, metric)
 
     def test_identity_pilot_leaves_bits(self):
         cfg = SelectionConfig(scheme="bsss", n_t=4, metric="wk", block_len_4d=8)
