@@ -94,8 +94,15 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _check(ok, what: str) -> None:
+    """A selftest condition that holds under python -O too, unlike assert."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _selftest_checks():
-    from .channel import FiberParams, WdmConfig, rrc_modulate
+    from .channel import (FieldWaveform, FiberParams, SsfmStepConfig, WdmConfig,
+                          rrc_modulate, ssfm_span)
     from .receiver import (RxChain, air_bitwise, constellation_priors,
                            matched_filter_sample, pas_constellation)
     from .seeding import substream
@@ -109,8 +116,8 @@ def _selftest_checks():
         for idx in range(1 << 5):
             bits = np.array([(idx >> (4 - j)) & 1 for j in range(5)], np.uint8)
             amps = ess_encode(bits, tr)
-            assert (amps ** 2).sum() <= tr.emax
-            assert np.array_equal(ess_decode(amps, tr), bits)
+            _check((amps ** 2).sum() <= tr.emax, "block %d above the energy bound" % idx)
+            _check(np.array_equal(ess_decode(amps, tr), bits), "block %d decodes wrong" % idx)
 
     def filter_backtoback():
         wdm = WdmConfig(n_channels=1, symbol_rate_gbd=46.5, spacing_ghz=50.0,
@@ -119,7 +126,7 @@ def _selftest_checks():
         syms = (rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64)))
         field = rrc_modulate(syms, wdm, 0.0)
         back = matched_filter_sample(field, RxChain(wdm=wdm))
-        assert np.abs(back - syms).max() < 1e-9
+        _check(np.abs(back - syms).max() < 1e-9, "matched filter does not invert the pulse")
 
     def air_noiseless():
         rng = substream(11, 0)
@@ -128,15 +135,16 @@ def _selftest_checks():
                 + 1j * rng.choice(levels, size=(2, 1200)))
         pri = constellation_priors(pas_constellation(), np.full(4, 0.25))
         res = air_bitwise(syms, syms.copy(), pri, sigma2=1e-12)
-        assert abs(res.air_bits_per_4d - 12.0) < 1e-6
+        _check(abs(res.air_bits_per_4d - 12.0) < 1e-6,
+               "noiseless rate %.9f, want 12" % res.air_bits_per_4d)
 
     def book_nesting():
         small = ScramblerBook.generate(3, 4, 40).masks
         large = ScramblerBook.generate(3, 16, 40).masks
-        assert np.array_equal(small, large[:4])
+        _check(np.array_equal(small, large[:4]), "scrambler books do not nest")
         ps = PermutationBook.generate(3, 4, 32).perms
         pl = PermutationBook.generate(3, 16, 32).perms
-        assert np.array_equal(ps, pl[:4])
+        _check(np.array_equal(ps, pl[:4]), "permutation books do not nest")
 
     def bsss_roundtrip():
         shaper = PasShaper(trellis_for(4, 5), 8)
@@ -148,7 +156,7 @@ def _selftest_checks():
         res = bsss_encode(bits, book, cfg, shaper.encode,
                           lambda s: wk_metric(s, window=8))
         back = bsss_decode(shaper.decode(res.symbols), book, cfg)
-        assert np.array_equal(back, bits)
+        _check(np.array_equal(back, bits), "bit selection does not round-trip")
 
     def siss_roundtrip():
         shaper = PasShaper(trellis_for(4, 5), 8)
@@ -162,7 +170,8 @@ def _selftest_checks():
                           lambda s: wk_metric(s, window=8,
                                               payload=slice(cfg.pilot_symbols, None)))
         got, idx = siss_decode(res.symbols, book, pilots, cfg)
-        assert idx == res.index and np.allclose(got, payload)
+        _check(idx == res.index and np.allclose(got, payload),
+               "symbol selection does not round-trip")
 
     def dispersion_inverts():
         fiber = FiberParams(beta2_ps2_per_km=-21.7, gamma_per_w_km=0.0,
@@ -178,7 +187,21 @@ def _selftest_checks():
                              AmplifierParams(noise_figure_db=5.0, noise_on=False))
         rx = RxChain.for_link(fiber, wdm)
         back = matched_filter_sample(cdc(out, rx), rx)
-        assert np.abs(back - syms).max() < 1e-6
+        _check(np.abs(back - syms).max() < 1e-6, "dispersion not compensated")
+
+    def spm_phase():
+        # beta2 = 0: constant-envelope rotation is (8/9) gamma P Leff at any step count
+        fiber = FiberParams(beta2_ps2_per_km=0.0, n_spans=1)
+        p_w = 0.002
+        field = FieldWaveform(np.full((2, 64), np.sqrt(p_w / 2), dtype=complex), 10e9)
+        alpha = fiber.alpha_per_m
+        leff = (1 - np.exp(-alpha * fiber.span_length_m)) / alpha
+        want = 8.0 / 9.0 * fiber.gamma_per_w_m * p_w * leff
+        for steps in (1, 7):
+            out = ssfm_span(field, fiber, SsfmStepConfig(steps_per_span=steps))
+            got = np.angle(out.samples / field.samples)
+            _check(np.abs(got - want).max() < 1e-9,
+                   "%d-step phase %.12f rad, want %.12f" % (steps, got.max(), want))
 
     return [("sphere shaping index roundtrip", ess_roundtrip),
             ("pulse filter back to back", filter_backtoback),
@@ -186,7 +209,8 @@ def _selftest_checks():
             ("candidate book nesting", book_nesting),
             ("bit selection roundtrip", bsss_roundtrip),
             ("symbol selection roundtrip", siss_roundtrip),
-            ("dispersion compensation", dispersion_inverts)]
+            ("dispersion compensation", dispersion_inverts),
+            ("self-phase rotation", spm_phase)]
 
 
 def _cmd_selftest(_args) -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Iterable
@@ -150,6 +151,9 @@ class ExperimentConfig:
     bound_m_total: int = 200
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float":  # equal configs must hash alike: 80 -> 80.0
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
         object.__setattr__(self, "schemes", tuple(self.schemes))
         object.__setattr__(self, "powers_dbm", tuple(float(p) for p in self.powers_dbm))
         object.__setattr__(self, "n_t_values", tuple(int(v) for v in self.n_t_values))
@@ -223,14 +227,14 @@ def _fmt_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return "%.12g" % value
+        return repr(value)
     if isinstance(value, tuple):
         return ",".join(_fmt_value(v) for v in value)
     return str(value)
 
 
 def config_text(cfg: ExperimentConfig) -> str:
-    """Canonical dump, floats to 12 significant digits; feeds config_hash."""
+    """Canonical dump, floats in shortest round-trip form; feeds config_hash."""
     lines = ["%s = %s" % (f.name, _fmt_value(getattr(cfg, f.name)))
              for f in fields(ExperimentConfig)]
     return "\n".join(lines) + "\n"
@@ -551,12 +555,17 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
 def run_point_detailed(cfg: ExperimentConfig, scheme: str, power_dbm: float,
                        n_t: int = 1) -> PointDetail:
     st = _PointState(cfg, scheme, power_dbm, n_t)
-    tx, costs, indices = st.draw(cfg.n_blocks)
-    sel_mean = float(np.nanmean(costs)) if scheme in SELECTION_SCHEMES else math.nan
-    row = dict(scheme=scheme, metric=_metric_label(cfg, scheme), n_t=int(n_t),
-               sel_metric_mean=sel_mean)
-    return _point_detail(st, tx, indices, np.arange(cfg.n_blocks), 0.0, row, costs,
-                         _resolved_point(st))
+    resolved = _resolved_point(st)
+    try:
+        tx, costs, indices = st.draw(cfg.n_blocks)
+        sel_mean = float(np.nanmean(costs)) if scheme in SELECTION_SCHEMES else math.nan
+        row = dict(scheme=scheme, metric=_metric_label(cfg, scheme), n_t=int(n_t),
+                   sel_metric_mean=sel_mean)
+        return _point_detail(st, tx, indices, np.arange(cfg.n_blocks), 0.0, row, costs,
+                             resolved)
+    except Exception as exc:
+        exc.point_resolved = resolved  # for the sweep's failure record
+        raise
 
 
 def run_point(cfg: ExperimentConfig, scheme: str, power_dbm: float,
@@ -567,6 +576,7 @@ def run_point(cfg: ExperimentConfig, scheme: str, power_dbm: float,
 def _resolved_point(st: _PointState) -> dict:
     out = {
         "scheme": st.scheme,
+        "power_dbm": st.power_dbm,
         "n_t": st.n_t,
         "dm_bits_per_block": st.k_base,
         "dm_bits_per_block_adjusted": st.k_adj,
@@ -627,25 +637,42 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
                          costs[None, :], resolved)
 
 
+_TRACE_FRAMES = 6
+
+
+def _failure_record(scheme: str, power: float, n_t: int, error: str,
+                    exc: Exception) -> dict:
+    """Sidecar entry of a failed point: its parameters, error and innermost frames."""
+    record = {"scheme": scheme, "power_dbm": power, "n_t": n_t}
+    record.update(getattr(exc, "point_resolved", {}))
+    record["error"] = error
+    record["traceback"] = ["%s:%d:%s" % (f.filename, f.lineno, f.name) for f in
+                           traceback.extract_tb(exc.__traceback__)[-_TRACE_FRAMES:]]
+    return record
+
+
 def _point_worker(args):
     cfg, scheme, power, n_t = args
     try:
         detail = run_point_detailed(cfg, scheme, power, n_t)
         return detail.row, None, detail.resolved
-    except Exception as exc:  # propagate as a diagnostic row
+    except Exception as exc:  # a failed point becomes a NaN row and a sidecar record
         row = ResultRow(scheme=scheme, metric=_metric_label(cfg, scheme),
                         power_dbm=float(power), n_t=int(n_t),
                         air_bits_4d=math.nan, se_bits_s_hz=math.nan,
                         ci95=math.nan, sel_metric_mean=math.nan)
-        return row, "%s: %s" % (type(exc).__name__, exc), None
+        error = "%s: %s" % (type(exc).__name__, exc)
+        return row, error, _failure_record(scheme, power, n_t, error, exc)
 
 
 def sweep(cfg: ExperimentConfig):
     """All (scheme, power, n_t) points plus best-power summary rows.
 
     Returns (rows, errors, resolved) where errors maps a point label to the
-    diagnostic message of a failed point. Schemes without a candidate family
-    run once per power with n_t pinned to 1.
+    "Type: message" of a failed point and resolved holds one parameter dict
+    per point, in sweep order; a failed point's dict adds its error and
+    innermost traceback frames (file:line:function). Schemes without a
+    candidate family run once per power with n_t pinned to 1.
     """
     points = []
     for scheme in cfg.schemes:
@@ -665,8 +692,7 @@ def sweep(cfg: ExperimentConfig):
         rows.append(row)
         if err is not None:
             errors["%s p=%g n_t=%d" % (scheme, power, n_t)] = err
-        elif res is not None:
-            resolved.append(res)
+        resolved.append(res)
     rows.sort(key=lambda r: (r.scheme, r.power_dbm, r.n_t))
 
     summaries = []

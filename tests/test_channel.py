@@ -25,6 +25,8 @@ from passel.channel import (
     wdm_demux,
     wdm_mux,
 )
+from passel.channel import _SplitStepWork
+from passel.harness import desk_preset, fiber_for, link_wdm, metric_steps, metric_wdm
 from passel.seeding import substream
 
 QAM_RAILS = np.array([-7, -5, -3, -1, 1, 3, 5, 7], dtype=float)
@@ -226,6 +228,138 @@ class TestSsfmOracles:
             single = FieldWaveform(wave.samples[b], wave.sample_rate_hz)
             one = ssfm_span(single, fiber, step)
             assert np.allclose(batch_out.samples[b], one.samples, rtol=0, atol=1e-15)
+
+
+def reference_ssfm_span(field, fiber, step_cfg=None):
+    """Reference span: the plain split-step loop with np.fft, np.exp and new arrays."""
+    step_cfg = step_cfg or SsfmStepConfig()
+    a = field.samples
+    peak = float((np.abs(a) ** 2).sum(axis=-2).max()) if a.size else 0.0
+    steps = step_cfg.resolve(fiber, peak)
+    dz = fiber.span_length_m / steps
+    alpha = fiber.alpha_per_m
+    h_eff = dz if alpha == 0.0 else 2.0 * math.sinh(alpha * dz / 2.0) / alpha
+    w2 = (2.0 * np.pi * np.fft.fftfreq(field.n_samples, d=1.0 / field.sample_rate_hz)) ** 2
+    half = np.exp((0.5j * fiber.beta2_s2_per_m * w2 - 0.5 * alpha) * (dz / 2.0))
+    full = half * half
+    gnl = (8.0 / 9.0) * fiber.gamma_per_w_m * h_eff
+    spec = np.fft.fft(a, axis=-1) * half
+    for step in range(steps):
+        cur = np.fft.ifft(spec, axis=-1)
+        power = (np.abs(cur) ** 2).sum(axis=-2)
+        if step_cfg.mode == "fixed" and gnl * float(power.max()) > step_cfg.max_step_phase_rad:
+            raise StepSizeError("per-step nonlinear phase %.3g rad exceeds the %.3g rad bound"
+                                % (gnl * float(power.max()), step_cfg.max_step_phase_rad))
+        cur *= np.exp(1j * gnl * power)[..., None, :]
+        spec = np.fft.fft(cur, axis=-1)
+        spec *= full if step < steps - 1 else half
+    return FieldWaveform(np.fft.ifft(spec, axis=-1), field.sample_rate_hz,
+                         symbol_scale=field.symbol_scale)
+
+
+def desk_composite(rng, power_dbm, n_blocks=4):
+    wdm = link_wdm(desk_preset())
+    return wdm_mux([rrc_modulate(random_symbols(rng, 64, batch=(n_blocks,)), wdm, power_dbm)
+                    for _ in range(wdm.n_channels)], wdm)
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestSsfmKernel:
+    """The chunked, series-rotation kernel against the plain reference loop."""
+
+    def test_matches_reference_on_desk_link_composite(self):
+        # 18 blocks of 2 x 512 samples: one full chunk of blocks and a partial one
+        cfg = desk_preset()
+        field = desk_composite(np.random.default_rng(21), 4.0, n_blocks=18)
+        step = SsfmStepConfig(steps_per_span=cfg.steps_per_span)
+        got = ssfm_span(field, fiber_for(cfg), step)
+        want = reference_ssfm_span(field, fiber_for(cfg), step)
+        assert relative_error(got.samples, want.samples) <= 1e-12
+
+    def test_matches_reference_on_desk_metric_batch(self):
+        cfg = desk_preset()
+        field = rrc_modulate(random_symbols(np.random.default_rng(22), 64, batch=(16,)),
+                             metric_wdm(cfg), 2.0)
+        got = ssfm_span(field, fiber_for(cfg), metric_steps(cfg))
+        want = reference_ssfm_span(field, fiber_for(cfg), metric_steps(cfg))
+        assert relative_error(got.samples, want.samples) <= 1e-12
+
+    def test_matches_reference_with_phases_past_the_series_range(self):
+        # a raised bound lets one step rotate by radians: the halving path runs
+        fiber = FiberParams(n_spans=1)
+        field = rrc_modulate(random_symbols(np.random.default_rng(23), 64, batch=(2,)),
+                             WdmConfig(n_channels=1, sps=4), 20.0)
+        step = SsfmStepConfig(steps_per_span=4, max_step_phase_rad=10.0)
+        got = ssfm_span(field, fiber, step)
+        want = reference_ssfm_span(field, fiber, step)
+        assert relative_error(got.samples, want.samples) <= 1e-12
+
+    def test_block_result_independent_of_its_batch(self):
+        # a louder block raises the batch's largest phase; 18 blocks span two chunks
+        field = desk_composite(np.random.default_rng(28), 2.0, n_blocks=18)
+        field.samples[17] *= 1.5
+        cfg = desk_preset()
+        step = SsfmStepConfig(steps_per_span=cfg.steps_per_span)
+        batch = ssfm_span(field, fiber_for(cfg), step).samples
+        for b in (0, 16, 17):
+            one = FieldWaveform(field.samples[b], field.sample_rate_hz)
+            assert np.array_equal(ssfm_span(one, fiber_for(cfg), step).samples, batch[b])
+
+    @pytest.mark.parametrize("margin", [1.0 - 1e-6, 1.0 + 1e-6])
+    def test_step_guard_agrees_with_reference(self, margin):
+        # beta2 = 0: power only decays, so the first step has the largest phase,
+        # gnl * max|A|^2 * exp(-alpha dz / 2)
+        fiber = FiberParams(beta2_ps2_per_km=0.0, n_spans=1)
+        step = SsfmStepConfig(steps_per_span=100)
+        samples = desk_composite(np.random.default_rng(24), 0.0).samples
+        dz = fiber.span_length_m / 100
+        alpha = fiber.alpha_per_m
+        gnl = (8.0 / 9.0) * fiber.gamma_per_w_m * 2.0 * math.sinh(alpha * dz / 2.0) / alpha
+        phase = gnl * float((np.abs(samples) ** 2).sum(axis=-2).max()) * math.exp(-alpha * dz / 2)
+        field = FieldWaveform(samples * math.sqrt(margin * step.max_step_phase_rad / phase),
+                              100e9)
+        outcomes = []
+        for span in (ssfm_span, reference_ssfm_span):
+            try:
+                span(field, fiber, step)
+                outcomes.append(False)
+            except StepSizeError:
+                outcomes.append(True)
+        assert outcomes == [margin > 1.0] * 2
+
+    def test_rotation_within_4_ulp_up_to_the_step_bound(self):
+        rng = np.random.default_rng(25)
+        # near the ends of the 1- to 4-term ranges of the sine series
+        for top in (1e-7, 3.3e-4, 9e-3, 0.05):
+            phi = np.concatenate([rng.uniform(0.0, top, 50_000), [0.0, top]])
+            got = _SplitStepWork(1, phi.size).rotation(phi, 1.0, float(phi.max()))
+            want = np.exp(1j * phi)
+            for g, w in ((got.real, want.real), (got.imag, want.imag)):
+                assert np.all(np.abs(g - w) <= 4 * np.spacing(np.abs(w))), top
+
+    def test_rotation_halving_path_up_to_10_rad(self):
+        rng = np.random.default_rng(26)
+        for top in (0.2, 1.0, 3.0, 10.0):
+            phi = np.concatenate([rng.uniform(0.0, top, 50_000), [top]])
+            got = _SplitStepWork(1, phi.size).rotation(phi, 1.0, top)
+            assert np.abs(got - np.exp(1j * phi)).max() <= 1e-13, top
+
+    def test_input_field_left_unchanged(self):
+        field = desk_composite(np.random.default_rng(27), 0.0, n_blocks=2)
+        before = field.samples.copy()
+        fiber = FiberParams(n_spans=2, span_length_km=50.0)
+        step = SsfmStepConfig(steps_per_span=20)
+        ssfm_span(field, fiber, step)
+        assert np.array_equal(field.samples, before)
+
+        def noise(span):
+            return standard_complex_noise(substream(5, 2, span), field.samples.shape)
+
+        propagate_link(field, fiber, AmplifierParams(), step, unit_noise_for_span=noise)
+        assert np.array_equal(field.samples, before)
 
 
 class TestEdfa:

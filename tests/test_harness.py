@@ -83,6 +83,17 @@ class TestConfig:
         assert config_hash(a) == config_hash(tiny_config())
         assert config_hash(a) != config_hash(b)
 
+    def test_hash_separates_configs_past_12_digits(self):
+        a = desk_preset()
+        b = replace(a, gamma_per_w_km=1.2700000000001)
+        assert config_hash(a) != config_hash(b)
+        for cfg in (a, b):
+            assert parse_config(config_text(cfg)) == cfg
+
+    def test_integer_given_for_a_float_field_hashes_alike(self):
+        a, b = tiny_config(span_length_km=80), tiny_config(span_length_km=80.0)
+        assert a == b and config_hash(a) == config_hash(b)
+
     def test_presets_valid(self):
         assert desk_preset().n_spans == 10
         assert paper_preset().n_spans == 30
@@ -298,6 +309,25 @@ class TestSweepDeterminism:
         assert meta["points"][0]["scheme"] == "ess"
 
 
+    def test_failed_point_sidecar_names_the_failing_frame(self, tmp_path):
+        import json
+        # one step per span at high power: the step guard fires in the link
+        cfg = tiny_config(schemes=("ess",), powers_dbm=(10.0,), steps_per_span=1)
+        rows, errors, resolved = sweep(cfg)
+        (label, error), = errors.items()
+        assert label == "ess p=10 n_t=1" and error.startswith("StepSizeError: ")
+        path = str(tmp_path / "f.csv")
+        emit_csv(rows, path)
+        with open(write_meta(path, cfg, errors, resolved)) as fh:
+            point, = json.load(fh)["points"]
+        assert point["error"] == error
+        assert (point["scheme"], point["power_dbm"], point["n_t"]) == ("ess", 10.0, 1)
+        assert point["dm_bits_per_block"] == 42
+        frames = point["traceback"]
+        assert any(frame.endswith(":ssfm_span") for frame in frames), frames
+        assert frames[-1].split(":")[0].endswith("channel.py")
+
+
 class TestResolveDefaults:
     def test_fields_present(self):
         res = resolve_defaults(tiny_config())
@@ -348,3 +378,38 @@ class TestCli:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "0 failed" in out
+
+
+def run_optimized(*args):
+    """Run python -O with passel importable; return (exit code, stdout lines)."""
+    import subprocess
+    import sys
+
+    import passel
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(passel.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    return proc.returncode, proc.stdout.splitlines()
+
+
+class TestSelftest:
+    def test_passes_under_optimize(self):
+        rc, lines = run_optimized("-m", "passel.cli", "selftest")
+        assert rc == 0, lines
+        assert sum(line.startswith("PASS ") for line in lines) == 8
+        assert lines[-1] == "8 checks, 0 failed"
+
+    def test_broken_check_fails_under_optimize(self):
+        # a span that returns its input neither disperses nor rotates
+        rc, lines = run_optimized("-c", (
+            "import sys\n"
+            "import passel.channel as ch\n"
+            "ch.ssfm_span = lambda field, fiber, step_cfg=None: field\n"
+            "from passel.cli import main\n"
+            "sys.exit(main(['selftest']))\n"))
+        assert rc == 1
+        failed = [line[5:39].strip() for line in lines if line.startswith("FAIL ")]
+        assert failed == ["dispersion compensation", "self-phase rotation"], lines
+        assert lines[-1] == "8 checks, 2 failed"
