@@ -229,7 +229,6 @@ class AmplifierParams:
     noise_figure_db: float = 5.0
     noise_on: bool = True
     center_frequency_thz: float = 193.41
-    gain_db: float | None = None  # None = match span loss inside a link
 
     def __post_init__(self):
         if self.noise_on and self.noise_figure_db < 3.0:
@@ -274,10 +273,6 @@ class FieldWaveform:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[-1]
-
-    def copy(self) -> "FieldWaveform":
-        return FieldWaveform(self.samples.copy(), self.sample_rate_hz,
-                             np.array(self.symbol_scale, copy=True))
 
     def mean_power_w(self) -> np.ndarray | float:
         """Time-averaged total (x+y) power, per leading batch element."""
@@ -531,8 +526,7 @@ def standard_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
-def edfa(field: FieldWaveform, amp: AmplifierParams,
-         gain_db: float | None = None,
+def edfa(field: FieldWaveform, amp: AmplifierParams, gain_db: float,
          unit_noise: np.ndarray | None = None) -> FieldWaveform:
     """Amplify by sqrt(gain) and add white ASE on both polarizations.
 
@@ -540,10 +534,6 @@ def edfa(field: FieldWaveform, amp: AmplifierParams,
     shaped like the samples. Drawing it outside keeps batched runs
     independent of batch composition.
     """
-    if gain_db is None:
-        gain_db = amp.gain_db
-    if gain_db is None:
-        raise ChannelError("amplifier gain not specified")
     out = field.samples * 10.0 ** (gain_db / 20.0)
     if amp.noise_on:
         var = amp.ase_variance_per_sample(gain_db, field.sample_rate_hz)
@@ -565,7 +555,6 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     A link with zero spans returns the input unchanged.
     """
     out = field
-    gain = amp.gain_db if amp.gain_db is not None else fiber.span_loss_db
     for span in range(fiber.n_spans):
         out = ssfm_span(out, fiber, step_cfg)
         noise = None
@@ -573,6 +562,6 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
             if unit_noise_for_span is None:
                 raise ChannelError("ASE enabled but no per-span noise source given")
             noise = unit_noise_for_span(span)
-        out = edfa(out, amp, gain_db=gain, unit_noise=noise)
+        out = edfa(out, amp, gain_db=fiber.span_loss_db, unit_noise=noise)
     return out
 

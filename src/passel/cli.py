@@ -106,15 +106,15 @@ def _selftest_checks():
     from .receiver import (RxChain, air_bitwise, constellation_priors,
                            matched_filter_sample, pas_constellation)
     from .seeding import substream
-    from .selection import (PermutationBook, PilotBook, ScramblerBook,
-                            SelectionConfig, bsss_decode, bsss_encode,
-                            siss_decode, siss_encode, wk_metric)
-    from .shaping import PasShaper, ess_decode, ess_encode, trellis_for
+    from .selection import (PermutationBook, PilotBook, ScramblerBook, bsss_decode,
+                            bsss_encode, bsss_pilot_bits, siss_decode, siss_encode,
+                            siss_pilot_symbols, wk_metric)
+    from .shaping import PasShaper, ess_decode, ess_encode, index_to_bits, trellis_for
 
     def ess_roundtrip():
         tr = trellis_for(4, 5)
         for idx in range(1 << 5):
-            bits = np.array([(idx >> (4 - j)) & 1 for j in range(5)], np.uint8)
+            bits = index_to_bits(idx, 5)
             amps = ess_encode(bits, tr)
             _check((amps ** 2).sum() <= tr.emax, "block %d above the energy bound" % idx)
             _check(np.array_equal(ess_decode(amps, tr), bits), "block %d decodes wrong" % idx)
@@ -148,28 +148,26 @@ def _selftest_checks():
 
     def bsss_roundtrip():
         shaper = PasShaper(trellis_for(4, 5), 8)
-        cfg = SelectionConfig(scheme="bsss", n_t=4, metric="wk", block_len_4d=8)
-        payload = shaper.bits_per_selection_block - cfg.pilot_bits
+        payload = shaper.bits_per_selection_block - bsss_pilot_bits(4)
         book = ScramblerBook.generate(5, 4, payload)
         rng = substream(5, 1)
         bits = rng.integers(0, 2, payload, dtype=np.uint8)
-        res = bsss_encode(bits, book, cfg, shaper.encode,
+        res = bsss_encode(bits, book, 4, shaper.encode,
                           lambda s: wk_metric(s, window=8))
-        back = bsss_decode(shaper.decode(res.symbols), book, cfg)
+        back = bsss_decode(shaper.decode(res.symbols), book, 4)
         _check(np.array_equal(back, bits), "bit selection does not round-trip")
 
     def siss_roundtrip():
         shaper = PasShaper(trellis_for(4, 5), 8)
-        cfg = SelectionConfig(scheme="siss", n_t=16, metric="wk", block_len_4d=8)
         book = PermutationBook.generate(9, 16, 8)
         pilots = PilotBook.build()
         rng = substream(9, 1)
         bits = rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8)
         payload = shaper.encode(bits)
-        res = siss_encode(payload, book, pilots, cfg,
+        res = siss_encode(payload, book, pilots, 16,
                           lambda s: wk_metric(s, window=8,
-                                              payload=slice(cfg.pilot_symbols, None)))
-        got, idx = siss_decode(res.symbols, book, pilots, cfg)
+                                              payload=slice(siss_pilot_symbols(16), None)))
+        got, idx = siss_decode(res.symbols, book, pilots, 16)
         _check(idx == res.index and np.allclose(got, payload),
                "symbol selection does not round-trip")
 

@@ -31,6 +31,7 @@ import math
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -64,12 +65,11 @@ from .selection import (
     PermutationBook,
     PilotBook,
     ScramblerBook,
-    SelectionConfig,
     bsss_encode,
     bsss_pilot_bits,
-    make_wk_metric,
     siss_encode,
     siss_pilot_symbols,
+    wk_metric,
 )
 from .shaping import (
     AmplitudeAlphabet,
@@ -90,7 +90,6 @@ __all__ = [
     "config_hash",
     "desk_preset",
     "paper_preset",
-    "run_point",
     "run_point_detailed",
     "ss_bound_estimate",
     "sweep",
@@ -168,6 +167,8 @@ class ExperimentConfig:
             raise HarnessError("selection_metric must be nli or wk")
         if self.n_blocks < 1:
             raise HarnessError("n_blocks must be >= 1")
+        if self.seed < 0:
+            raise HarnessError("seed must be >= 0")
         if not 0.0 < self.bound_eta <= 1.0:
             raise HarnessError("bound_eta must be in (0, 1]")
 
@@ -215,11 +216,14 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         if key not in kinds:
             raise HarnessError("unknown config key %r (line %d)" % (key, ln))
         mode, typ = kinds[key]
-        if mode == "list":
-            items = [p.strip() for p in raw.split(",") if p.strip()]
-            updates[key] = tuple(typ(p) for p in items)
-        else:
-            updates[key] = _parse_scalar(key, typ, raw)
+        try:
+            if mode == "list":
+                items = [p.strip() for p in raw.split(",") if p.strip()]
+                updates[key] = tuple(typ(p) for p in items)
+            else:
+                updates[key] = _parse_scalar(key, typ, raw)
+        except ValueError as exc:
+            raise HarnessError("bad value for %s (line %d): %s" % (key, ln, exc)) from None
     return replace(cfg, **updates)
 
 
@@ -370,9 +374,6 @@ class _PointState:
             else:
                 self.book = PermutationBook.generate(cfg.seed, n_t, self.n)
                 self.pilots = PilotBook.build(self.alphabet)
-            self.sel_cfg = SelectionConfig(scheme=scheme[len("ess+"):], n_t=n_t,
-                                           metric=cfg.selection_metric,
-                                           block_len_4d=self.n)
             self.metric_fn = self._build_metric(
                 payload=slice(self.pilot_syms, None) if self.pilot_syms else None)
 
@@ -382,9 +383,9 @@ class _PointState:
     def _build_metric(self, payload):
         cfg = self.cfg
         if cfg.selection_metric == "wk":
-            return make_wk_metric(window=cfg.wk_window or None,
-                                  stride=cfg.wk_stride or None,
-                                  aggregate=cfg.wk_aggregate, payload=payload)
+            return partial(wk_metric, window=cfg.wk_window or None,
+                           stride=cfg.wk_stride or None,
+                           aggregate=cfg.wk_aggregate, payload=payload)
         return NliMetric(fiber_for(cfg), metric_wdm(cfg), metric_steps(cfg),
                          launch_power_dbm=self.power_dbm, payload=payload)
 
@@ -396,11 +397,11 @@ class _PointState:
             return pas_map(amps, signs), math.nan, 0
         bits = rng.integers(0, 2, size=self.payload_bits, dtype=np.uint8)
         if self.scheme == "ess+bsss":
-            res = bsss_encode(bits, self.book, self.sel_cfg, self.shaper.encode,
+            res = bsss_encode(bits, self.book, self.n_t, self.shaper.encode,
                               self.metric_fn)
         elif self.scheme == "ess+siss":
             res = siss_encode(self.shaper.encode(bits), self.book, self.pilots,
-                              self.sel_cfg, self.metric_fn)
+                              self.n_t, self.metric_fn)
         else:
             return self.shaper.encode(bits), math.nan, 0
         return res.symbols, res.cost, res.index
@@ -566,11 +567,6 @@ def run_point_detailed(cfg: ExperimentConfig, scheme: str, power_dbm: float,
     except Exception as exc:
         exc.point_resolved = resolved  # for the sweep's failure record
         raise
-
-
-def run_point(cfg: ExperimentConfig, scheme: str, power_dbm: float,
-              n_t: int = 1) -> ResultRow:
-    return run_point_detailed(cfg, scheme, power_dbm, n_t).row
 
 
 def _resolved_point(st: _PointState) -> dict:

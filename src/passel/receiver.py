@@ -233,17 +233,16 @@ def _bit_equivocations(tx_idx: np.ndarray, rx: np.ndarray, constellation: Conste
 
 
 def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
-                constellation: Constellation | None = None,
                 sigma2: float | None = None,
                 min_symbols_4d: int = 1000) -> AirResult:
     """Bit-metric AIR over paired dual-pol symbol blocks.
 
     tx_syms/rx_syms: (..., 2, n) in constellation units; priors: per-point
-    probabilities matching the constellation. The AIR is the prior entropy
-    minus the mean per-4D bit equivocation under the fitted (or supplied)
-    circular-Gaussian auxiliary channel, clipped below at zero.
+    probabilities matching the default pas_constellation(). The AIR is the
+    prior entropy minus the mean per-4D bit equivocation under the fitted
+    (or supplied) circular-Gaussian auxiliary channel, clipped below at zero.
     """
-    constellation = constellation or pas_constellation()
+    constellation = pas_constellation()
     tx = np.asarray(tx_syms, dtype=complex)
     rx = np.asarray(rx_syms, dtype=complex)
     if tx.shape != rx.shape or tx.ndim < 2 or tx.shape[-2] != 2:
@@ -275,13 +274,12 @@ def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
 
 
 def symbolwise_mi(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
-                  constellation: Constellation | None = None,
                   sigma2: float | None = None) -> float:
     """Symbol-metric mutual information estimate (bits/2D), same auxiliary channel.
 
     Internal cross-check only: the bit-metric rate never exceeds this.
     """
-    constellation = constellation or pas_constellation()
+    constellation = pas_constellation()
     tx = np.asarray(tx_syms, dtype=complex).ravel()
     rx = np.asarray(rx_syms, dtype=complex).ravel()
     if sigma2 is None:

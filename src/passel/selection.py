@@ -35,25 +35,21 @@ from .channel import (
 )
 from .receiver import RxChain, cdc, matched_filter_sample, mean_phase_comp
 from .seeding import TAG_PERMUTATION, TAG_SCRAMBLER, substream
-from .shaping import AmplitudeAlphabet
+from .shaping import AmplitudeAlphabet, bits_to_index, index_to_bits
 
 __all__ = [
     "SelectionError",
-    "SelectionConfig",
     "SelectionResult",
     "ScramblerBook",
     "PermutationBook",
     "PilotBook",
     "bsss_pilot_bits",
     "siss_pilot_symbols",
-    "index_to_pilot_bits",
-    "pilot_bits_to_index",
     "bsss_encode",
     "bsss_decode",
     "siss_encode",
     "siss_decode",
     "wk_metric",
-    "make_wk_metric",
     "NliMetric",
 ]
 
@@ -79,34 +75,6 @@ def siss_pilot_symbols(n_t: int) -> int:
 
 
 @dataclass(frozen=True)
-class SelectionConfig:
-    """What gets selected: scheme, family size, cost function, block length."""
-
-    scheme: str = "bsss"
-    n_t: int = 4
-    metric: str = "nli"
-    block_len_4d: int = 256
-
-    def __post_init__(self):
-        if self.scheme not in ("bsss", "siss"):
-            raise SelectionError("unknown scheme %r" % (self.scheme,))
-        if self.metric not in ("nli", "wk"):
-            raise SelectionError("unknown metric %r" % (self.metric,))
-        if self.n_t < 1:
-            raise SelectionError("need at least one candidate")
-        if self.block_len_4d < 1:
-            raise SelectionError("empty block")
-
-    @property
-    def pilot_bits(self) -> int:
-        return bsss_pilot_bits(self.n_t) if self.scheme == "bsss" else 0
-
-    @property
-    def pilot_symbols(self) -> int:
-        return siss_pilot_symbols(self.n_t) if self.scheme == "siss" else 0
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     """Chosen candidate plus the evidence behind the choice."""
 
@@ -114,20 +82,6 @@ class SelectionResult:
     index: int
     cost: float
     costs: np.ndarray
-
-
-def index_to_pilot_bits(index: int, n_bits: int) -> np.ndarray:
-    if index < 0 or (n_bits < index.bit_length()):
-        raise SelectionError("index %d does not fit %d pilot bits" % (index, n_bits))
-    return np.array([(index >> (n_bits - 1 - j)) & 1 for j in range(n_bits)],
-                    dtype=np.uint8)
-
-
-def pilot_bits_to_index(bits: np.ndarray) -> int:
-    out = 0
-    for b in np.asarray(bits).astype(int):
-        out = (out << 1) | (b & 1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -260,28 +214,25 @@ def _score_candidates(metric_fn: Callable, stack: np.ndarray) -> np.ndarray:
     return costs
 
 
-def bsss_encode(info_bits: np.ndarray, book: ScramblerBook, cfg: SelectionConfig,
+def bsss_encode(info_bits: np.ndarray, book: ScramblerBook, n_t: int,
                 dm_chain: Callable[[np.ndarray], np.ndarray],
                 metric_fn: Callable) -> SelectionResult:
-    """Score all scrambled variants of one payload and keep the cheapest.
+    """Score all n_t scrambled variants of one payload and keep the cheapest.
 
     Candidate i shapes pilot_bits(i) followed by mask_i XOR payload through
     dm_chain (distribution matcher plus mapper for a whole block). Ties
     break to the lowest index.
     """
-    if cfg.scheme != "bsss":
-        raise SelectionError("config is not bit-level selection")
+    npil = bsss_pilot_bits(n_t)
     bits = np.asarray(info_bits, dtype=np.uint8).ravel()
-    if book.n_t < cfg.n_t:
+    if book.n_t < n_t:
         raise SelectionError("book smaller than the candidate family")
     if book.masks.shape[1] != bits.size:
         raise SelectionError("mask length %d != payload length %d"
                              % (book.masks.shape[1], bits.size))
-    npil = cfg.pilot_bits
     cands = []
-    for i in range(cfg.n_t):
-        block = np.concatenate([index_to_pilot_bits(i, npil),
-                                book.masks[i] ^ bits])
+    for i in range(n_t):
+        block = np.concatenate([index_to_bits(i, npil), book.masks[i] ^ bits])
         cands.append(dm_chain(block))
     stack = np.stack(cands)
     costs = _score_candidates(metric_fn, stack)
@@ -290,43 +241,38 @@ def bsss_encode(info_bits: np.ndarray, book: ScramblerBook, cfg: SelectionConfig
                            cost=float(costs[best]), costs=costs)
 
 
-def bsss_decode(received_bits: np.ndarray, book: ScramblerBook,
-                cfg: SelectionConfig) -> np.ndarray:
+def bsss_decode(received_bits: np.ndarray, book: ScramblerBook, n_t: int) -> np.ndarray:
     """Strip the pilot index bits and undo that candidate's mask."""
-    if cfg.scheme != "bsss":
-        raise SelectionError("config is not bit-level selection")
+    npil = bsss_pilot_bits(n_t)
     bits = np.asarray(received_bits, dtype=np.uint8).ravel()
-    npil = cfg.pilot_bits
     if bits.size < npil + book.masks.shape[1]:
         raise SelectionError("received block shorter than pilots plus payload")
-    idx = pilot_bits_to_index(bits[:npil])
-    if idx >= cfg.n_t:
+    idx = bits_to_index(bits[:npil])
+    if idx >= n_t:
         raise SelectionError("pilot index %d out of range" % idx)
     return bits[npil:] ^ book.masks[idx]
 
 
 def siss_encode(symbols: np.ndarray, book: PermutationBook, pilots: PilotBook,
-                cfg: SelectionConfig, metric_fn: Callable) -> SelectionResult:
-    """Score all position-permuted variants of one shaped block.
+                n_t: int, metric_fn: Callable) -> SelectionResult:
+    """Score all n_t position-permuted variants of one shaped block.
 
     Candidate i is pilot prefix for i followed by the payload reordered by
     permutation i; permutation 0 is the identity. The pilot prefix rides
     along in each candidate so channel-emulation costs see it, but cost
     functions are expected to restrict themselves to the payload span.
     """
-    if cfg.scheme != "siss":
-        raise SelectionError("config is not symbol-level selection")
+    npil = siss_pilot_symbols(n_t)
     s = np.asarray(symbols, dtype=complex)
     if s.ndim != 2 or s.shape[0] != 2:
         raise SelectionError("expected a (2, n) payload block")
-    if book.n_t < cfg.n_t:
+    if book.n_t < n_t:
         raise SelectionError("book smaller than the candidate family")
     if book.perms.shape[1] != s.shape[1]:
         raise SelectionError("permutation length %d != block length %d"
                              % (book.perms.shape[1], s.shape[1]))
-    npil = cfg.pilot_symbols
-    cands = np.empty((cfg.n_t, 2, npil + s.shape[1]), dtype=complex)
-    for i in range(cfg.n_t):
+    cands = np.empty((n_t, 2, npil + s.shape[1]), dtype=complex)
+    for i in range(n_t):
         cands[i, :, :npil] = pilots.symbols_for_index(i, npil)
         cands[i, :, npil:] = s[:, book.perms[i]]
     costs = _score_candidates(metric_fn, cands)
@@ -336,20 +282,18 @@ def siss_encode(symbols: np.ndarray, book: PermutationBook, pilots: PilotBook,
 
 
 def siss_decode(received: np.ndarray, book: PermutationBook, pilots: PilotBook,
-                cfg: SelectionConfig) -> tuple[np.ndarray, int]:
+                n_t: int) -> tuple[np.ndarray, int]:
     """Detect the pilot prefix and un-permute the payload.
 
     Returns (payload symbols, detected index). A detected index outside the
     candidate family raises; callers drop such blocks from statistics.
     """
-    if cfg.scheme != "siss":
-        raise SelectionError("config is not symbol-level selection")
+    npil = siss_pilot_symbols(n_t)
     rx = np.asarray(received, dtype=complex)
-    npil = cfg.pilot_symbols
     if rx.ndim != 2 or rx.shape[0] != 2 or rx.shape[1] <= npil:
         raise SelectionError("received block too short for pilots plus payload")
     idx = pilots.detect_index(rx[:, :npil]) if npil else 0
-    if idx >= cfg.n_t:
+    if idx >= n_t:
         raise SelectionError("detected pilot index %d out of range" % idx)
     payload = rx[:, npil:]
     return payload[:, book.inverses[idx]], idx
@@ -393,15 +337,6 @@ def wk_metric(symbols: np.ndarray, window: int | None = None,
         kappas[..., j] = (win ** 2).mean(axis=-1) / (m1 * m1)
     out = kappas.mean(axis=-1) if aggregate == "mean" else kappas.max(axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-def make_wk_metric(window: int | None = None, stride: int | None = None,
-                   aggregate: str = "mean", payload: slice | None = None) -> Callable:
-    """Windowed-kurtosis cost function with frozen settings."""
-    def metric(symbols: np.ndarray):
-        return wk_metric(symbols, window=window, stride=stride,
-                         aggregate=aggregate, payload=payload)
-    return metric
 
 
 class NliMetric:

@@ -144,43 +144,39 @@ def _lattice(alphabet: AmplitudeAlphabet) -> tuple[int, int, tuple[int, ...]]:
     return s0, g, incr
 
 
-def _sequence_counts_by_slack(cfg: ShapingConfig) -> np.ndarray:
-    """Count length-N sequences by total energy slack.
+def _suffix_step(row: np.ndarray, incr: tuple[int, ...]) -> np.ndarray:
+    """Suffix counts one amplitude longer than ``row``, at every slack.
 
-    Entry t holds the number of sequences with total energy
-    N*s0 + g*t, as a Python int (object array), t = 0 .. N*max_incr.
+    Entry t of ``row`` counts suffixes whose energy is within t lattice
+    steps of the cheapest one; a new leading amplitude with increment d
+    uses d of those steps. Counts are Python ints (object array).
     """
-    n = cfg.blocklength
-    _, _, incr = _lattice(cfg.alphabet)
-    width = n * incr[-1] + 1
-    counts = np.zeros(width, dtype=object)
-    counts[0] = 1
-    for _ in range(n):
-        nxt = np.zeros(width, dtype=object)
-        for d in incr:
-            if d == 0:
-                nxt += counts
-            else:
-                nxt[d:] += counts[:-d]
-        counts = nxt
-    return counts
+    nxt = np.zeros(len(row), dtype=object)
+    for d in incr:
+        if d == 0:
+            nxt += row
+        elif d < len(row):
+            nxt[d:] += row[:-d]
+    return nxt
 
 
 def ess_choose_emax(cfg: ShapingConfig) -> int:
     """Smallest energy bound admitting at least 2**k length-N sequences.
 
-    Scans cumulative sequence counts over the reachable energy lattice and
-    returns the first total energy whose sphere holds 2**ceil(N*R) or more
-    sequences. Raises if even the full alphabet cube falls short.
+    At the full slack width every sequence fits, so row 0 of the suffix
+    count recursion is the cumulative sphere count by energy; returns the
+    first total energy whose sphere holds 2**ceil(N*R) or more sequences.
+    Raises if even the full alphabet cube falls short.
     """
     need = 1 << cfg.bits_per_block
-    s0, g, _ = _lattice(cfg.alphabet)
-    counts = _sequence_counts_by_slack(cfg)
-    cum = 0
-    for t in range(len(counts)):
-        cum += int(counts[t])
-        if cum >= need:
-            return cfg.blocklength * s0 + g * t
+    n = cfg.blocklength
+    s0, g, incr = _lattice(cfg.alphabet)
+    row = np.ones(n * incr[-1] + 1, dtype=object)
+    for _ in range(n):
+        row = _suffix_step(row, incr)
+    for t, count in enumerate(row):
+        if count >= need:
+            return n * s0 + g * t
     raise ShapingError(
         "rate %.6g bits/amplitude infeasible at blocklength %d"
         % (cfg.rate_bits_per_amplitude, cfg.blocklength)
@@ -248,19 +244,10 @@ def ess_build_trellis(cfg: ShapingConfig, emax: int | None = None) -> EssTrellis
     width = (emax - n * s0) // g + 1
     if width < 1:
         raise ShapingError("emax %d below the minimum block energy %d" % (emax, n * s0))
-    rows: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    row = np.ones(width, dtype=object)
-    rows[n] = row
-    for p in range(n - 1, -1, -1):
-        nxt = np.zeros(width, dtype=object)
-        for d in incr:
-            if d == 0:
-                nxt += row
-            elif d < width:
-                nxt[d:] += row[:-d]
-        rows[p] = nxt
-        row = nxt
-    trellis = EssTrellis(cfg=cfg, emax=int(emax), counts=tuple(rows))
+    rows = [np.ones(width, dtype=object)]  # rows N, N-1, ..., 0
+    for _ in range(n):
+        rows.append(_suffix_step(rows[-1], incr))
+    trellis = EssTrellis(cfg=cfg, emax=int(emax), counts=tuple(reversed(rows)))
     if trellis.total_count() < (1 << cfg.bits_per_block):
         raise ShapingError(
             "sphere emax=%d holds %d sequences, need 2^%d"

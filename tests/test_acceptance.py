@@ -39,12 +39,12 @@ from passel.selection import (
     PermutationBook,
     PilotBook,
     ScramblerBook,
-    SelectionConfig,
     bsss_decode,
     bsss_encode,
     bsss_pilot_bits,
     siss_decode,
     siss_encode,
+    siss_pilot_symbols,
     wk_metric,
 )
 from passel.shaping import (
@@ -58,7 +58,7 @@ from passel.shaping import (
     index_to_bits,
     trellis_for,
 )
-from passel.harness import ExperimentConfig, run_point
+from passel.harness import ExperimentConfig
 
 
 def report(n: int, detail: str) -> None:
@@ -183,27 +183,23 @@ def test_criterion_4_end_to_end_decodability():
     shaper = _roundtrip_shaper()
     rng = substream(41, 0)
     for n_t in (1, 2, 4, 16, 256):
-        cfg = SelectionConfig(scheme="bsss", n_t=n_t, metric="wk",
-                              block_len_4d=8)
-        payload = shaper.bits_per_selection_block - cfg.pilot_bits
+        payload = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
         book = ScramblerBook.generate(11, n_t, payload)
         bits = rng.integers(0, 2, payload, dtype=np.uint8)
-        res = bsss_encode(bits, book, cfg, shaper.encode,
+        res = bsss_encode(bits, book, n_t, shaper.encode,
                           lambda s: wk_metric(s, window=8))
-        back = bsss_decode(shaper.decode(res.symbols), book, cfg)
+        back = bsss_decode(shaper.decode(res.symbols), book, n_t)
         assert np.array_equal(back, bits), "bit selection n_t=%d" % n_t
 
-        cfg_s = SelectionConfig(scheme="siss", n_t=n_t, metric="wk",
-                                block_len_4d=8)
         pbook = PermutationBook.generate(12, n_t, 8)
         pilots = PilotBook.build()
         payload_syms = shaper.encode(
             rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8))
-        res_s = siss_encode(payload_syms, pbook, pilots, cfg_s,
+        res_s = siss_encode(payload_syms, pbook, pilots, n_t,
                             lambda s: wk_metric(
                                 s, window=8,
-                                payload=slice(cfg_s.pilot_symbols, None)))
-        got, idx = siss_decode(res_s.symbols, pbook, pilots, cfg_s)
+                                payload=slice(siss_pilot_symbols(n_t), None)))
+        got, idx = siss_decode(res_s.symbols, pbook, pilots, n_t)
         assert idx == res_s.index
         assert np.array_equal(got, payload_syms), "symbol selection n_t=%d" % n_t
 
@@ -253,12 +249,10 @@ def test_criterion_5_selection_monotonicity():
                                        k + math.ceil(pil / n_dm)), n)
         payload = shaper.bits_per_selection_block - pil
         book = ScramblerBook.generate(cfg.seed, n_t, payload)
-        sel = SelectionConfig(scheme="bsss", n_t=n_t, metric="nli",
-                              block_len_4d=n)
         for b in range(n_blocks):
             rng = substream(cfg.seed, 5, b)  # same payload stream per block
             bits = rng.integers(0, 2, payload, dtype=np.uint8)
-            costs[j, b] = bsss_encode(bits, book, sel, shaper.encode,
+            costs[j, b] = bsss_encode(bits, book, n_t, shaper.encode,
                                       metric).cost
 
     means = costs.mean(axis=1)
@@ -337,9 +331,9 @@ def _tiny_config(**overrides):
 
 def test_criterion_7_degenerate_equivalences():
     cfg = _tiny_config()
-    ref = run_point(cfg, "ess", 1.0, 1)
+    ref = run_point_detailed(cfg, "ess", 1.0, 1).row
     for scheme in ("ess+bsss", "ess+siss"):
-        row = run_point(cfg, scheme, 1.0, 1)
+        row = run_point_detailed(cfg, scheme, 1.0, 1).row
         assert row.air_bits_4d == ref.air_bits_4d, scheme
         assert row.se_bits_s_hz == ref.se_bits_s_hz, scheme
 
@@ -350,8 +344,8 @@ def test_criterion_7_degenerate_equivalences():
 
     # linear fiber at low power, noise on: selecting candidates cannot help
     lin = _tiny_config(gamma_per_w_km=0.0, n_blocks=128, n_spans=12)
-    a = run_point(lin, "ess", -6.0, 1)
-    b = run_point(lin, "ess+bsss", -6.0, 4)
+    a = run_point_detailed(lin, "ess", -6.0, 1).row
+    b = run_point_detailed(lin, "ess+bsss", -6.0, 4).row
     f = lin.symbol_rate_gbd / lin.spacing_ghz
     spread = math.hypot(a.ci95, b.ci95) * f  # 95% band for the SE difference
     assert a.ci95 > 1e-3, "noise too weak for the check to mean anything"

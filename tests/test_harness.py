@@ -26,7 +26,6 @@ from passel.harness import (
     parse_config,
     parse_csv,
     resolve_defaults,
-    run_point,
     run_point_detailed,
     ss_bound_estimate,
     sweep,
@@ -69,6 +68,17 @@ class TestConfig:
     def test_bad_boolean_rejected(self):
         with pytest.raises(HarnessError):
             parse_config("noise_on = maybe")
+
+    @pytest.mark.parametrize("line", ["n_blocks = 1.5", "powers_dbm = 1, x",
+                                      "gamma_per_w_km = fast"])
+    def test_malformed_number_names_key_and_line(self, line):
+        key = line.split()[0]
+        with pytest.raises(HarnessError, match=r"%s \(line 2\)" % key):
+            parse_config("# header\n" + line)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(HarnessError):
+            tiny_config(seed=-1)
 
     def test_missing_equals_rejected(self):
         with pytest.raises(HarnessError):
@@ -195,7 +205,14 @@ class TestPointAccounting:
 
     def test_nonselection_scheme_rejects_family(self):
         with pytest.raises(HarnessError):
-            run_point(tiny_config(), "ess", 1.0, 4)
+            run_point_detailed(tiny_config(), "ess", 1.0, 4)
+
+    def test_fir_pulse_point_completes(self):
+        # the truncated-tap pulse on the link and in the selection metric
+        cfg = tiny_config(pulse_shape="fir", selection_metric="nli")
+        row = run_point_detailed(cfg, "ess+bsss", 1.0, 2).row
+        assert all(math.isfinite(v) for v in (row.air_bits_4d, row.se_bits_s_hz, row.ci95))
+        assert row.se_bits_s_hz > 0
 
     def test_mb_zero_rate_loss(self):
         d = run_point_detailed(tiny_config(), "mb", 1.0, 1)
@@ -216,24 +233,24 @@ class TestTransparentLink:
     def test_selection_matches_plain_when_linear(self):
         cfg = tiny_config(gamma_per_w_km=0.0, noise_on=False,
                           schemes=("ess", "ess+bsss"))
-        a = run_point(cfg, "ess", 1.0, 1)
-        b = run_point(cfg, "ess+bsss", 1.0, 4)
+        a = run_point_detailed(cfg, "ess", 1.0, 1).row
+        b = run_point_detailed(cfg, "ess+bsss", 1.0, 4).row
         assert b.se_bits_s_hz == pytest.approx(a.se_bits_s_hz, abs=1e-6)
 
 
 class TestDegenerate:
     def test_family_of_one_is_plain(self):
         cfg = tiny_config()
-        ref = run_point(cfg, "ess", 1.0, 1)
+        ref = run_point_detailed(cfg, "ess", 1.0, 1).row
         for scheme in ("ess+bsss", "ess+siss"):
-            row = run_point(cfg, scheme, 1.0, 1)
+            row = run_point_detailed(cfg, scheme, 1.0, 1).row
             assert row.air_bits_4d == ref.air_bits_4d
             assert row.se_bits_s_hz == ref.se_bits_s_hz
 
     def test_bound_eta_one_is_plain(self):
         cfg = tiny_config(bound_m_total=64, bound_eta=1.0)
         det = ss_bound_estimate(cfg, power_dbm=1.0)
-        ref = run_point(cfg, "ess", 1.0, 1)
+        ref = run_point_detailed(cfg, "ess", 1.0, 1).row
         assert det.row.air_bits_4d == ref.air_bits_4d
         assert det.row.se_bits_s_hz == ref.se_bits_s_hz
 

@@ -36,7 +36,7 @@ from passel.receiver import (
     symbolwise_mi,
 )
 from passel.seeding import substream
-from passel.shaping import AmplitudeAlphabet, mb_fit
+from passel.shaping import AmplitudeAlphabet, PasShaper, mb_fit, trellis_for
 
 RAILS = np.array([-7, -5, -3, -1, 1, 3, 5, 7], dtype=float)
 
@@ -110,6 +110,17 @@ class TestChainBackToBack:
         y = matched_filter_sample(field, rx)
         assert y.shape == x.shape
         assert np.abs(y - x).max() < 1e-9
+
+    @pytest.mark.parametrize("sps", [4, 8])
+    def test_fir_pulse_recovers_shaped_symbols(self, sps):
+        # truncated taps leave a small residual ISI, not the exact cascade
+        rng = substream(7, 13)
+        shaper = PasShaper(trellis_for(64, 84), 64)  # desk sphere-shaped blocks
+        x = np.stack([shaper.encode(rng.integers(0, 2, shaper.bits_per_selection_block,
+                                                 dtype=np.uint8)) for _ in range(16)])
+        wdm = WdmConfig(n_channels=1, sps=sps, pulse_shape="fir")
+        y = matched_filter_sample(rrc_modulate(x, wdm, 0.0), RxChain(wdm=wdm))
+        assert np.abs(y - x).max() < 0.1
 
     def test_cdc_inverts_dispersive_link(self):
         rng = substream(7, 10)

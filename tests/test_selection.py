@@ -7,6 +7,7 @@ Monte Carlo AWGN run for pilot detection.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,21 +19,18 @@ from passel.selection import (
     PermutationBook,
     PilotBook,
     ScramblerBook,
-    SelectionConfig,
     SelectionError,
     SelectionResult,
     bsss_decode,
     bsss_encode,
     bsss_pilot_bits,
-    index_to_pilot_bits,
-    make_wk_metric,
-    pilot_bits_to_index,
     siss_decode,
     siss_encode,
     siss_pilot_symbols,
     wk_metric,
 )
-from passel.shaping import AmplitudeAlphabet, PasShaper, trellis_for
+from passel.shaping import (AmplitudeAlphabet, PasShaper, bits_to_index, index_to_bits,
+                            trellis_for)
 
 RAILS = np.array([-7, -5, -3, -1, 1, 3, 5, 7], dtype=float)
 
@@ -63,13 +61,9 @@ class TestPilotArithmetic:
     def test_index_bits_roundtrip(self):
         for width in (1, 2, 3, 8):
             for v in range(2 ** width):
-                bits = index_to_pilot_bits(v, width)
+                bits = index_to_bits(v, width)
                 assert bits.size == width
-                assert pilot_bits_to_index(bits) == v
-
-    def test_index_overflow(self):
-        with pytest.raises(SelectionError):
-            index_to_pilot_bits(4, 2)
+                assert bits_to_index(bits) == v
 
 
 class TestBooks:
@@ -116,14 +110,6 @@ class TestBooks:
     def test_permutation_too_short(self):
         with pytest.raises(SelectionError):
             PermutationBook.generate(3, 2, 1)
-
-    def test_config_validation(self):
-        with pytest.raises(SelectionError):
-            SelectionConfig(scheme="other")
-        with pytest.raises(SelectionError):
-            SelectionConfig(metric="other")
-        with pytest.raises(SelectionError):
-            SelectionConfig(n_t=0)
 
 
 class TestPilotBook:
@@ -252,7 +238,7 @@ class TestWkMetric:
     def test_payload_slice(self):
         rng = substream(31, 6)
         block = random_block(rng, 66)
-        m = make_wk_metric(window=32, stride=16, payload=slice(2, None))
+        m = partial(wk_metric, window=32, stride=16, payload=slice(2, None))
         assert abs(m(block) - wk_metric(block[:, 2:], window=32, stride=16)) < 1e-12
 
     def test_window_validation(self):
@@ -330,36 +316,33 @@ class TestBsss:
     def test_roundtrip(self):
         rng = substream(31, 11)
         shaper = small_shaper(8)
-        metric = make_wk_metric(window=8, stride=8)
+        metric = partial(wk_metric, window=8, stride=8)
         for n_t in (1, 2, 4, 8):
-            cfg = SelectionConfig(scheme="bsss", n_t=n_t, metric="wk", block_len_4d=8)
-            payload = shaper.bits_per_selection_block - cfg.pilot_bits
+            payload = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
             book = ScramblerBook.generate(77, n_t, payload)
             bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-            res = bsss_encode(bits, book, cfg, shaper.encode, metric)
+            res = bsss_encode(bits, book, n_t, shaper.encode, metric)
             assert isinstance(res, SelectionResult)
             assert res.symbols.shape == (2, 8)
-            back = bsss_decode(shaper.decode(res.symbols), book, cfg)
+            back = bsss_decode(shaper.decode(res.symbols), book, n_t)
             assert np.array_equal(back, bits)
 
     def test_degenerate_single_candidate(self):
         rng = substream(31, 12)
         shaper = small_shaper(8)
-        cfg = SelectionConfig(scheme="bsss", n_t=1, metric="wk", block_len_4d=8)
         book = ScramblerBook.generate(77, 1, shaper.bits_per_selection_block)
         bits = rng.integers(0, 2, size=shaper.bits_per_selection_block, dtype=np.uint8)
-        res = bsss_encode(bits, book, cfg, shaper.encode, make_wk_metric())
+        res = bsss_encode(bits, book, 1, shaper.encode, wk_metric)
         assert res.index == 0
         assert np.array_equal(res.symbols, shaper.encode(bits))
 
     def test_two_candidates_are_plain_and_scrambled(self):
         rng = substream(31, 13)
         shaper = small_shaper(8)
-        cfg = SelectionConfig(scheme="bsss", n_t=2, metric="wk", block_len_4d=8)
         payload = shaper.bits_per_selection_block - 1
         book = ScramblerBook.generate(78, 2, payload)
         bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-        res = bsss_encode(bits, book, cfg, shaper.encode, make_wk_metric())
+        res = bsss_encode(bits, book, 2, shaper.encode, wk_metric)
         plain = shaper.encode(np.concatenate([[0], bits]))
         masked = shaper.encode(np.concatenate([[1], book.masks[1] ^ bits]))
         expect = plain if res.index == 0 else masked
@@ -368,16 +351,15 @@ class TestBsss:
     def test_argmin_matches_exhaustive_rescore(self):
         rng = substream(31, 14)
         shaper = small_shaper(8)
-        cfg = SelectionConfig(scheme="bsss", n_t=4, metric="wk", block_len_4d=8)
         payload = shaper.bits_per_selection_block - 2
         book = ScramblerBook.generate(79, 4, payload)
-        metric = make_wk_metric(window=8, stride=8)
+        metric = partial(wk_metric, window=8, stride=8)
         for _ in range(10):
             bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-            res = bsss_encode(bits, book, cfg, shaper.encode, metric)
+            res = bsss_encode(bits, book, 4, shaper.encode, metric)
             rescored = []
             for i in range(4):
-                blk = np.concatenate([index_to_pilot_bits(i, 2), book.masks[i] ^ bits])
+                blk = np.concatenate([index_to_bits(i, 2), book.masks[i] ^ bits])
                 rescored.append(wk_metric(shaper.encode(blk), window=8, stride=8))
             assert res.index == int(np.argmin(rescored))
             assert abs(res.cost - min(rescored)) < 1e-12
@@ -386,47 +368,42 @@ class TestBsss:
     def test_tie_breaks_to_lowest_index(self):
         rng = substream(31, 15)
         shaper = small_shaper(8)
-        cfg = SelectionConfig(scheme="bsss", n_t=4, metric="wk", block_len_4d=8)
         payload = shaper.bits_per_selection_block - 2
         book = ScramblerBook.generate(79, 4, payload)
         bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-        res = bsss_encode(bits, book, cfg, shaper.encode, lambda s: np.ones(len(s)))
+        res = bsss_encode(bits, book, 4, shaper.encode, lambda s: np.ones(len(s)))
         assert res.index == 0
 
     def test_wrong_cost_shape_raises(self):
         # one batched metric call must return exactly one cost per candidate
         rng = substream(31, 16)
         shaper = small_shaper(8)
-        cfg = SelectionConfig(scheme="bsss", n_t=4, metric="wk", block_len_4d=8)
         payload = shaper.bits_per_selection_block - 2
         book = ScramblerBook.generate(79, 4, payload)
         bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
         for metric in (lambda s: 1.0, lambda s: np.ones((len(s), 1))):
             with pytest.raises(SelectionError):
-                bsss_encode(bits, book, cfg, shaper.encode, metric)
+                bsss_encode(bits, book, 4, shaper.encode, metric)
 
     def test_identity_pilot_leaves_bits(self):
-        cfg = SelectionConfig(scheme="bsss", n_t=4, metric="wk", block_len_4d=8)
         book = ScramblerBook.generate(79, 4, 10)
         rx = np.concatenate([np.zeros(2, np.uint8),
                              np.arange(10, dtype=np.uint8) % 2])
-        out = bsss_decode(rx, book, cfg)
+        out = bsss_decode(rx, book, 4)
         assert np.array_equal(out, rx[2:])
 
     def test_decode_pilot_out_of_range(self):
-        cfg = SelectionConfig(scheme="bsss", n_t=3, metric="wk", block_len_4d=8)
         book = ScramblerBook.generate(79, 3, 10)
         rx = np.concatenate([np.array([1, 1], np.uint8), np.zeros(10, np.uint8)])
         with pytest.raises(SelectionError):
-            bsss_decode(rx, book, cfg)
+            bsss_decode(rx, book, 3)
 
     def test_length_validation(self):
         shaper = small_shaper(8)
-        cfg = SelectionConfig(scheme="bsss", n_t=2, metric="wk", block_len_4d=8)
         book = ScramblerBook.generate(79, 2, 20)
         with pytest.raises(SelectionError):
-            bsss_encode(np.zeros(19, np.uint8), book, cfg, shaper.encode,
-                        make_wk_metric())
+            bsss_encode(np.zeros(19, np.uint8), book, 2, shaper.encode,
+                        wk_metric)
 
     def test_monotone_selected_cost_in_family_size(self):
         rng = substream(31, 17)
@@ -434,15 +411,13 @@ class TestBsss:
         payloads = {}
         results = {}
         for n_t in (1, 2, 4, 8, 16):
-            cfg = SelectionConfig(scheme="bsss", n_t=n_t, metric="wk", block_len_4d=8)
-            payloads[n_t] = shaper.bits_per_selection_block - cfg.pilot_bits
+            payloads[n_t] = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
         # same payload length everywhere so candidate sets nest: use the
         # largest family's pilot width for all runs
         width = payloads[16]
         book = ScramblerBook.generate(80, 16, width)
-        metric = make_wk_metric(window=8, stride=8)
+        metric = partial(wk_metric, window=8, stride=8)
         bits = [rng.integers(0, 2, size=width, dtype=np.uint8) for _ in range(30)]
-        cfg16 = SelectionConfig(scheme="bsss", n_t=16, metric="wk", block_len_4d=8)
         prev = None
         for n_t in (1, 2, 4, 8, 16):
             # score the first n_t candidates of the nested family directly
@@ -450,7 +425,7 @@ class TestBsss:
             for b in bits:
                 per_cand = []
                 for i in range(n_t):
-                    blk = np.concatenate([index_to_pilot_bits(i, cfg16.pilot_bits),
+                    blk = np.concatenate([index_to_bits(i, bsss_pilot_bits(16)),
                                           book.masks[i] ^ b])
                     per_cand.append(metric(shaper.encode(blk)))
                 costs.append(min(per_cand))
@@ -465,14 +440,13 @@ class TestSiss:
         rng = substream(31, 18)
         pilots = PilotBook.build()
         for n_t, n in ((1, 16), (2, 16), (16, 16), (256, 16)):
-            cfg = SelectionConfig(scheme="siss", n_t=n_t, metric="wk", block_len_4d=n)
             book = PermutationBook.generate(91, n_t, n)
             payload = random_block(rng, n)
-            npil = cfg.pilot_symbols
-            metric = make_wk_metric(window=8, stride=8, payload=slice(npil, None))
-            res = siss_encode(payload, book, pilots, cfg, metric)
+            npil = siss_pilot_symbols(n_t)
+            metric = partial(wk_metric, window=8, stride=8, payload=slice(npil, None))
+            res = siss_encode(payload, book, pilots, n_t, metric)
             assert res.symbols.shape == (2, npil + n)
-            back, idx = siss_decode(res.symbols, book, pilots, cfg)
+            back, idx = siss_decode(res.symbols, book, pilots, n_t)
             assert idx == res.index
             assert np.array_equal(back, payload)
 
@@ -481,30 +455,27 @@ class TestSiss:
         pilots = PilotBook.build()
         payload = random_block(rng, 16)
         for n_t, want in ((2, 1), (16, 1), (256, 2)):
-            cfg = SelectionConfig(scheme="siss", n_t=n_t, metric="wk", block_len_4d=16)
             book = PermutationBook.generate(91, n_t, 16)
-            metric = make_wk_metric(window=8, stride=8, payload=slice(want, None))
-            res = siss_encode(payload, book, pilots, cfg, metric)
+            metric = partial(wk_metric, window=8, stride=8, payload=slice(want, None))
+            res = siss_encode(payload, book, pilots, n_t, metric)
             assert res.symbols.shape[1] == 16 + want
 
     def test_single_candidate_prepends_identity(self):
         rng = substream(31, 20)
         pilots = PilotBook.build()
-        cfg = SelectionConfig(scheme="siss", n_t=1, metric="wk", block_len_4d=16)
         book = PermutationBook.generate(91, 1, 16)
         payload = random_block(rng, 16)
-        res = siss_encode(payload, book, pilots, cfg, make_wk_metric())
+        res = siss_encode(payload, book, pilots, 1, wk_metric)
         assert res.index == 0
         assert np.array_equal(res.symbols, payload)
 
     def test_two_candidates_identity_and_permuted(self):
         rng = substream(31, 21)
         pilots = PilotBook.build()
-        cfg = SelectionConfig(scheme="siss", n_t=2, metric="wk", block_len_4d=16)
         book = PermutationBook.generate(91, 2, 16)
         payload = random_block(rng, 16)
-        metric = make_wk_metric(window=8, stride=8, payload=slice(1, None))
-        res = siss_encode(payload, book, pilots, cfg, metric)
+        metric = partial(wk_metric, window=8, stride=8, payload=slice(1, None))
+        res = siss_encode(payload, book, pilots, 2, metric)
         want_payload = payload[:, book.perms[res.index]]
         assert np.array_equal(res.symbols[:, 1:], want_payload)
         assert np.array_equal(res.symbols[:, :1],
@@ -513,11 +484,10 @@ class TestSiss:
     def test_payload_multiset_preserved(self):
         rng = substream(31, 22)
         pilots = PilotBook.build()
-        cfg = SelectionConfig(scheme="siss", n_t=16, metric="wk", block_len_4d=64)
         book = PermutationBook.generate(91, 16, 64)
         payload = random_block(rng, 64)
-        metric = make_wk_metric(window=16, stride=8, payload=slice(1, None))
-        res = siss_encode(payload, book, pilots, cfg, metric)
+        metric = partial(wk_metric, window=16, stride=8, payload=slice(1, None))
+        res = siss_encode(payload, book, pilots, 16, metric)
         got = res.symbols[:, 1:]
         for pol in range(2):
             assert np.array_equal(np.sort_complex(got[pol]),
@@ -526,12 +496,11 @@ class TestSiss:
     def test_argmin_matches_exhaustive_rescore(self):
         rng = substream(31, 23)
         pilots = PilotBook.build()
-        cfg = SelectionConfig(scheme="siss", n_t=8, metric="wk", block_len_4d=32)
         book = PermutationBook.generate(91, 8, 32)
-        metric = make_wk_metric(window=8, stride=4, payload=slice(1, None))
+        metric = partial(wk_metric, window=8, stride=4, payload=slice(1, None))
         for _ in range(5):
             payload = random_block(rng, 32)
-            res = siss_encode(payload, book, pilots, cfg, metric)
+            res = siss_encode(payload, book, pilots, 8, metric)
             rescored = []
             for i in range(8):
                 cand = np.concatenate([pilots.symbols_for_index(i, 1),
@@ -547,11 +516,10 @@ class TestSiss:
         blocks = [random_block(rng, 64) for _ in range(200)]
         prev = None
         for n_t in (1, 2, 4, 8, 16):
-            cfg = SelectionConfig(scheme="siss", n_t=n_t, metric="wk", block_len_4d=64)
-            npil = cfg.pilot_symbols
-            metric = make_wk_metric(window=32, stride=16, payload=slice(npil, None))
+            npil = siss_pilot_symbols(n_t)
+            metric = partial(wk_metric, window=32, stride=16, payload=slice(npil, None))
             mean_cost = float(np.mean([
-                siss_encode(b, book, pilots, cfg, metric).cost for b in blocks]))
+                siss_encode(b, book, pilots, n_t, metric).cost for b in blocks]))
             if prev is not None:
                 assert mean_cost <= prev + 1e-12
             prev = mean_cost
@@ -559,29 +527,16 @@ class TestSiss:
     def test_decode_rejects_out_of_family_pilot(self):
         rng = substream(31, 25)
         pilots = PilotBook.build()
-        cfg = SelectionConfig(scheme="siss", n_t=4, metric="wk", block_len_4d=16)
         book = PermutationBook.generate(91, 4, 16)
         payload = random_block(rng, 16)
         bad = np.concatenate([pilots.symbols_for_index(9, 1), payload], axis=1)
         with pytest.raises(SelectionError):
-            siss_decode(bad, book, pilots, cfg)
+            siss_decode(bad, book, pilots, 4)
 
     def test_shape_validation(self):
         pilots = PilotBook.build()
-        cfg = SelectionConfig(scheme="siss", n_t=2, metric="wk", block_len_4d=16)
         book = PermutationBook.generate(91, 2, 16)
         with pytest.raises(SelectionError):
-            siss_encode(np.zeros((2, 8), complex), book, pilots, cfg, make_wk_metric())
+            siss_encode(np.zeros((2, 8), complex), book, pilots, 2, wk_metric)
         with pytest.raises(SelectionError):
-            siss_decode(np.zeros((2, 1), complex), book, pilots, cfg)
-
-    def test_scheme_cross_checks(self):
-        pilots = PilotBook.build()
-        bs = SelectionConfig(scheme="bsss", n_t=2, metric="wk", block_len_4d=16)
-        si = SelectionConfig(scheme="siss", n_t=2, metric="wk", block_len_4d=16)
-        book = PermutationBook.generate(91, 2, 16)
-        with pytest.raises(SelectionError):
-            siss_encode(np.zeros((2, 16), complex), book, pilots, bs, make_wk_metric())
-        sb = ScramblerBook.generate(91, 2, 8)
-        with pytest.raises(SelectionError):
-            bsss_decode(np.zeros(9, np.uint8), sb, si)
+            siss_decode(np.zeros((2, 1), complex), book, pilots, 2)
