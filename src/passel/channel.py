@@ -28,8 +28,9 @@ m times before the series and squared back m times after it. Because the
 series is picked from the bound and not from the batch, a block's result
 does not depend on which blocks share its batch. Against np.exp(1j*phi) the rotation agrees within 4 ulp
 up to the 0.05 rad bound, and within 1e-13 absolute up to 10 rad. A span
-runs block by block in cache-sized chunks, on preallocated buffers with
-in-place FFTs; the caller's field is never written.
+runs block by block in cache-sized chunks, on preallocated buffers, with
+np.fft writing in place through out= (numpy 2.0 or later); the caller's
+field is never written.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "PLANCK_J_S",
@@ -474,11 +474,11 @@ class _SplitStepWork:
 
 
 def _split_steps(buf: np.ndarray, steps: int, half: np.ndarray, full: np.ndarray,
-                 gnl: float, step_cfg: SsfmStepConfig, work: _SplitStepWork) -> np.ndarray:
-    """All steps of one span on a (rows, 2, t_len) spectrum, overwriting it."""
+                 gnl: float, step_cfg: SsfmStepConfig, work: _SplitStepWork) -> None:
+    """All steps of one span on a (rows, 2, t_len) spectrum, in place."""
     buf *= half
     for step in range(steps):
-        buf = scipy.fft.ifft(buf, axis=-1, overwrite_x=True)
+        np.fft.ifft(buf, axis=-1, out=buf)
         power = work.power_of(buf)
         peak = float(power.max())
         if step_cfg.mode == "fixed" and gnl * peak > step_cfg.max_step_phase_rad:
@@ -489,9 +489,8 @@ def _split_steps(buf: np.ndarray, steps: int, half: np.ndarray, full: np.ndarray
         # in fixed mode the guard caps the phase at the bound, whatever the batch
         phi_range = max(step_cfg.max_step_phase_rad, abs(gnl) * peak)
         buf *= work.rotation(power, gnl, phi_range)[:, None, :]
-        buf = scipy.fft.fft(buf, axis=-1, overwrite_x=True)
+        np.fft.fft(buf, axis=-1, out=buf)
         buf *= full if step < steps - 1 else half
-    return buf
 
 
 def ssfm_span(field: FieldWaveform, fiber: FiberParams,
@@ -510,14 +509,12 @@ def ssfm_span(field: FieldWaveform, fiber: FiberParams,
     gnl = MANAKOV_FACTOR * fiber.gamma_per_w_m * h_eff
     t_len = field.n_samples
     # spec is this call's own array, one row per block, so the FFTs may overwrite it
-    spec = scipy.fft.fft(a.reshape(-1, 2, t_len), axis=-1)
+    spec = np.fft.fft(a.reshape(-1, 2, t_len), axis=-1)
     rows = max(1, min(spec.shape[0], _CHUNK_SAMPLES // (2 * t_len)))
     work = _SplitStepWork(rows, t_len)
     for lo in range(0, spec.shape[0], rows):
-        chunk = spec[lo:lo + rows]
-        # a no-op copy unless an FFT handed back a new array instead of overwriting
-        chunk[...] = _split_steps(chunk, steps, half, full, gnl, step_cfg, work)
-    return FieldWaveform(scipy.fft.ifft(spec, axis=-1, overwrite_x=True).reshape(a.shape),
+        _split_steps(spec[lo:lo + rows], steps, half, full, gnl, step_cfg, work)
+    return FieldWaveform(np.fft.ifft(spec, axis=-1, out=spec).reshape(a.shape),
                          field.sample_rate_hz, symbol_scale=field.symbol_scale)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .harness import (
     ExperimentConfig,
+    HarnessError,
     config_hash,
     desk_preset,
     emit_csv,
@@ -59,8 +60,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="start from a built-in preset")
 
 
-def _cmd_run(args) -> int:
-    cfg = _build_config(args)
+def _cmd_run(args, cfg: ExperimentConfig) -> int:
     out = args.out or "results.csv"
     print("config %s -> %s" % (config_hash(cfg), out))
     rows, errors, resolved = sweep(cfg)
@@ -80,8 +80,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_bound(args) -> int:
-    cfg = _build_config(args)
+def _cmd_bound(args, cfg: ExperimentConfig) -> int:
     out = args.out or "bound.csv"
     detail = ss_bound_estimate(cfg, power_dbm=args.power, eta=args.eta,
                                m_total=args.m_total)
@@ -211,7 +210,7 @@ def _selftest_checks():
             ("self-phase rotation", spm_phase)]
 
 
-def _cmd_selftest(_args) -> int:
+def _cmd_selftest() -> int:
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -244,11 +243,18 @@ def main(argv=None) -> int:
                          help="population size to score")
     p_bound.set_defaults(fn=_cmd_bound)
 
-    p_self = sub.add_parser("selftest", help="fast built-in checks")
-    p_self.set_defaults(fn=_cmd_selftest)
+    sub.add_parser("selftest", help="fast built-in checks")
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    if args.command == "selftest":
+        return _cmd_selftest()
+    try:
+        cfg = _build_config(args)
+    except HarnessError as exc:
+        # a bad setting is a usage error: one line and status 2, as argparse does
+        print("passel: error: %s" % exc, file=sys.stderr)
+        return 2
+    return args.fn(args, cfg)
 
 
 if __name__ == "__main__":

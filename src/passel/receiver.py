@@ -10,7 +10,9 @@ Rates are estimated with a bit-metric decoder over a circular-Gaussian
 auxiliary channel whose variance is fitted to the data: per-bit LLRs with
 shaped priors give the achievable information rate (AIR) in bits per 4D
 symbol, and spectral efficiency follows after subtracting shaping/selection
-rate losses and applying any pilot time fraction.
+rate losses and applying any pilot time fraction. The log-sum-exp behind
+the LLRs is a numpy copy of scipy.special.logsumexp's method for real
+input, with the same bits, so that the receiver needs numpy alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import FieldWaveform, FiberParams, WdmConfig, pulse_spectrum
 from .shaping import AmplitudeAlphabet
@@ -200,6 +201,26 @@ class AirResult:
     equivocation_per_4d: np.ndarray
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis for real a, by scipy.special.logsumexp's method.
+
+    The row maxima are taken out of the sum: with m tied maxima and the rest
+    summing to s, the result is log1p(s/m) + log(m) + max. Rows where that is
+    not finite, such as all -inf rows, take log(sum(exp(a))) instead.
+    """
+    a_max = a.max(axis=axis, keepdims=True)
+    mask = a == a_max
+    m = mask.sum(axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(mask, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    return out.squeeze(axis)
+
+
 def _match_to_grid(tx: np.ndarray, points: np.ndarray) -> np.ndarray:
     idx = np.abs(tx[:, None] - points[None, :]).argmin(axis=1)
     err = np.abs(tx - points[idx]).max() if tx.size else 0.0
@@ -222,8 +243,8 @@ def _bit_equivocations(tx_idx: np.ndarray, rx: np.ndarray, constellation: Conste
             acc = np.zeros(hi - lo)
             for j in range(constellation.bits_per_symbol):
                 ones = labels[:, j].astype(bool)
-                lse1 = logsumexp(w[:, ones], axis=1)
-                lse0 = logsumexp(w[:, ~ones], axis=1)
+                lse1 = _logsumexp(w[:, ones], axis=1)
+                lse0 = _logsumexp(w[:, ~ones], axis=1)
                 llr = lse0 - lse1  # natural-log units
                 sent = labels[tx_idx[lo:hi], j].astype(float)
                 z = (1.0 - 2.0 * sent) * llr
@@ -296,7 +317,7 @@ def symbolwise_mi(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
             hi = min(lo + chunk, rx.size)
             d2 = np.abs(rx[lo:hi, None] - constellation.points[None, :]) ** 2 / sigma2
             w = logp[None, :] - d2
-            den = logsumexp(w, axis=1)
+            den = _logsumexp(w, axis=1)
             num = w[np.arange(hi - lo), idx[lo:hi]]
             total += float(((num - den) - logp[idx[lo:hi]]).sum())
     return total / rx.size / _LN2

@@ -396,9 +396,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0 failed" in out
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path):
+        proc = run_python("-m", "passel.cli", "run", "--seed", "-1", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["passel: error: seed must be >= 0"]
+        assert proc.stdout == "" and not os.listdir(tmp_path)
 
-def run_optimized(*args):
-    """Run python -O with passel importable; return (exit code, stdout lines)."""
+    def test_malformed_config_is_a_usage_error(self, tmp_path):
+        (tmp_path / "cfg.txt").write_text("# tiny\nn_blocks = 1.5\n")
+        for command in ("run", "bound"):
+            proc = run_python("-m", "passel.cli", command, "--config", "cfg.txt",
+                              cwd=tmp_path)
+            assert proc.returncode == 2
+            [line] = proc.stderr.splitlines()
+            assert line.startswith("passel: error: bad value for n_blocks (line 2): ")
+            assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert os.listdir(tmp_path) == ["cfg.txt"]
+
+    def test_failed_point_still_exits_1(self, tmp_path, capsys):
+        from passel.cli import main
+        cfg_path = str(tmp_path / "cfg.txt")
+        with open(cfg_path, "w") as fh:
+            fh.write(config_text(tiny_config(powers_dbm=(10.0,), steps_per_span=1)))
+        out = str(tmp_path / "out.csv")
+        assert main(["run", "--config", cfg_path, "--out", out]) == 1
+        assert "FAILED point ess p=10 n_t=1: StepSizeError" in capsys.readouterr().err
+        assert math.isnan(parse_csv(out)[0].se_bits_s_hz)
+        assert os.path.exists(out + ".meta.json")
+
+
+def run_python(*args, cwd=None):
+    """Run python with passel importable; return the completed process."""
     import subprocess
     import sys
 
@@ -406,8 +434,13 @@ def run_optimized(*args):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(passel.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", *args], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
                           text=True, timeout=300)
+
+
+def run_optimized(*args):
+    """Run python -O with passel importable; return (exit code, stdout lines)."""
+    proc = run_python("-O", *args)
     return proc.returncode, proc.stdout.splitlines()
 
 

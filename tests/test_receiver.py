@@ -35,6 +35,7 @@ from passel.receiver import (
     se_from_air,
     symbolwise_mi,
 )
+from passel.receiver import _logsumexp
 from passel.seeding import substream
 from passel.shaping import AmplitudeAlphabet, PasShaper, mb_fit, trellis_for
 
@@ -309,6 +310,42 @@ class TestAir:
         a = air_bitwise(x, y, pri)
         b = air_bitwise(x.reshape(1, 8, 2, 250), y.reshape(1, 8, 2, 250), pri)
         assert a.air_bits_per_4d == b.air_bits_per_4d
+
+
+class TestLogsumexp:
+    """The receiver's numpy logsumexp gives scipy.special.logsumexp's bits."""
+
+    @staticmethod
+    def receiver_weights(rng, sigma2):
+        # w as _bit_equivocations builds it, with the 7-level amplitude unused
+        constellation = pas_constellation()
+        with np.errstate(divide="ignore"):
+            logp = np.log(constellation_priors(constellation, [0.4, 0.35, 0.25, 0.0]))
+        tx = rng.choice(constellation.points[np.isfinite(logp)], size=3000)
+        rx = tx + math.sqrt(sigma2 / 2) * (rng.standard_normal(3000)
+                                           + 1j * rng.standard_normal(3000))
+        # rows on an axis: the points at +-1 on the other rail tie exactly
+        rx[:200] = rng.choice([-5.0, -3.0, -1.0, 0.0, 1.0, 3.0, 5.0], size=200) \
+            * rng.choice([1.0, 1j], size=200)
+        w = logp[None, :] - np.abs(rx[:, None] - constellation.points[None, :]) ** 2 / sigma2
+        w[200:220] = -np.inf
+        w[220:240, ::3] = -np.inf
+        w[240:260] = 0.0
+        return constellation, w
+
+    @pytest.mark.parametrize("sigma2", [0.05, 1.0, 20.0])
+    def test_matches_scipy_on_receiver_slices(self, sigma2):
+        from scipy.special import logsumexp
+        constellation, w = self.receiver_weights(substream(23, 0), sigma2)
+        for j in range(constellation.bits_per_symbol):
+            ones = constellation.labels[:, j].astype(bool)
+            for part in (w[:, ones], w[:, ~ones]):
+                got, want = _logsumexp(part, axis=1), logsumexp(part, axis=1)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        full = _logsumexp(w, axis=1)
+        assert np.array_equal(full.view(np.int64), logsumexp(w, axis=1).view(np.int64))
+        assert np.all(full[200:220] == -np.inf) and np.all(np.isfinite(full[220:]))
 
 
 class TestSpectralEfficiency:
