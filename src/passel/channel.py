@@ -16,21 +16,24 @@ Propagation integrates the Manakov equation
 by the symmetric split-step method: dispersion/loss half-steps in the FFT
 domain around a nonlinear phase rotation evaluated at the step midpoint with
 the loss-integrated effective length 2*sinh(alpha*dz/2)/alpha, which makes
-constant-envelope self-phase rotation exact for any step count.
+constant-envelope self-phase rotation exact for any step count. The step
+lengths follow :class:`SsfmStepConfig`: short where the power is high, so
+that each step carries a bounded nonlinear phase, and capped in length
+elsewhere (the nonlinear-phase and local-error step selection of Sinkin et
+al., JLT 2003). Adjacent half-steps are merged into one multiplier.
 
 The rotation exp(i*phi), phi = gnl*(|Ax|^2 + |Ay|^2), is evaluated without
 trigonometric calls: sin comes from a Horner series in phi^2 whose length
 keeps the truncation below 2^-53 for every phase up to the step bound
-max_step_phase_rad, or up to the step's measured largest phase where that
-is higher (adaptive mode), and cos = sqrt(1 - sin^2). With the default
-0.05 rad bound the series has four terms. Phases past 1/8 rad are halved
-m times before the series and squared back m times after it. Because the
-series is picked from the bound and not from the batch, a block's result
-does not depend on which blocks share its batch. Against np.exp(1j*phi) the rotation agrees within 4 ulp
-up to the 0.05 rad bound, and within 1e-13 absolute up to 10 rad. A span
-runs block by block in cache-sized chunks, on preallocated buffers, with
-np.fft writing in place through out= (numpy 2.0 or later); the caller's
-field is never written.
+max_step_phase_rad, and cos = sqrt(1 - sin^2). With the default 0.05 rad
+bound the series has four terms. Phases past 1/8 rad are halved m times
+before the series and squared back m times after it. Because the series is
+picked from the bound and not from the batch, a block's result does not
+depend on which blocks share its batch. Against np.exp(1j*phi) the rotation
+agrees within 4 ulp up to the 0.05 rad bound, and within 1e-13 absolute up
+to 10 rad. A span runs block by block in cache-sized chunks, on
+preallocated buffers, with np.fft writing in place through out= (numpy 2.0
+or later); the caller's field is never written.
 """
 
 from __future__ import annotations
@@ -71,7 +74,27 @@ class ChannelError(ValueError):
 
 
 class StepSizeError(RuntimeError):
-    """Fixed-step propagation exceeded the per-step nonlinear phase bound."""
+    """A split step rotated one block by more than the per-step phase bound.
+
+    The message names what reproduces the failure: the block (its row in
+    the propagated batch), the span (set by propagate_link), the step and
+    its length, the phase and the block's peak power, the bound, and the
+    schedule's peak allowance.
+    """
+
+    def __init__(self, block: int, step: int, step_m: float, phase_rad: float,
+                 peak_w: float, bound_rad: float, peak_allowance_w: float):
+        super().__init__(block, step, step_m, phase_rad, peak_w, bound_rad,
+                         peak_allowance_w)
+        self.span = None
+
+    def __str__(self):
+        block, step, step_m, phase, peak, bound, allowance = self.args
+        where = "block %d" % block if self.span is None else \
+            "block %d, span %d" % (block, self.span)
+        return ("%s, step %d (%.6g m): nonlinear phase %.4g rad exceeds the %.3g rad "
+                "bound; peak %.4g W against a %.4g W step allowance"
+                % (where, step, step_m, phase, bound, peak, allowance))
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -187,39 +210,72 @@ class WdmConfig:
         return (channel - (self.n_channels - 1) / 2.0) * self.spacing_hz
 
 
+# share of max_step_phase_rad a phase-limited step carries at the peak allowance
+_PHASE_FILL = 0.95
+
+
 @dataclass(frozen=True)
 class SsfmStepConfig:
-    """Split-step resolution policy.
+    """Split-step schedule of one span, fixed by the config alone.
 
-    ``fixed`` uses steps_per_span (default scales the reference 1000 steps
-    per 100 km to the span length) and raises :class:`StepSizeError` if any
-    step would rotate the peak sample by more than max_step_phase_rad.
-    ``adaptive`` picks the step count per span from that same phase bound.
+    Every step is at most span_length / steps_per_span long (default: 10
+    steps per km). Where the power is high, a step is shortened further so
+    that a span-input peak of peak_allowance_w rotates by no more than 0.95
+    of max_step_phase_rad over it: (8/9) gamma P integral(exp(-alpha z) dz)
+    over the step. Phase-limited steps run from the span input until they
+    reach the length cap; the rest of the span is split into equal steps no
+    longer than the cap. With no allowance (the default) the schedule is
+    steps_per_span equal steps. The schedule never depends on the field, so
+    a block's steps and result do not depend on its batch. Every step still
+    checks each block's peak against max_step_phase_rad and raises
+    :class:`StepSizeError` past it.
     """
 
-    mode: str = "fixed"
     steps_per_span: int | None = None
     max_step_phase_rad: float = 0.05
+    peak_allowance_w: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "adaptive"):
-            raise ChannelError("step mode must be 'fixed' or 'adaptive'")
         if self.steps_per_span is not None and self.steps_per_span < 1:
             raise ChannelError("steps_per_span must be >= 1")
         if self.max_step_phase_rad <= 0:
             raise ChannelError("max step phase must be positive")
+        if self.peak_allowance_w < 0:
+            raise ChannelError("peak allowance must be >= 0")
 
-    def resolve(self, fiber: FiberParams, peak_power_w: float) -> int:
-        if self.mode == "fixed":
-            if self.steps_per_span is not None:
-                return self.steps_per_span
-            return max(1, math.ceil(10.0 * fiber.span_length_km))
-        # adaptive: bound the largest per-step rotation using the span input peak
-        alpha = fiber.alpha_per_m
+    def step_lengths(self, fiber: FiberParams, peak_power_w: float = 0.0) -> list[float]:
+        """Step lengths in m, in order, for an allowance of at least peak_power_w."""
         length = fiber.span_length_m
-        leff = length if alpha == 0 else (1.0 - math.exp(-alpha * length)) / alpha
-        phase = MANAKOV_FACTOR * fiber.gamma_per_w_m * peak_power_w * leff
-        return max(1, math.ceil(phase / self.max_step_phase_rad))
+        count = self.steps_per_span or max(1, math.ceil(10.0 * fiber.span_length_km))
+        cap = length / count
+        alpha = fiber.alpha_per_m
+        # phase per metre at the span input under the allowance
+        rate = MANAKOV_FACTOR * abs(fiber.gamma_per_w_m) \
+            * max(self.peak_allowance_w, peak_power_w)
+        budget = _PHASE_FILL * self.max_step_phase_rad
+        steps = []
+        z = 0.0
+        while rate > 0.0:
+            if alpha == 0.0:
+                h = budget / rate
+            else:  # rate * (exp(-alpha z) - exp(-alpha (z + h))) / alpha = budget
+                x = budget * alpha / rate * math.exp(alpha * z)
+                h = math.inf if x >= 1.0 else -math.log1p(-x) / alpha
+            if h >= cap:
+                break
+            if z + h >= length:  # phase-limited up to the span end
+                return steps + [length - z]
+            steps.append(h)
+            z += h
+        rest = length - z
+        # 1e-9 absorbs the rounding of rest / cap, so that without an allowance
+        # the steps are exactly steps_per_span of length / steps_per_span
+        n = max(1, math.ceil(rest / cap - 1e-9))
+        return steps + [rest / n] * n
+
+    def resolve(self, fiber: FiberParams, peak_power_w: float = 0.0) -> int:
+        """Steps per span: the length of step_lengths(fiber, peak_power_w)."""
+        return len(self.step_lengths(fiber, peak_power_w))
 
 
 @dataclass(frozen=True)
@@ -473,24 +529,59 @@ class _SplitStepWork:
         return rot.reshape(power.shape)
 
 
-def _split_steps(buf: np.ndarray, steps: int, half: np.ndarray, full: np.ndarray,
-                 gnl: float, step_cfg: SsfmStepConfig, work: _SplitStepWork) -> None:
-    """All steps of one span on a (rows, 2, t_len) spectrum, in place."""
-    buf *= half
-    for step in range(steps):
+def _span_operators(fiber: FiberParams, step_cfg: SsfmStepConfig, t_len: int,
+                    sample_rate_hz: float):
+    """One span's schedule as (first, linear, gnls, lengths).
+
+    first is the opening half-step. linear[i] follows nonlinear step i: the
+    half-steps of steps i and i+1 merged into one multiplier, and the closing
+    half-step after the last. One exponential is taken per distinct step
+    length and one product per distinct pair, shared by every step using it.
+    gnls[i] is the nonlinear coefficient of step i, loss-integrated over it.
+    """
+    lengths = step_cfg.step_lengths(fiber)
+    alpha = fiber.alpha_per_m
+    w2 = _omega(t_len, sample_rate_hz) ** 2
+    halves, merged = {}, {}
+    for h in lengths:
+        if h not in halves:
+            halves[h] = np.exp((0.5j * fiber.beta2_s2_per_m * w2 - 0.5 * alpha) * (h / 2.0))
+    linear = []
+    for pair in zip(lengths, lengths[1:]):
+        if pair not in merged:
+            merged[pair] = halves[pair[0]] * halves[pair[1]]
+        linear.append(merged[pair])
+    linear.append(halves[lengths[-1]])
+    gnls = [MANAKOV_FACTOR * fiber.gamma_per_w_m
+            * (h if alpha == 0.0 else 2.0 * math.sinh(alpha * h / 2.0) / alpha)
+            for h in lengths]
+    return halves[lengths[0]], linear, gnls, lengths
+
+
+def _split_steps(buf: np.ndarray, operators, step_cfg: SsfmStepConfig,
+                 work: _SplitStepWork, first_row: int) -> None:
+    """All steps of one span on a (rows, 2, t_len) spectrum, in place.
+
+    Each block is held to the phase bound by its own peak, so whether a
+    block passes does not depend on the blocks beside it; the error names
+    the first block over the bound by its row in the whole batch.
+    """
+    first, linear, gnls, lengths = operators
+    bound = step_cfg.max_step_phase_rad
+    buf *= first
+    for step, (gnl, lin) in enumerate(zip(gnls, linear)):
         np.fft.ifft(buf, axis=-1, out=buf)
         power = work.power_of(buf)
-        peak = float(power.max())
-        if step_cfg.mode == "fixed" and gnl * peak > step_cfg.max_step_phase_rad:
-            raise StepSizeError(
-                "per-step nonlinear phase %.3g rad exceeds the %.3g rad bound; "
-                "increase steps_per_span" % (gnl * peak, step_cfg.max_step_phase_rad)
-            )
-        # in fixed mode the guard caps the phase at the bound, whatever the batch
-        phi_range = max(step_cfg.max_step_phase_rad, abs(gnl) * peak)
-        buf *= work.rotation(power, gnl, phi_range)[:, None, :]
+        phase = abs(gnl) * power.max(axis=1)
+        if phase.max() > bound:
+            row = int(np.argmax(phase > bound))
+            raise StepSizeError(first_row + row, step, lengths[step], float(phase[row]),
+                                float(phase[row] / abs(gnl)), bound,
+                                step_cfg.peak_allowance_w)
+        # the guard caps every phase at the bound, whatever the batch
+        buf *= work.rotation(power, gnl, bound)[:, None, :]
         np.fft.fft(buf, axis=-1, out=buf)
-        buf *= full if step < steps - 1 else half
+        buf *= lin
 
 
 def ssfm_span(field: FieldWaveform, fiber: FiberParams,
@@ -498,22 +589,14 @@ def ssfm_span(field: FieldWaveform, fiber: FiberParams,
     """Propagate one fiber span by the symmetric split-step Manakov method."""
     step_cfg = step_cfg or SsfmStepConfig()
     a = field.samples
-    peak = float((np.abs(a) ** 2).sum(axis=-2).max()) if a.size else 0.0
-    steps = step_cfg.resolve(fiber, peak)
-    dz = fiber.span_length_m / steps
-    alpha = fiber.alpha_per_m
-    h_eff = dz if alpha == 0.0 else 2.0 * math.sinh(alpha * dz / 2.0) / alpha
-    w2 = _omega(field.n_samples, field.sample_rate_hz) ** 2
-    half = np.exp((0.5j * fiber.beta2_s2_per_m * w2 - 0.5 * alpha) * (dz / 2.0))
-    full = half * half
-    gnl = MANAKOV_FACTOR * fiber.gamma_per_w_m * h_eff
     t_len = field.n_samples
+    operators = _span_operators(fiber, step_cfg, t_len, field.sample_rate_hz)
     # spec is this call's own array, one row per block, so the FFTs may overwrite it
     spec = np.fft.fft(a.reshape(-1, 2, t_len), axis=-1)
     rows = max(1, min(spec.shape[0], _CHUNK_SAMPLES // (2 * t_len)))
     work = _SplitStepWork(rows, t_len)
     for lo in range(0, spec.shape[0], rows):
-        _split_steps(spec[lo:lo + rows], steps, half, full, gnl, step_cfg, work)
+        _split_steps(spec[lo:lo + rows], operators, step_cfg, work, lo)
     return FieldWaveform(np.fft.ifft(spec, axis=-1, out=spec).reshape(a.shape),
                          field.sample_rate_hz, symbol_scale=field.symbol_scale)
 
@@ -553,7 +636,11 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     """
     out = field
     for span in range(fiber.n_spans):
-        out = ssfm_span(out, fiber, step_cfg)
+        try:
+            out = ssfm_span(out, fiber, step_cfg)
+        except StepSizeError as exc:
+            exc.span = span
+            raise
         noise = None
         if amp.noise_on:
             if unit_noise_for_span is None:

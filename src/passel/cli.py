@@ -38,16 +38,20 @@ def _build_config(args) -> "ExperimentConfig":
     else:
         cfg = ExperimentConfig()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read(), base=cfg)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["max_workers"] = args.workers
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise HarnessError("cannot read config %s: %s"
+                               % (args.config, exc.strerror or exc)) from None
+        cfg = parse_config(text, base=cfg)
+    flags = {"seed": args.seed, "max_workers": args.workers,
+             "bound_eta": getattr(args, "eta", None),
+             "bound_m_total": getattr(args, "m_total", None)}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     if overrides:
         from dataclasses import replace
-        cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, **overrides)  # validated like the config file's values
     return cfg
 
 
@@ -82,8 +86,7 @@ def _cmd_run(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_bound(args, cfg: ExperimentConfig) -> int:
     out = args.out or "bound.csv"
-    detail = ss_bound_estimate(cfg, power_dbm=args.power, eta=args.eta,
-                               m_total=args.m_total)
+    detail = ss_bound_estimate(cfg, power_dbm=args.power)
     emit_csv([detail.row], out)
     meta = write_meta(out, cfg, {}, [detail.resolved])
     r = detail.row

@@ -29,7 +29,6 @@ import hashlib
 import json
 import math
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Iterable
@@ -42,6 +41,7 @@ from .channel import (
     FiberParams,
     SsfmStepConfig,
     WdmConfig,
+    dbm_to_watts,
     propagate_link,
     rrc_modulate,
     standard_complex_noise,
@@ -169,8 +169,14 @@ class ExperimentConfig:
             raise HarnessError("n_blocks must be >= 1")
         if self.seed < 0:
             raise HarnessError("seed must be >= 0")
+        for name in ("steps_per_span", "metric_steps_per_span"):
+            if getattr(self, name) < 0:
+                raise HarnessError("%s must be >= 0" % name)
         if not 0.0 < self.bound_eta <= 1.0:
             raise HarnessError("bound_eta must be in (0, 1]")
+        if self.bound_m_total * self.bound_eta < 30.0 - 1e-12:
+            raise HarnessError("need bound_m_total*bound_eta >= 30 kept blocks, got %g"
+                               % (self.bound_m_total * self.bound_eta))
 
 
 _LIST_ELEM = {"schemes": str, "powers_dbm": float, "n_t_values": int}
@@ -261,7 +267,7 @@ def desk_preset() -> ExperimentConfig:
         n_spans=10,
         n_channels=3,
         sps=8,
-        steps_per_span=200,
+        steps_per_span=100,
         metric_sps=4,
         metric_steps_per_span=100,
         bound_m_total=100,
@@ -312,8 +318,37 @@ def amp_for(cfg: ExperimentConfig) -> AmplifierParams:
                            center_frequency_thz=cfg.center_frequency_thz)
 
 
-def link_steps(cfg: ExperimentConfig) -> SsfmStepConfig:
-    return SsfmStepConfig(steps_per_span=cfg.steps_per_span or None)
+def peak_allowance_w(cfg: ExperimentConfig, power_dbm: float) -> float:
+    """Span-input peak power the link step schedule is built for.
+
+    n_channels fields, each at the highest of power_dbm and the sweep's
+    launch powers and each at a constellation corner, add in phase to
+    n_channels^2 times one channel's corner power. A channel's corner power
+    is its mean power times the corner-to-mean energy ratio
+    max_level^2 / E[a^2]. The ratio is taken
+    at the Maxwell-Boltzmann distribution of the matcher rate, which has the
+    least mean energy of any amplitude distribution at that rate, so it is
+    the largest ratio of every scheme: mb draws from it, sphere shaping and
+    the raised bsss matcher rate cost more energy, and siss pilots sit on
+    the corner itself. The allowance is not a bound on the field: pulse
+    overshoot and ASE are left to the per-step guard.
+    """
+    alphabet = AmplitudeAlphabet()
+    levels = alphabet.as_array()
+    mean_energy = float(mb_fit(cfg.dm_rate_bits_per_amp, alphabet).probs @ levels ** 2)
+    corner_to_mean = alphabet.max_level ** 2 / mean_energy
+    power_w = dbm_to_watts(max(power_dbm, *cfg.powers_dbm))
+    return cfg.n_channels ** 2 * power_w * corner_to_mean
+
+
+def link_steps(cfg: ExperimentConfig, power_dbm: float) -> SsfmStepConfig:
+    """The link's step schedule for a point at power_dbm.
+
+    A power inside the sweep gets the schedule of the whole sweep, so the
+    bound at eta = 1 reproduces the plain ess point.
+    """
+    return SsfmStepConfig(steps_per_span=cfg.steps_per_span or None,
+                          peak_allowance_w=peak_allowance_w(cfg, power_dbm))
 
 
 def metric_steps(cfg: ExperimentConfig) -> SsfmStepConfig:
@@ -487,7 +522,7 @@ def _propagate_and_receive(st: _PointState, tx: np.ndarray,
     noise = None
     if cfg.noise_on:
         noise = _ase_noise_source(cfg.seed, block_ids, (2, composite.n_samples))
-    out = propagate_link(composite, fiber, amp_for(cfg), link_steps(cfg),
+    out = propagate_link(composite, fiber, amp_for(cfg), link_steps(cfg, st.power_dbm),
                          unit_noise_for_span=noise)
     rx = RxChain.for_link(fiber, wdm)
     return matched_filter_sample(cdc(wdm_demux(out, wdm, wdm.center_channel), rx), rx)
@@ -601,13 +636,10 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     conversion. eta=1 reproduces the plain sphere-shaping point exactly.
     """
     power = cfg.powers_dbm[0] if power_dbm is None else float(power_dbm)
-    eta = cfg.bound_eta if eta is None else float(eta)
-    m_total = cfg.bound_m_total if m_total is None else int(m_total)
-    if not 0.0 < eta <= 1.0:
-        raise HarnessError("eta must be in (0, 1]")
-    if m_total * eta < 30.0 - 1e-12:
-        raise HarnessError("need m_total*eta >= 30 kept blocks, got %g"
-                           % (m_total * eta))
+    # an explicit eta or m_total is checked like the config value it replaces
+    cfg = replace(cfg, bound_eta=cfg.bound_eta if eta is None else float(eta),
+                  bound_m_total=cfg.bound_m_total if m_total is None else int(m_total))
+    eta, m_total = cfg.bound_eta, cfg.bound_m_total
     st = _PointState(cfg, "ess", power, 1)
     tx, _, indices = st.draw(m_total)
 
@@ -628,7 +660,9 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     resolved = _resolved_point(st)
     resolved.update({"scheme": "bound", "eta": eta, "m_total": m_total,
                      "rate_penalty_bits_per_4d": penalty,
-                     "rate_penalty_formula": "log2(eta)/block_len_4d"})
+                     "rate_penalty_formula": "log2(eta)/block_len_4d",
+                     # above the sweep's powers the schedule differs from resolve_defaults
+                     "link_steps_per_span": link_steps(cfg, power).resolve(fiber_for(cfg))})
     return _point_detail(st, tx[:, kept], indices[:, kept], kept, penalty, row,
                          costs[None, :], resolved)
 
@@ -678,6 +712,8 @@ def sweep(cfg: ExperimentConfig):
                 points.append((cfg, scheme, float(power), int(n_t)))
 
     if cfg.max_workers > 1 and len(points) > 1:
+        # imported here: it pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.max_workers) as pool:
             outcomes = list(pool.map(_point_worker, points))
     else:
@@ -746,8 +782,8 @@ def parse_csv(path: str) -> list[ResultRow]:
 def resolve_defaults(cfg: ExperimentConfig) -> dict:
     """Values filled in for everything the config leaves implicit."""
     fiber = fiber_for(cfg)
-    steps = link_steps(cfg).resolve(fiber, 0.0)
-    msteps = metric_steps(cfg).resolve(fiber, 0.0)
+    steps = link_steps(cfg, max(cfg.powers_dbm)).resolve(fiber)
+    msteps = metric_steps(cfg).resolve(fiber)
     k = dm_bits_per_block(cfg)
     n = cfg.block_len_4d
     wk_w = cfg.wk_window or min(128, n)

@@ -38,7 +38,6 @@ __all__ = [
     "constellation_priors",
     "fit_noise_variance",
     "air_bitwise",
-    "symbolwise_mi",
     "se_from_air",
 ]
 
@@ -292,35 +291,6 @@ def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
     return AirResult(air_bits_per_4d=air, prior_entropy_bits_per_4d=2.0 * h2,
                      noise_variance=float(sigma2), ci95_bits_per_4d=ci,
                      n_symbols_4d=n4, equivocation_per_4d=e4)
-
-
-def symbolwise_mi(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
-                  sigma2: float | None = None) -> float:
-    """Symbol-metric mutual information estimate (bits/2D), same auxiliary channel.
-
-    Internal cross-check only: the bit-metric rate never exceeds this.
-    """
-    constellation = pas_constellation()
-    tx = np.asarray(tx_syms, dtype=complex).ravel()
-    rx = np.asarray(rx_syms, dtype=complex).ravel()
-    if sigma2 is None:
-        sigma2 = fit_noise_variance(tx, rx)
-    sigma2 = max(float(sigma2), 1e-300)
-    priors = np.asarray(priors, dtype=float)
-    with np.errstate(divide="ignore"):
-        logp = np.log(priors)
-    idx = _match_to_grid(tx, constellation.points)
-    total = 0.0
-    chunk = 1 << 16
-    with np.errstate(under="ignore", over="ignore"):
-        for lo in range(0, rx.size, chunk):
-            hi = min(lo + chunk, rx.size)
-            d2 = np.abs(rx[lo:hi, None] - constellation.points[None, :]) ** 2 / sigma2
-            w = logp[None, :] - d2
-            den = _logsumexp(w, axis=1)
-            num = w[np.arange(hi - lo), idx[lo:hi]]
-            total += float(((num - den) - logp[idx[lo:hi]]).sum())
-    return total / rx.size / _LN2
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,16 @@ from passel.channel import (
     wdm_demux,
     wdm_mux,
 )
-from passel.channel import _SplitStepWork
-from passel.harness import desk_preset, fiber_for, link_wdm, metric_steps, metric_wdm
+from passel.channel import _CHUNK_SAMPLES, _SplitStepWork
+from passel.harness import (
+    desk_preset,
+    fiber_for,
+    link_steps,
+    link_wdm,
+    metric_steps,
+    metric_wdm,
+    resolve_defaults,
+)
 from passel.seeding import substream
 
 QAM_RAILS = np.array([-7, -5, -3, -1, 1, 3, 5, 7], dtype=float)
@@ -206,11 +214,6 @@ class TestSsfmOracles:
         with pytest.raises(StepSizeError):
             ssfm_span(field, fiber, SsfmStepConfig(steps_per_span=1))
 
-    def test_adaptive_mode_scales_with_power(self):
-        fiber = FiberParams(n_spans=1)
-        cfg = SsfmStepConfig(mode="adaptive")
-        assert cfg.resolve(fiber, 0.1) > cfg.resolve(fiber, 0.001)
-
     def test_default_step_count_scales_with_span(self):
         cfg = SsfmStepConfig()
         assert cfg.resolve(FiberParams(span_length_km=100.0), 1e-3) == 1000
@@ -230,12 +233,86 @@ class TestSsfmOracles:
             assert np.allclose(batch_out.samples[b], one.samples, rtol=0, atol=1e-15)
 
 
-def reference_ssfm_span(field, fiber, step_cfg=None):
-    """Reference span: the plain split-step loop with np.fft, np.exp and new arrays."""
+class TestStepSchedule:
+    def test_no_allowance_gives_equal_steps_exactly(self):
+        fiber = FiberParams(span_length_km=80.0)
+        for steps in (1, 7, 100, 200, 1000):
+            lengths = SsfmStepConfig(steps_per_span=steps).step_lengths(fiber)
+            assert lengths == [fiber.span_length_m / steps] * steps
+        assert SsfmStepConfig().step_lengths(fiber) == [100.0] * 800
+
+    @pytest.mark.parametrize("alpha_db_per_km", [0.2, 0.0])
+    def test_steps_hold_the_phase_at_the_allowance(self, alpha_db_per_km):
+        fiber = FiberParams(alpha_db_per_km=alpha_db_per_km)
+        step = SsfmStepConfig(steps_per_span=50, peak_allowance_w=0.3)
+        lengths = np.array(step.step_lengths(fiber))
+        cap = fiber.span_length_m / 50
+        assert lengths.max() <= cap * (1 + 1e-12) and lengths[0] < cap / 4
+        assert abs(lengths.sum() - fiber.span_length_m) <= 1e-9 * fiber.span_length_m
+        # short where the power is high; the last step may take what is left
+        assert np.all(np.diff(lengths[:-1]) >= -1e-9 * cap)
+        # phase of each step at the span-input allowance, decaying with the loss
+        alpha = fiber.alpha_per_m
+        z = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
+        if alpha:
+            integral = (np.exp(-alpha * z) - np.exp(-alpha * (z + lengths))) / alpha
+        else:
+            integral = lengths
+        phase = (8.0 / 9.0) * fiber.gamma_per_w_m * 0.3 * integral
+        assert phase.max() <= 0.95 * step.max_step_phase_rad * (1 + 1e-9)
+        assert len(lengths) > 50
+
+    def test_phase_limited_up_to_the_span_end(self):
+        # lossless, one step per span: every step is phase-limited
+        fiber = FiberParams(alpha_db_per_km=0.0, span_length_km=10.0)
+        lengths = SsfmStepConfig(steps_per_span=1, peak_allowance_w=1.0).step_lengths(fiber)
+        assert len(lengths) == math.ceil(
+            (8.0 / 9.0) * fiber.gamma_per_w_m * fiber.span_length_m / 0.0475)
+        assert abs(sum(lengths) - fiber.span_length_m) <= 1e-9 * fiber.span_length_m
+
+    def test_resolve_is_the_schedule_length_and_the_resolved_default(self):
+        cfg = desk_preset()
+        fiber = fiber_for(cfg)
+        step = link_steps(cfg, max(cfg.powers_dbm))
+        n = len(step.step_lengths(fiber))
+        assert step.resolve(fiber, 0.0) == n == resolve_defaults(cfg)["link_steps_per_span"]
+        assert cfg.steps_per_span < n < 2 * cfg.steps_per_span
+        # a higher peak than the allowance asks for more steps
+        assert step.resolve(fiber, 2 * step.peak_allowance_w) > n
+
+
+def reference_ssfm_span(field, fiber, step_cfg=None, lengths=None):
+    """Reference span: the plain split-step loop with np.fft, np.exp and new arrays.
+
+    It runs over the step lengths of step_cfg's schedule, or over explicit
+    lengths, and applies both half-steps of every step on their own.
+    """
     step_cfg = step_cfg or SsfmStepConfig()
-    a = field.samples
-    peak = float((np.abs(a) ** 2).sum(axis=-2).max()) if a.size else 0.0
-    steps = step_cfg.resolve(fiber, peak)
+    lengths = step_cfg.step_lengths(fiber) if lengths is None else lengths
+    bound = step_cfg.max_step_phase_rad
+    alpha = fiber.alpha_per_m
+    w2 = (2.0 * np.pi * np.fft.fftfreq(field.n_samples, d=1.0 / field.sample_rate_hz)) ** 2
+    spec = np.fft.fft(field.samples, axis=-1)
+    for step, dz in enumerate(lengths):
+        half = np.exp((0.5j * fiber.beta2_s2_per_m * w2 - 0.5 * alpha) * (dz / 2.0))
+        h_eff = dz if alpha == 0.0 else 2.0 * math.sinh(alpha * dz / 2.0) / alpha
+        gnl = (8.0 / 9.0) * fiber.gamma_per_w_m * h_eff
+        cur = np.fft.ifft(spec * half, axis=-1)
+        power = (np.abs(cur) ** 2).sum(axis=-2)
+        peaks = power.reshape(-1, field.n_samples).max(axis=1)
+        if gnl * peaks.max() > bound:
+            block = int(np.argmax(gnl * peaks > bound))
+            raise StepSizeError(block, step, dz, gnl * peaks[block], peaks[block], bound,
+                                step_cfg.peak_allowance_w)
+        cur *= np.exp(1j * gnl * power)[..., None, :]
+        spec = np.fft.fft(cur, axis=-1) * half
+    return FieldWaveform(np.fft.ifft(spec, axis=-1), field.sample_rate_hz,
+                         symbol_scale=field.symbol_scale)
+
+
+def uniform_span_before_schedules(field, fiber, steps):
+    """The uniform kernel as it was before step schedules: one half-step table,
+    full = half * half between steps, and the guard on the chunk's peak."""
     dz = fiber.span_length_m / steps
     alpha = fiber.alpha_per_m
     h_eff = dz if alpha == 0.0 else 2.0 * math.sinh(alpha * dz / 2.0) / alpha
@@ -243,18 +320,21 @@ def reference_ssfm_span(field, fiber, step_cfg=None):
     half = np.exp((0.5j * fiber.beta2_s2_per_m * w2 - 0.5 * alpha) * (dz / 2.0))
     full = half * half
     gnl = (8.0 / 9.0) * fiber.gamma_per_w_m * h_eff
-    spec = np.fft.fft(a, axis=-1) * half
-    for step in range(steps):
-        cur = np.fft.ifft(spec, axis=-1)
-        power = (np.abs(cur) ** 2).sum(axis=-2)
-        if step_cfg.mode == "fixed" and gnl * float(power.max()) > step_cfg.max_step_phase_rad:
-            raise StepSizeError("per-step nonlinear phase %.3g rad exceeds the %.3g rad bound"
-                                % (gnl * float(power.max()), step_cfg.max_step_phase_rad))
-        cur *= np.exp(1j * gnl * power)[..., None, :]
-        spec = np.fft.fft(cur, axis=-1)
-        spec *= full if step < steps - 1 else half
-    return FieldWaveform(np.fft.ifft(spec, axis=-1), field.sample_rate_hz,
-                         symbol_scale=field.symbol_scale)
+    t_len = field.n_samples
+    spec = np.fft.fft(field.samples.reshape(-1, 2, t_len), axis=-1)
+    rows = max(1, min(spec.shape[0], _CHUNK_SAMPLES // (2 * t_len)))
+    work = _SplitStepWork(rows, t_len)
+    for lo in range(0, spec.shape[0], rows):
+        buf = spec[lo:lo + rows]
+        buf *= half
+        for step in range(steps):
+            np.fft.ifft(buf, axis=-1, out=buf)
+            power = work.power_of(buf)
+            assert gnl * float(power.max()) <= 0.05
+            buf *= work.rotation(power, gnl, 0.05)[:, None, :]
+            np.fft.fft(buf, axis=-1, out=buf)
+            buf *= full if step < steps - 1 else half
+    return np.fft.ifft(spec, axis=-1).reshape(field.samples.shape)
 
 
 def desk_composite(rng, power_dbm, n_blocks=4):
@@ -270,13 +350,37 @@ def relative_error(got, want):
 class TestSsfmKernel:
     """The chunked, series-rotation kernel against the plain reference loop."""
 
+    def test_uniform_schedule_bit_identical_to_kernel_before_schedules(self):
+        # no allowance: the link of 200 steps/span and the metric are unchanged, bit for bit
+        cfg = desk_preset()
+        fiber = fiber_for(cfg)
+        field = desk_composite(np.random.default_rng(21), 4.0, n_blocks=18)
+        got = ssfm_span(field, fiber, SsfmStepConfig(steps_per_span=200))
+        assert np.array_equal(got.samples, uniform_span_before_schedules(field, fiber, 200))
+        batch = rrc_modulate(random_symbols(np.random.default_rng(22), 64, batch=(16,)),
+                             metric_wdm(cfg), 2.0)
+        got = ssfm_span(batch, fiber, metric_steps(cfg))
+        assert np.array_equal(got.samples, uniform_span_before_schedules(
+            batch, fiber, cfg.metric_steps_per_span))
+
     def test_matches_reference_on_desk_link_composite(self):
         # 18 blocks of 2 x 512 samples: one full chunk of blocks and a partial one
         cfg = desk_preset()
         field = desk_composite(np.random.default_rng(21), 4.0, n_blocks=18)
-        step = SsfmStepConfig(steps_per_span=cfg.steps_per_span)
+        step = SsfmStepConfig(steps_per_span=200)
         got = ssfm_span(field, fiber_for(cfg), step)
         want = reference_ssfm_span(field, fiber_for(cfg), step)
+        assert relative_error(got.samples, want.samples) <= 1e-12
+
+    def test_nonuniform_schedule_matches_reference_over_its_step_lengths(self):
+        cfg = desk_preset()
+        fiber = fiber_for(cfg)
+        step = link_steps(cfg, 4.0)
+        lengths = step.step_lengths(fiber)
+        assert len(set(lengths)) > 10  # phase-limited steps, then the capped tail
+        field = desk_composite(np.random.default_rng(21), 4.0, n_blocks=18)
+        got = ssfm_span(field, fiber, step)
+        want = reference_ssfm_span(field, fiber, lengths=lengths)
         assert relative_error(got.samples, want.samples) <= 1e-12
 
     def test_matches_reference_on_desk_metric_batch(self):
@@ -302,11 +406,28 @@ class TestSsfmKernel:
         field = desk_composite(np.random.default_rng(28), 2.0, n_blocks=18)
         field.samples[17] *= 1.5
         cfg = desk_preset()
-        step = SsfmStepConfig(steps_per_span=cfg.steps_per_span)
+        step = link_steps(cfg, 2.0)
         batch = ssfm_span(field, fiber_for(cfg), step).samples
         for b in (0, 16, 17):
             one = FieldWaveform(field.samples[b], field.sample_rate_hz)
             assert np.array_equal(ssfm_span(one, fiber_for(cfg), step).samples, batch[b])
+
+    def test_quiet_block_same_alone_and_beside_a_loud_block(self):
+        # the guard judges each block by its own peak: a loud block beside a
+        # quiet one changes neither the quiet block's output nor its verdict
+        fiber = FiberParams(n_spans=1)
+        step = SsfmStepConfig(steps_per_span=100)
+        samples = desk_composite(np.random.default_rng(29), 0.0, n_blocks=1).samples
+        quiet = FieldWaveform(samples, 100e9)
+        alone = ssfm_span(quiet, fiber, step).samples[0]
+        for gain, fails in ((2.0, False), (8.0, True)):
+            pair = FieldWaveform(np.concatenate([samples, samples * gain]), 100e9)
+            try:
+                beside = ssfm_span(pair, fiber, step).samples[0]
+            except StepSizeError as exc:
+                assert fails and exc.args[0] == 1  # the loud block, not the quiet one
+            else:
+                assert not fails and np.array_equal(beside, alone)
 
     @pytest.mark.parametrize("margin", [1.0 - 1e-6, 1.0 + 1e-6])
     def test_step_guard_agrees_with_reference(self, margin):
@@ -360,6 +481,23 @@ class TestSsfmKernel:
 
         propagate_link(field, fiber, AmplifierParams(), step, unit_noise_for_span=noise)
         assert np.array_equal(field.samples, before)
+
+
+    def test_step_error_names_block_span_and_step(self):
+        # beta2 = 0 and no noise: every span sees the launch peaks again
+        fiber = FiberParams(beta2_ps2_per_km=0.0, n_spans=2)
+        samples = desk_composite(np.random.default_rng(30), 0.0, n_blocks=3).samples
+        samples[2] *= 8.0
+        step = SsfmStepConfig(steps_per_span=100, peak_allowance_w=0.01)
+        with pytest.raises(StepSizeError) as info:
+            propagate_link(FieldWaveform(samples, 100e9), fiber,
+                           AmplifierParams(noise_on=False), step)
+        exc = info.value
+        block, index, step_m, phase, peak, bound, allowance = exc.args
+        assert (block, exc.span, index, bound, allowance) == (2, 0, 0, 0.05, 0.01)
+        assert step_m == step.step_lengths(fiber)[0] and phase > bound
+        assert str(exc).startswith("block 2, span 0, step 0 (%.6g m): " % step_m)
+        assert "peak %.4g W against a 0.01 W step allowance" % peak in str(exc)
 
 
 class TestEdfa:

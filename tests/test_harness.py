@@ -22,6 +22,8 @@ from passel.harness import (
     desk_preset,
     emit_csv,
     empirical_amp_probs,
+    fiber_for,
+    link_steps,
     paper_preset,
     parse_config,
     parse_csv,
@@ -79,6 +81,12 @@ class TestConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(HarnessError):
             tiny_config(seed=-1)
+
+    @pytest.mark.parametrize("key", ["steps_per_span", "metric_steps_per_span"])
+    def test_negative_step_count_rejected(self, key):
+        # a usage error when the config is built, not a failure in every point
+        with pytest.raises(HarnessError, match=key):
+            tiny_config(**{key: -1})
 
     def test_missing_equals_rejected(self):
         with pytest.raises(HarnessError):
@@ -257,6 +265,10 @@ class TestDegenerate:
     def test_bound_penalty_applied(self):
         cfg = tiny_config(bound_m_total=128, bound_eta=0.5)
         det = ss_bound_estimate(cfg, power_dbm=1.0)
+        steps = resolve_defaults(cfg)["link_steps_per_span"]
+        assert det.resolved["link_steps_per_span"] == steps
+        above = ss_bound_estimate(cfg, power_dbm=3.0).resolved["link_steps_per_span"]
+        assert above > steps
         assert det.resolved["rate_penalty_bits_per_4d"] == pytest.approx(
             math.log2(0.5) / cfg.block_len_4d)
         assert det.row.n_t == 2
@@ -328,17 +340,20 @@ class TestSweepDeterminism:
 
     def test_failed_point_sidecar_names_the_failing_frame(self, tmp_path):
         import json
-        # one step per span at high power: the step guard fires in the link
-        cfg = tiny_config(schemes=("ess",), powers_dbm=(10.0,), steps_per_span=1)
+        # a 40 dB noise figure: the first amplifier's ASE is far above the peak
+        # allowance the step schedule is built for, so the guard fires in span 1
+        cfg = tiny_config(schemes=("ess",), noise_figure_db=40.0)
         rows, errors, resolved = sweep(cfg)
         (label, error), = errors.items()
-        assert label == "ess p=10 n_t=1" and error.startswith("StepSizeError: ")
+        assert label == "ess p=1 n_t=1"
+        assert error.startswith("StepSizeError: block 0, span 1, step 0 ("), error
+        assert "rad bound; peak " in error and " W step allowance" in error
         path = str(tmp_path / "f.csv")
         emit_csv(rows, path)
         with open(write_meta(path, cfg, errors, resolved)) as fh:
             point, = json.load(fh)["points"]
         assert point["error"] == error
-        assert (point["scheme"], point["power_dbm"], point["n_t"]) == ("ess", 10.0, 1)
+        assert (point["scheme"], point["power_dbm"], point["n_t"]) == ("ess", 1.0, 1)
         assert point["dm_bits_per_block"] == 42
         frames = point["traceback"]
         assert any(frame.endswith(":ssfm_span") for frame in frames), frames
@@ -347,9 +362,12 @@ class TestSweepDeterminism:
 
 class TestResolveDefaults:
     def test_fields_present(self):
-        res = resolve_defaults(tiny_config())
+        cfg = tiny_config()
+        res = resolve_defaults(cfg)
         assert res["dm_bits_per_block"] == 42
-        assert res["link_steps_per_span"] == 20
+        steps = link_steps(cfg, 1.0).step_lengths(fiber_for(cfg))
+        assert res["link_steps_per_span"] == len(steps) > 20
+        assert res["metric_steps_per_span"] == 25
         assert res["wk_window"] == 16
         assert res["wk_stride"] == 8
 
@@ -413,14 +431,35 @@ class TestCli:
             assert "Traceback" not in proc.stderr and proc.stdout == ""
         assert os.listdir(tmp_path) == ["cfg.txt"]
 
+    def test_bad_bound_flags_are_usage_errors(self, tmp_path):
+        for flags, message in (
+                (["--eta", "0"], "bound_eta must be in (0, 1]"),
+                (["--eta", "1.5"], "bound_eta must be in (0, 1]"),
+                (["--m-total", "20"],
+                 "need bound_m_total*bound_eta >= 30 kept blocks, got 20")):
+            proc = run_python("-m", "passel.cli", "bound", "--scale", "desk", *flags,
+                              cwd=tmp_path)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.splitlines() == ["passel: error: " + message]
+            assert proc.stdout == "" and not os.listdir(tmp_path)
+
+    def test_missing_config_file_is_a_usage_error(self, tmp_path):
+        for command in ("run", "bound"):
+            proc = run_python("-m", "passel.cli", command, "--config", "absent.txt",
+                              cwd=tmp_path)
+            assert proc.returncode == 2
+            assert proc.stderr.splitlines() == [
+                "passel: error: cannot read config absent.txt: No such file or directory"]
+            assert proc.stdout == "" and not os.listdir(tmp_path)
+
     def test_failed_point_still_exits_1(self, tmp_path, capsys):
         from passel.cli import main
         cfg_path = str(tmp_path / "cfg.txt")
         with open(cfg_path, "w") as fh:
-            fh.write(config_text(tiny_config(powers_dbm=(10.0,), steps_per_span=1)))
+            fh.write(config_text(tiny_config(noise_figure_db=40.0)))
         out = str(tmp_path / "out.csv")
         assert main(["run", "--config", cfg_path, "--out", out]) == 1
-        assert "FAILED point ess p=10 n_t=1: StepSizeError" in capsys.readouterr().err
+        assert "FAILED point ess p=1 n_t=1: StepSizeError" in capsys.readouterr().err
         assert math.isnan(parse_csv(out)[0].se_bits_s_hz)
         assert os.path.exists(out + ".meta.json")
 
