@@ -584,21 +584,36 @@ def _split_steps(buf: np.ndarray, operators, step_cfg: SsfmStepConfig,
         buf *= lin
 
 
+class _Span:
+    """One span's split-step operators and work buffers, for fields shaped like `field`.
+
+    They depend on the fiber, the step schedule and the field's shape and
+    sample rate alone, so a link builds them once and runs every span on them.
+    """
+
+    def __init__(self, field: FieldWaveform, fiber: FiberParams, step_cfg: SsfmStepConfig):
+        t_len = field.n_samples
+        self.step_cfg = step_cfg
+        self.operators = _span_operators(fiber, step_cfg, t_len, field.sample_rate_hz)
+        self.rows = max(1, min(field.samples.size // (2 * t_len),
+                               _CHUNK_SAMPLES // (2 * t_len)))
+        self.work = _SplitStepWork(self.rows, t_len)
+
+    def __call__(self, field: FieldWaveform) -> FieldWaveform:
+        a = field.samples
+        # spec is this call's own array, one row per block, so the FFTs may overwrite it
+        spec = np.fft.fft(a.reshape(-1, 2, field.n_samples), axis=-1)
+        for lo in range(0, spec.shape[0], self.rows):
+            _split_steps(spec[lo:lo + self.rows], self.operators, self.step_cfg,
+                         self.work, lo)
+        return FieldWaveform(np.fft.ifft(spec, axis=-1, out=spec).reshape(a.shape),
+                             field.sample_rate_hz, symbol_scale=field.symbol_scale)
+
+
 def ssfm_span(field: FieldWaveform, fiber: FiberParams,
               step_cfg: SsfmStepConfig | None = None) -> FieldWaveform:
     """Propagate one fiber span by the symmetric split-step Manakov method."""
-    step_cfg = step_cfg or SsfmStepConfig()
-    a = field.samples
-    t_len = field.n_samples
-    operators = _span_operators(fiber, step_cfg, t_len, field.sample_rate_hz)
-    # spec is this call's own array, one row per block, so the FFTs may overwrite it
-    spec = np.fft.fft(a.reshape(-1, 2, t_len), axis=-1)
-    rows = max(1, min(spec.shape[0], _CHUNK_SAMPLES // (2 * t_len)))
-    work = _SplitStepWork(rows, t_len)
-    for lo in range(0, spec.shape[0], rows):
-        _split_steps(spec[lo:lo + rows], operators, step_cfg, work, lo)
-    return FieldWaveform(np.fft.ifft(spec, axis=-1, out=spec).reshape(a.shape),
-                         field.sample_rate_hz, symbol_scale=field.symbol_scale)
+    return _Span(field, fiber, step_cfg or SsfmStepConfig())(field)
 
 
 def standard_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -635,9 +650,10 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     A link with zero spans returns the input unchanged.
     """
     out = field
+    span_fn = _Span(field, fiber, step_cfg or SsfmStepConfig())
     for span in range(fiber.n_spans):
         try:
-            out = ssfm_span(out, fiber, step_cfg)
+            out = span_fn(out)
         except StepSizeError as exc:
             exc.span = span
             raise

@@ -105,8 +105,8 @@ def _check(ok, what: str) -> None:
 def _selftest_checks():
     from .channel import (FieldWaveform, FiberParams, SsfmStepConfig, WdmConfig,
                           rrc_modulate, ssfm_span)
-    from .receiver import (RxChain, air_bitwise, constellation_priors,
-                           matched_filter_sample, pas_constellation)
+    from .receiver import (air_bitwise, constellation_priors, matched_filter_sample,
+                           pas_constellation)
     from .seeding import substream
     from .selection import (PermutationBook, PilotBook, ScramblerBook, bsss_decode,
                             bsss_encode, bsss_pilot_bits, siss_decode, siss_encode,
@@ -127,7 +127,7 @@ def _selftest_checks():
         rng = substream(7, 0)
         syms = (rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64)))
         field = rrc_modulate(syms, wdm, 0.0)
-        back = matched_filter_sample(field, RxChain(wdm=wdm))
+        back = matched_filter_sample(field, wdm)
         _check(np.abs(back - syms).max() < 1e-9, "matched filter does not invert the pulse")
 
     def air_noiseless():
@@ -185,8 +185,7 @@ def _selftest_checks():
         field = rrc_modulate(syms, wdm, 0.0)
         out = propagate_link(field, fiber,
                              AmplifierParams(noise_figure_db=5.0, noise_on=False))
-        rx = RxChain.for_link(fiber, wdm)
-        back = matched_filter_sample(cdc(out, rx), rx)
+        back = matched_filter_sample(cdc(out, fiber), wdm)
         _check(np.abs(back - syms).max() < 1e-6, "dispersion not compensated")
 
     def spm_phase():

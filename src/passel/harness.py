@@ -38,6 +38,7 @@ import numpy as np
 from . import __version__
 from .channel import (
     AmplifierParams,
+    ChannelError,
     FiberParams,
     SsfmStepConfig,
     WdmConfig,
@@ -49,8 +50,6 @@ from .channel import (
     wdm_mux,
 )
 from .receiver import (
-    RxChain,
-    SelectionOverhead,
     air_bitwise,
     cdc,
     constellation_priors,
@@ -177,6 +176,19 @@ class ExperimentConfig:
         if self.bound_m_total * self.bound_eta < 30.0 - 1e-12:
             raise HarnessError("need bound_m_total*bound_eta >= 30 kept blocks, got %g"
                                % (self.bound_m_total * self.bound_eta))
+        max_rate = AmplitudeAlphabet().bits_per_amplitude
+        if not 0.0 < self.dm_rate_bits_per_amp <= max_rate:
+            raise HarnessError("dm_rate_bits_per_amp must be in (0, %d]" % max_rate)
+        if self.block_len_4d < 1:
+            raise HarnessError("block_len_4d must be >= 1")
+        if self.dm_blocklength < 1 or (4 * self.block_len_4d) % self.dm_blocklength:
+            raise HarnessError("dm_blocklength must be >= 1 and divide 4*block_len_4d = %d"
+                               % (4 * self.block_len_4d))
+        try:
+            for build in (fiber_for, link_wdm, metric_wdm, amp_for):
+                build(self)
+        except ChannelError as exc:
+            raise HarnessError(str(exc)) from None
 
 
 _LIST_ELEM = {"schemes": str, "powers_dbm": float, "n_t_values": int}
@@ -379,10 +391,7 @@ class _PointState:
         self.n_t = int(n_t)
         self.n = cfg.block_len_4d
         self.alphabet = AmplitudeAlphabet()
-        n_amp = 4 * self.n
-        if n_amp % cfg.dm_blocklength:
-            raise HarnessError("4*block_len_4d must be a multiple of dm_blocklength")
-        self.n_dm = n_amp // cfg.dm_blocklength
+        self.n_dm = 4 * self.n // cfg.dm_blocklength
         self.k_base = self.k_adj = dm_bits_per_block(cfg)
         self.pilot_bits = 0
         self.pilot_syms = 0
@@ -524,8 +533,7 @@ def _propagate_and_receive(st: _PointState, tx: np.ndarray,
         noise = _ase_noise_source(cfg.seed, block_ids, (2, composite.n_samples))
     out = propagate_link(composite, fiber, amp_for(cfg), link_steps(cfg, st.power_dbm),
                          unit_noise_for_span=noise)
-    rx = RxChain.for_link(fiber, wdm)
-    return matched_filter_sample(cdc(wdm_demux(out, wdm, wdm.center_channel), rx), rx)
+    return matched_filter_sample(cdc(wdm_demux(out, wdm, wdm.center_channel), fiber), wdm)
 
 
 def _metric_label(cfg: ExperimentConfig, scheme: str) -> str:
@@ -570,9 +578,8 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
         rate_loss = 0.0
     else:
         rate_loss = max(0.0, prior4 - st.realized_bits_4d)
-    overhead = SelectionOverhead(bits_per_4d=rate_loss,
-                                 time_fraction=st.time_fraction)
-    se = se_from_air(air_net, link_wdm(st.cfg), overhead)
+    se = se_from_air(air_net, link_wdm(st.cfg), rate_loss_bits_4d=rate_loss,
+                     time_fraction=st.time_fraction)
     return PointDetail(row=ResultRow(power_dbm=st.power_dbm, air_bits_4d=air_net,
                                      se_bits_s_hz=se, ci95=air.ci95_bits_per_4d,
                                      **row),

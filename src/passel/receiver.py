@@ -26,10 +26,8 @@ from .channel import FieldWaveform, FiberParams, WdmConfig, pulse_spectrum
 from .shaping import AmplitudeAlphabet
 
 __all__ = [
-    "RxChain",
     "Constellation",
     "AirResult",
-    "SelectionOverhead",
     "ReceiverError",
     "cdc",
     "matched_filter_sample",
@@ -48,41 +46,29 @@ class ReceiverError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RxChain:
-    """Receiver-side parameters.
+def cdc(field: FieldWaveform, fiber: FiberParams) -> FieldWaveform:
+    """All-pass compensation of the link's chromatic dispersion in the FFT domain.
 
-    cdc_dispersion_s2 is the accumulated dispersion the compensator applies,
-    with sign opposite to the link (so for_link() negates beta2 * L).
+    Applies -beta2 * L over the whole link, L = n_spans * span length.
     """
-
-    wdm: WdmConfig
-    cdc_dispersion_s2: float = 0.0
-
-    @classmethod
-    def for_link(cls, fiber: FiberParams, wdm: WdmConfig) -> "RxChain":
-        return cls(wdm=wdm, cdc_dispersion_s2=-fiber.beta2_s2_per_m * fiber.total_length_m)
-
-
-def cdc(field: FieldWaveform, rx: RxChain) -> FieldWaveform:
-    """All-pass chromatic dispersion compensation in the FFT domain."""
+    dispersion_s2 = -fiber.beta2_s2_per_m * fiber.total_length_m
     w = 2.0 * np.pi * np.fft.fftfreq(field.n_samples, d=1.0 / field.sample_rate_hz)
     spec = np.fft.fft(field.samples, axis=-1)
-    spec *= np.exp(0.5j * rx.cdc_dispersion_s2 * w * w)
+    spec *= np.exp(0.5j * dispersion_s2 * w * w)
     return FieldWaveform(np.fft.ifft(spec, axis=-1), field.sample_rate_hz,
                          symbol_scale=field.symbol_scale)
 
 
-def matched_filter_sample(field: FieldWaveform, rx: RxChain) -> np.ndarray:
+def matched_filter_sample(field: FieldWaveform, wdm: WdmConfig) -> np.ndarray:
     """Matched filter, symbol-rate sampling, and constellation rescaling.
 
     Returns (..., 2, n) symbols; the stored modulation scale is divided out
     so a noiseless back-to-back loop reproduces the transmitted symbols.
     """
-    sps = rx.wdm.sps
+    sps = wdm.sps
     if field.n_samples % sps:
         raise ReceiverError("waveform length is not a whole number of symbols")
-    h = pulse_spectrum(rx.wdm, field.n_samples)
+    h = pulse_spectrum(wdm, field.n_samples)
     filtered = np.fft.ifft(np.fft.fft(field.samples, axis=-1) * h, axis=-1)
     sym = filtered[..., ::sps]
     scale = np.asarray(field.symbol_scale)
@@ -293,26 +279,15 @@ def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
                      n_symbols_4d=n4, equivocation_per_4d=e4)
 
 
-@dataclass(frozen=True)
-class SelectionOverhead:
-    """Rate accounting applied when converting AIR to spectral efficiency.
+def se_from_air(air_bits_per_4d: float, wdm: WdmConfig, rate_loss_bits_4d: float = 0.0,
+                time_fraction: float = 1.0) -> float:
+    """Net spectral efficiency in bits/s/Hz over the WDM grid.
 
-    bits_per_4d is subtracted from the AIR (shaping rate loss plus any pilot
-    bits not absorbed upstream); time_fraction multiplies the result (pilot
-    symbols occupying time slots).
+    rate_loss_bits_4d is subtracted from the AIR (shaping rate loss plus any
+    pilot bits not absorbed upstream); time_fraction multiplies the result
+    (pilot symbols occupying time slots).
     """
-
-    bits_per_4d: float = 0.0
-    time_fraction: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.time_fraction <= 1.0:
-            raise ReceiverError("time fraction must be in (0, 1]")
-
-
-def se_from_air(air_bits_per_4d: float, wdm: WdmConfig,
-                overhead: SelectionOverhead | None = None) -> float:
-    """Net spectral efficiency in bits/s/Hz over the WDM grid."""
-    overhead = overhead or SelectionOverhead()
-    net = max(0.0, air_bits_per_4d - overhead.bits_per_4d) * overhead.time_fraction
+    if not 0.0 < time_fraction <= 1.0:
+        raise ReceiverError("time fraction must be in (0, 1]")
+    net = max(0.0, air_bits_per_4d - rate_loss_bits_4d) * time_fraction
     return net * wdm.symbol_rate_hz / wdm.spacing_hz

@@ -33,7 +33,7 @@ from .channel import (
     propagate_link,
     rrc_modulate,
 )
-from .receiver import RxChain, cdc, matched_filter_sample, mean_phase_comp
+from .receiver import cdc, matched_filter_sample, mean_phase_comp
 from .seeding import TAG_PERMUTATION, TAG_SCRAMBLER, substream
 from .shaping import AmplitudeAlphabet, bits_to_index, index_to_bits
 
@@ -84,6 +84,31 @@ class SelectionResult:
     costs: np.ndarray
 
 
+def _distinct_rows(first: np.ndarray, n_t: int, seed: int, tag: int,
+                   draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
+    """A read-only book of n_t distinct rows, row 0 = first.
+
+    Row i >= 1 is the first draw from substream(seed, tag, i) that differs
+    from every earlier row, so a book is a prefix of a larger one.
+    """
+    rows = np.empty((n_t,) + first.shape, dtype=first.dtype)
+    rows[0] = first
+    seen = {first.tobytes()}
+    for i in range(1, n_t):
+        rng = substream(seed, tag, i)
+        for _ in range(_MAX_REDRAWS):
+            cand = draw(rng)
+            key = cand.tobytes()
+            if key not in seen:
+                break
+        else:
+            raise SelectionError("could not draw a fresh row %d" % i)
+        seen.add(key)
+        rows[i] = cand
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True)
 class ScramblerBook:
     """Fixed XOR masks, index 0 the all-zeros identity.
@@ -101,20 +126,8 @@ class ScramblerBook:
             raise SelectionError("book needs n_t >= 1 and a positive mask length")
         if n_t > 2 ** n_bits:
             raise SelectionError("not enough distinct masks of %d bits" % n_bits)
-        masks = np.zeros((n_t, n_bits), dtype=np.uint8)
-        seen = {masks[0].tobytes()}
-        for i in range(1, n_t):
-            rng = substream(seed, TAG_SCRAMBLER, i)
-            for _ in range(_MAX_REDRAWS):
-                cand = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
-                key = cand.tobytes()
-                if key not in seen:
-                    break
-            else:
-                raise SelectionError("could not draw a fresh mask")
-            seen.add(key)
-            masks[i] = cand
-        masks.setflags(write=False)
+        masks = _distinct_rows(np.zeros(n_bits, dtype=np.uint8), n_t, seed, TAG_SCRAMBLER,
+                               lambda rng: rng.integers(0, 2, size=n_bits, dtype=np.uint8))
         return cls(seed=seed, masks=masks)
 
     @property
@@ -136,22 +149,10 @@ class PermutationBook:
             raise SelectionError("book needs n_t >= 1 and a positive length")
         if n_t > 1 and n_positions < 2:
             raise SelectionError("cannot permute a single position")
-        perms = np.empty((n_t, n_positions), dtype=np.int64)
-        perms[0] = np.arange(n_positions)
-        seen = {perms[0].tobytes()}
-        for i in range(1, n_t):
-            rng = substream(seed, TAG_PERMUTATION, i)
-            for _ in range(_MAX_REDRAWS):
-                cand = rng.permutation(n_positions).astype(np.int64)
-                key = cand.tobytes()
-                if key not in seen:
-                    break
-            else:
-                raise SelectionError("could not draw a fresh permutation")
-            seen.add(key)
-            perms[i] = cand
+        perms = _distinct_rows(np.arange(n_positions, dtype=np.int64), n_t, seed,
+                               TAG_PERMUTATION,
+                               lambda rng: rng.permutation(n_positions).astype(np.int64))
         inv = np.argsort(perms, axis=1)
-        perms.setflags(write=False)
         inv.setflags(write=False)
         return cls(seed=seed, perms=perms, inverses=inv)
 
@@ -360,7 +361,6 @@ class NliMetric:
         self.launch_power_dbm = launch_power_dbm
         self.payload = payload if payload is not None else slice(None)
         self.amp = AmplifierParams(noise_on=False)
-        self.rx = RxChain.for_link(fiber, wdm)
 
     def __call__(self, symbols: np.ndarray) -> float | np.ndarray:
         x = np.asarray(symbols, dtype=complex)
@@ -368,7 +368,7 @@ class NliMetric:
             raise SelectionError("expected (..., 2, n) symbols")
         tx = rrc_modulate(x, self.wdm, self.launch_power_dbm)
         out = propagate_link(tx, self.fiber, self.amp, self.step_cfg)
-        y = matched_filter_sample(cdc(out, self.rx), self.rx)
+        y = matched_filter_sample(cdc(out, self.fiber), self.wdm)
         xp = x[..., self.payload]
         yp, _ = mean_phase_comp(y[..., self.payload], xp)
         cost = np.sqrt((np.abs(yp - xp) ** 2).sum(axis=(-2, -1)))

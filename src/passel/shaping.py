@@ -19,14 +19,13 @@ fixed order (xI, xQ, yI, yQ) per 4D symbol, so a block of n symbols consumes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "AmplitudeAlphabet",
-    "ShapingConfig",
     "EssTrellis",
     "MbDistribution",
     "ess_choose_emax",
@@ -43,10 +42,6 @@ __all__ = [
     "index_to_bits",
     "PasShaper",
 ]
-
-# guard against float fuzz in N*R before taking the ceiling
-_RATE_EPS = 1e-9
-
 
 class ShapingError(ValueError):
     """Raised for infeasible shaping configurations or inadmissible inputs."""
@@ -107,29 +102,6 @@ class AmplitudeAlphabet:
         return np.asarray(self.levels, dtype=float)
 
 
-@dataclass(frozen=True)
-class ShapingConfig:
-    """Fixed-length distribution-matcher geometry: N amplitudes at R bits each."""
-
-    blocklength: int = 256
-    rate_bits_per_amplitude: float = 1.3
-    alphabet: AmplitudeAlphabet = field(default_factory=AmplitudeAlphabet)
-
-    def __post_init__(self):
-        if self.blocklength < 1:
-            raise ShapingError("blocklength must be >= 1")
-        r = float(self.rate_bits_per_amplitude)
-        if not 0 < r <= self.alphabet.bits_per_amplitude:
-            raise ShapingError(
-                "rate must be in (0, %d] bits/amplitude" % self.alphabet.bits_per_amplitude
-            )
-
-    @property
-    def bits_per_block(self) -> int:
-        """k = ceil(N * R), the input block size in bits."""
-        return math.ceil(self.blocklength * self.rate_bits_per_amplitude - _RATE_EPS)
-
-
 def _lattice(alphabet: AmplitudeAlphabet) -> tuple[int, int, tuple[int, ...]]:
     """Return (min squared level, lattice step g, per-level slack increments)."""
     sq = alphabet.squared_int_levels()
@@ -160,27 +132,31 @@ def _suffix_step(row: np.ndarray, incr: tuple[int, ...]) -> np.ndarray:
     return nxt
 
 
-def ess_choose_emax(cfg: ShapingConfig) -> int:
-    """Smallest energy bound admitting at least 2**k length-N sequences.
+def _check_block(n: int, k: int) -> None:
+    if n < 1:
+        raise ShapingError("blocklength must be >= 1")
+    if k < 1:
+        raise ShapingError("bits per block must be >= 1")
+
+
+def ess_choose_emax(n: int, k: int, alphabet: AmplitudeAlphabet | None = None) -> int:
+    """Smallest energy bound admitting at least 2**k length-n sequences.
 
     At the full slack width every sequence fits, so row 0 of the suffix
     count recursion is the cumulative sphere count by energy; returns the
-    first total energy whose sphere holds 2**ceil(N*R) or more sequences.
+    first total energy whose sphere holds 2**k or more sequences.
     Raises if even the full alphabet cube falls short.
     """
-    need = 1 << cfg.bits_per_block
-    n = cfg.blocklength
-    s0, g, incr = _lattice(cfg.alphabet)
+    _check_block(n, k)
+    s0, g, incr = _lattice(alphabet or AmplitudeAlphabet())
     row = np.ones(n * incr[-1] + 1, dtype=object)
     for _ in range(n):
         row = _suffix_step(row, incr)
+    need = 1 << k
     for t, count in enumerate(row):
         if count >= need:
             return n * s0 + g * t
-    raise ShapingError(
-        "rate %.6g bits/amplitude infeasible at blocklength %d"
-        % (cfg.rate_bits_per_amplitude, cfg.blocklength)
-    )
+    raise ShapingError("%d bits per block infeasible at blocklength %d" % (k, n))
 
 
 @dataclass(frozen=True)
@@ -191,19 +167,15 @@ class EssTrellis:
     given an energy budget of (N - p) * s0 + g * t, i.e. t lattice steps of
     slack beyond the cheapest possible suffix. Counts are Python ints, so
     blocklength-256 tables (hundreds of bits per entry) are exact.
+    ``lattice`` is (s0, g, per-level slack increments) of the alphabet.
     """
 
-    cfg: ShapingConfig
+    blocklength: int
+    bits_per_block: int
+    alphabet: AmplitudeAlphabet
+    lattice: tuple[int, int, tuple[int, ...]]
     emax: int
     counts: tuple  # tuple of object ndarrays, length N+1
-
-    @property
-    def blocklength(self) -> int:
-        return self.cfg.blocklength
-
-    @property
-    def bits_per_block(self) -> int:
-        return self.cfg.bits_per_block
 
     @property
     def slack_width(self) -> int:
@@ -222,7 +194,7 @@ class EssTrellis:
         n = self.blocklength
         if not 0 <= position <= n:
             raise ShapingError("position out of range")
-        s0, g, _ = _lattice(self.cfg.alphabet)
+        s0, g, _ = self.lattice
         slack = math.floor((energy_budget - (n - position) * s0) / g + 1e-12)
         if slack < 0:
             return 0
@@ -230,30 +202,38 @@ class EssTrellis:
         return int(self.counts[position][slack])
 
 
-def ess_build_trellis(cfg: ShapingConfig, emax: int | None = None) -> EssTrellis:
-    """Build the suffix-counting table for the energy sphere ``emax``.
+def ess_build_trellis(n: int, k: int, alphabet: AmplitudeAlphabet | None = None,
+                      emax: int | None = None) -> EssTrellis:
+    """Build the suffix-counting table of n amplitudes for k-bit blocks.
 
-    With ``emax`` omitted, the tightest feasible sphere for cfg's rate is
-    chosen. The table satisfies counts[N][t] = 1 (one empty suffix) and
-    counts[0][last] >= 2**k.
+    With ``emax`` omitted, the tightest feasible sphere is chosen. The table
+    satisfies counts[n][t] = 1 (one empty suffix) and counts[0][last] >= 2**k.
     """
+    _check_block(n, k)
+    alphabet = alphabet or AmplitudeAlphabet()
     if emax is None:
-        emax = ess_choose_emax(cfg)
-    n = cfg.blocklength
-    s0, g, incr = _lattice(cfg.alphabet)
+        emax = ess_choose_emax(n, k, alphabet)
+    lattice = _lattice(alphabet)
+    s0, g, incr = lattice
     width = (emax - n * s0) // g + 1
     if width < 1:
         raise ShapingError("emax %d below the minimum block energy %d" % (emax, n * s0))
     rows = [np.ones(width, dtype=object)]  # rows N, N-1, ..., 0
     for _ in range(n):
         rows.append(_suffix_step(rows[-1], incr))
-    trellis = EssTrellis(cfg=cfg, emax=int(emax), counts=tuple(reversed(rows)))
-    if trellis.total_count() < (1 << cfg.bits_per_block):
-        raise ShapingError(
-            "sphere emax=%d holds %d sequences, need 2^%d"
-            % (emax, trellis.total_count(), cfg.bits_per_block)
-        )
+    trellis = EssTrellis(blocklength=n, bits_per_block=k, alphabet=alphabet,
+                         lattice=lattice, emax=int(emax), counts=tuple(reversed(rows)))
+    if trellis.total_count() < (1 << k):
+        raise ShapingError("sphere emax=%d holds %d sequences, need 2^%d"
+                           % (emax, trellis.total_count(), k))
     return trellis
+
+
+@lru_cache(maxsize=32)
+def trellis_for(blocklength: int, bits_per_block: int,
+                alphabet: AmplitudeAlphabet | None = None) -> EssTrellis:
+    """:func:`ess_build_trellis` at the tightest sphere, cached by exact arguments."""
+    return ess_build_trellis(blocklength, bits_per_block, alphabet)
 
 
 def ess_encode_index(index: int, trellis: EssTrellis) -> np.ndarray:
@@ -264,14 +244,13 @@ def ess_encode_index(index: int, trellis: EssTrellis) -> np.ndarray:
     """
     if not 0 <= index < (1 << trellis.bits_per_block):
         raise ShapingError("index out of range for %d-bit blocks" % trellis.bits_per_block)
-    cfg = trellis.cfg
-    levels = cfg.alphabet.levels
-    _, _, incr = _lattice(cfg.alphabet)
+    levels = trellis.alphabet.levels
+    incr = trellis.lattice[2]
     counts = trellis.counts
     slack = trellis.slack_width - 1
-    out = np.empty(cfg.blocklength, dtype=float)
+    out = np.empty(trellis.blocklength, dtype=float)
     rem = index
-    for p in range(cfg.blocklength):
+    for p in range(trellis.blocklength):
         nxt = counts[p + 1]
         for j, d in enumerate(incr):
             s = slack - d
@@ -295,17 +274,16 @@ def ess_decode_index(amplitudes: np.ndarray, trellis: EssTrellis) -> int:
     blocks exceeding the energy sphere, and on indices at or above 2**k
     (sequences that are admissible but unused by the k-bit code).
     """
-    cfg = trellis.cfg
+    n = trellis.blocklength
     amps = np.asarray(amplitudes, dtype=float)
-    if amps.shape != (cfg.blocklength,):
-        raise ShapingError("expected %d amplitudes" % cfg.blocklength)
-    levels = cfg.alphabet.levels
-    level_of = {lv: j for j, lv in enumerate(levels)}
-    _, _, incr = _lattice(cfg.alphabet)
+    if amps.shape != (n,):
+        raise ShapingError("expected %d amplitudes" % n)
+    level_of = {lv: j for j, lv in enumerate(trellis.alphabet.levels)}
+    incr = trellis.lattice[2]
     counts = trellis.counts
     slack = trellis.slack_width - 1
     index = 0
-    for p in range(cfg.blocklength):
+    for p in range(n):
         j = level_of.get(float(amps[p]))
         if j is None:
             raise ShapingError("amplitude %g not in the alphabet" % amps[p])
@@ -460,22 +438,6 @@ def pas_demap_hard(symbols: np.ndarray,
     return amps, signs
 
 
-@lru_cache(maxsize=32)
-def _cached_trellis(blocklength: int, bits: int, levels: tuple[float, ...]) -> EssTrellis:
-    # rate chosen so ceil(N*R) == bits exactly
-    cfg = ShapingConfig(blocklength=blocklength,
-                        rate_bits_per_amplitude=bits / blocklength,
-                        alphabet=AmplitudeAlphabet(levels))
-    return ess_build_trellis(cfg)
-
-
-def trellis_for(blocklength: int, bits_per_block: int,
-                alphabet: AmplitudeAlphabet | None = None) -> EssTrellis:
-    """Cached trellis lookup keyed by exact (N, k, alphabet)."""
-    alphabet = alphabet or AmplitudeAlphabet()
-    return _cached_trellis(blocklength, bits_per_block, alphabet.levels)
-
-
 @dataclass(frozen=True)
 class PasShaper:
     """Bit block -> dual-pol symbol block chain used by the transmitters.
@@ -523,7 +485,7 @@ class PasShaper:
         return pas_map(amps, signs)
 
     def decode(self, symbols: np.ndarray) -> np.ndarray:
-        amps, signs = pas_demap_hard(symbols, self.trellis.cfg.alphabet)
+        amps, signs = pas_demap_hard(symbols, self.trellis.alphabet)
         if amps.size != 4 * self.block_len_4d:
             raise ShapingError("symbol block length mismatch")
         parts = []

@@ -356,7 +356,7 @@ class TestSweepDeterminism:
         assert (point["scheme"], point["power_dbm"], point["n_t"]) == ("ess", 1.0, 1)
         assert point["dm_bits_per_block"] == 42
         frames = point["traceback"]
-        assert any(frame.endswith(":ssfm_span") for frame in frames), frames
+        assert any(frame.endswith(":propagate_link") for frame in frames), frames
         assert frames[-1].split(":")[0].endswith("channel.py")
 
 
@@ -452,6 +452,21 @@ class TestCli:
                 "passel: error: cannot read config absent.txt: No such file or directory"]
             assert proc.stdout == "" and not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("dm_rate_bits_per_amp = 2.5", "dm_rate_bits_per_amp must be in (0, 2]"),
+        ("dm_blocklength = 0", "dm_blocklength must be >= 1 and divide 4*block_len_4d = 256"),
+        ("dm_blocklength = 48", "dm_blocklength must be >= 1 and divide 4*block_len_4d = 256"),
+        ("span_length_km = 0", "span length must be positive"),
+        ("n_channels = 2", "channel count must be odd and >= 1"),
+    ])
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, line, message):
+        (tmp_path / "c.cfg").write_text("n_blocks = 2\nn_spans = 1\n%s\n" % line)
+        proc = run_python("-m", "passel.cli", "run", "--scale", "desk", "--config", "c.cfg",
+                          cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == ["passel: error: " + message]
+        assert proc.stdout == "" and os.listdir(tmp_path) == ["c.cfg"]
+
     def test_failed_point_still_exits_1(self, tmp_path, capsys):
         from passel.cli import main
         cfg_path = str(tmp_path / "cfg.txt")
@@ -495,7 +510,7 @@ class TestSelftest:
         rc, lines = run_optimized("-c", (
             "import sys\n"
             "import passel.channel as ch\n"
-            "ch.ssfm_span = lambda field, fiber, step_cfg=None: field\n"
+            "ch._Span.__call__ = lambda self, field: field\n"
             "from passel.cli import main\n"
             "sys.exit(main(['selftest']))\n"))
         assert rc == 1

@@ -23,8 +23,6 @@ from passel.receiver import (
     AirResult,
     Constellation,
     ReceiverError,
-    RxChain,
-    SelectionOverhead,
     air_bitwise,
     cdc,
     constellation_priors,
@@ -121,8 +119,7 @@ class TestChainBackToBack:
         wdm = WdmConfig(n_channels=1, sps=8)
         x = random_symbols(rng, 512)
         field = rrc_modulate(x, wdm, launch_power_dbm=0.0)
-        rx = RxChain(wdm=wdm)
-        y = matched_filter_sample(field, rx)
+        y = matched_filter_sample(field, wdm)
         assert y.shape == x.shape
         assert np.abs(y - x).max() < 1e-9
 
@@ -134,7 +131,7 @@ class TestChainBackToBack:
         x = np.stack([shaper.encode(rng.integers(0, 2, shaper.bits_per_selection_block,
                                                  dtype=np.uint8)) for _ in range(16)])
         wdm = WdmConfig(n_channels=1, sps=sps, pulse_shape="fir")
-        y = matched_filter_sample(rrc_modulate(x, wdm, 0.0), RxChain(wdm=wdm))
+        y = matched_filter_sample(rrc_modulate(x, wdm, 0.0), wdm)
         assert np.abs(y - x).max() < 0.1
 
     def test_cdc_inverts_dispersive_link(self):
@@ -145,8 +142,7 @@ class TestChainBackToBack:
         x = random_symbols(rng, 1024)
         field = rrc_modulate(x, wdm, launch_power_dbm=0.0)
         out = propagate_link(field, fiber, amp, SsfmStepConfig(steps_per_span=4))
-        chain = RxChain.for_link(fiber, wdm)
-        y = matched_filter_sample(cdc(out, chain), chain)
+        y = matched_filter_sample(cdc(out, fiber), wdm)
         assert np.abs(y - x).max() < 1e-6
 
     def test_batched_matches_single(self):
@@ -154,11 +150,10 @@ class TestChainBackToBack:
         wdm = WdmConfig(n_channels=1, sps=4)
         xs = random_symbols(rng, 256, blocks=3)
         field = rrc_modulate(xs, wdm, launch_power_dbm=-1.0)
-        rx = RxChain(wdm=wdm)
-        y = matched_filter_sample(field, rx)
+        y = matched_filter_sample(field, wdm)
         for b in range(3):
             single = rrc_modulate(xs[b], wdm, launch_power_dbm=-1.0)
-            yb = matched_filter_sample(single, rx)
+            yb = matched_filter_sample(single, wdm)
             assert np.abs(y[b] - yb).max() < 1e-12
 
     def test_processing_gain_identity(self):
@@ -173,7 +168,7 @@ class TestChainBackToBack:
         sigma_w2 = sig_p / 100.0  # 20 dB waveform SNR
         noisy = FieldWaveform(field.samples + noise * math.sqrt(sigma_w2 / 2.0),
                               field.sample_rate_hz, symbol_scale=field.symbol_scale)
-        y = matched_filter_sample(noisy, RxChain(wdm=wdm))
+        y = matched_filter_sample(noisy, wdm)
         snr_sym = np.mean(np.abs(x) ** 2) / np.mean(np.abs(y - x) ** 2)
         snr_wave = (sig_p / 2.0) / sigma_w2  # per polarization
         gain_db = 10 * math.log10(snr_sym / snr_wave)
@@ -183,7 +178,7 @@ class TestChainBackToBack:
         wdm = WdmConfig(n_channels=1, sps=8)
         bad = FieldWaveform(np.zeros((2, 100), dtype=complex), wdm.sample_rate_hz)
         with pytest.raises(ReceiverError):
-            matched_filter_sample(bad, RxChain(wdm=wdm))
+            matched_filter_sample(bad, wdm)
 
 
 class TestPhaseComp:
@@ -369,21 +364,20 @@ class TestSpectralEfficiency:
 
     def test_rate_loss_subtracted(self):
         wdm = WdmConfig()
-        oh = SelectionOverhead(bits_per_4d=0.644)
-        assert abs(se_from_air(9.2, wdm, oh) - (9.2 - 0.644) * 0.93) < 1e-12
+        assert abs(se_from_air(9.2, wdm, rate_loss_bits_4d=0.644) - (9.2 - 0.644) * 0.93) < 1e-12
 
     def test_time_fraction_applied(self):
         wdm = WdmConfig()
-        oh = SelectionOverhead(bits_per_4d=0.0, time_fraction=256.0 / 258.0)
-        assert abs(se_from_air(9.2, wdm, oh) - 9.2 * (256 / 258) * 0.93) < 1e-12
+        assert abs(se_from_air(9.2, wdm, rate_loss_bits_4d=0.0,
+                               time_fraction=256.0 / 258.0) - 9.2 * (256 / 258) * 0.93) < 1e-12
 
     def test_floor_at_zero(self):
         wdm = WdmConfig()
-        oh = SelectionOverhead(bits_per_4d=10.0)
-        assert se_from_air(9.2, wdm, oh) == 0.0
+        assert se_from_air(9.2, wdm, rate_loss_bits_4d=10.0) == 0.0
 
     def test_bad_time_fraction(self):
+        wdm = WdmConfig()
         with pytest.raises(ReceiverError):
-            SelectionOverhead(time_fraction=0.0)
+            se_from_air(9.2, wdm, time_fraction=0.0)
         with pytest.raises(ReceiverError):
-            SelectionOverhead(time_fraction=1.5)
+            se_from_air(9.2, wdm, time_fraction=1.5)

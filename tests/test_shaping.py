@@ -11,7 +11,6 @@ from passel.shaping import (
     AmplitudeAlphabet,
     MbDistribution,
     PasShaper,
-    ShapingConfig,
     ShapingError,
     bits_to_index,
     ess_build_trellis,
@@ -42,33 +41,33 @@ def enumerate_sphere(blocklength, emax, levels=DEFAULT.levels):
 class TestChooseEmax:
     def test_frozen_examples(self):
         # values frozen from the exhaustive enumeration oracle
-        assert ess_choose_emax(ShapingConfig(4, 1.3)) == 60
-        assert ess_choose_emax(ShapingConfig(1, 2.0)) == 49
-        assert ess_choose_emax(ShapingConfig(2, 0.5)) == 10
+        assert ess_choose_emax(4, 6) == 60
+        assert ess_choose_emax(1, 2) == 49
+        assert ess_choose_emax(2, 1) == 10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("rate", [0.5, 1.0, 1.3, 1.9])
     def test_matches_enumeration(self, n, rate):
-        cfg = ShapingConfig(n, rate)
-        emax = ess_choose_emax(cfg)
-        need = 2 ** cfg.bits_per_block
+        k = math.ceil(n * rate)
+        emax = ess_choose_emax(n, k)
+        need = 2 ** k
         assert len(enumerate_sphere(n, emax)) >= need
         # minimality: one lattice step tighter no longer fits 2^k sequences
         assert len(enumerate_sphere(n, emax - 8)) < need
 
     def test_infeasible_rate_raises(self):
         with pytest.raises(ShapingError):
-            ShapingConfig(4, 2.5)
+            ess_choose_emax(4, 10)  # 2.5 bits per amplitude
 
     def test_count_at_emax_matches_oracle(self):
-        trellis = ess_build_trellis(ShapingConfig(4, 1.3))
+        trellis = ess_build_trellis(4, 6)
         assert trellis.emax == 60
         assert trellis.total_count() == 82
 
 
 class TestTrellis:
     def test_boundary_rows(self):
-        trellis = ess_build_trellis(ShapingConfig(4, 1.3))
+        trellis = ess_build_trellis(4, 6)
         n = trellis.blocklength
         # empty suffix: exactly one for every non-negative budget
         for e in (0, 1, 8, 60):
@@ -77,8 +76,7 @@ class TestTrellis:
         assert trellis.suffix_count(0, trellis.emax) == 82
 
     def test_suffix_counts_match_enumeration(self):
-        cfg = ShapingConfig(3, 1.0)
-        trellis = ess_build_trellis(cfg)
+        trellis = ess_build_trellis(3, 3)
         for p in range(4):
             for budget in range(0, trellis.emax + 1):
                 oracle = sum(
@@ -93,16 +91,16 @@ class TestTrellis:
 
     def test_emax_override_below_minimum_raises(self):
         with pytest.raises(ShapingError):
-            ess_build_trellis(ShapingConfig(4, 1.3), emax=3)
+            ess_build_trellis(4, 6, emax=3)
 
 
 class TestEncodeDecode:
     @pytest.mark.parametrize("n,rate", [(2, 0.5), (3, 1.0), (4, 1.3), (5, 1.6)])
     def test_bijection_against_enumeration(self, n, rate):
-        cfg = ShapingConfig(n, rate)
-        trellis = ess_build_trellis(cfg)
+        k = math.ceil(n * rate)
+        trellis = ess_build_trellis(n, k)
         oracle = enumerate_sphere(n, trellis.emax)
-        for idx in range(2 ** cfg.bits_per_block):
+        for idx in range(2 ** k):
             seq = ess_encode_index(idx, trellis)
             assert tuple(seq) == oracle[idx]
             assert ess_decode_index(seq, trellis) == idx
@@ -112,7 +110,7 @@ class TestEncodeDecode:
         assert np.all(ess_encode_index(0, trellis) == 1.0)
 
     def test_bits_roundtrip(self):
-        trellis = ess_build_trellis(ShapingConfig(4, 1.3))
+        trellis = ess_build_trellis(4, 6)
         for idx in range(64):
             bits = index_to_bits(idx, 6)
             amps = ess_encode(bits, trellis)
@@ -127,7 +125,7 @@ class TestEncodeDecode:
             assert np.sum(amps ** 2) <= trellis.emax
 
     def test_decode_rejects_bad_input(self):
-        trellis = ess_build_trellis(ShapingConfig(4, 1.3))
+        trellis = ess_build_trellis(4, 6)
         with pytest.raises(ShapingError):
             ess_decode_index(np.array([2.0, 1.0, 1.0, 1.0]), trellis)
         with pytest.raises(ShapingError):
@@ -135,7 +133,7 @@ class TestEncodeDecode:
 
     def test_decode_rejects_admissible_but_uncoded(self):
         # sphere holds 82 sequences but only 64 are used by the 6-bit code
-        trellis = ess_build_trellis(ShapingConfig(4, 1.3))
+        trellis = ess_build_trellis(4, 6)
         oracle = enumerate_sphere(4, trellis.emax)
         with pytest.raises(ShapingError):
             ess_decode_index(np.array(oracle[70], dtype=float), trellis)
