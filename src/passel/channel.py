@@ -53,7 +53,6 @@ __all__ = [
     "ChannelError",
     "StepSizeError",
     "dbm_to_watts",
-    "rrc_time_taps",
     "pulse_spectrum",
     "rrc_modulate",
     "wdm_mux",
@@ -149,13 +148,9 @@ class FiberParams:
 class WdmConfig:
     """Grid and pulse parameters shared by the transmitter and receiver.
 
-    pulse_shape selects the root-raised-cosine realization:
-
-    * ``"exact"`` (default): the closed-form RRC frequency response sampled
-      on the cyclic block grid. The matched cascade is then exactly
-      inter-symbol-interference free on that grid.
-    * ``"fir"``: a time-domain tap vector truncated to ``fir_span_symbols``
-      symbols and applied circularly (unit energy, zero phase).
+    The pulse is root-raised-cosine with the given rolloff, realized as its
+    closed-form frequency response sampled on the cyclic block grid, so the
+    matched cascade is exactly inter-symbol-interference free on that grid.
     """
 
     n_channels: int = 5
@@ -163,8 +158,6 @@ class WdmConfig:
     spacing_ghz: float = 50.0
     rolloff: float = 0.05
     sps: int = 16
-    pulse_shape: str = "exact"
-    fir_span_symbols: int = 64
 
     def __post_init__(self):
         if self.n_channels < 1 or self.n_channels % 2 == 0:
@@ -182,10 +175,6 @@ class WdmConfig:
                 "sample rate %.3g GHz cannot carry %d channels at %.3g GHz spacing"
                 % (self.sps * self.symbol_rate_gbd, self.n_channels, self.spacing_ghz)
             )
-        if self.pulse_shape not in ("exact", "fir"):
-            raise ChannelError("pulse_shape must be 'exact' or 'fir'")
-        if self.fir_span_symbols < 2:
-            raise ChannelError("FIR span must cover at least 2 symbols")
 
     @property
     def symbol_rate_hz(self) -> float:
@@ -340,28 +329,6 @@ def _omega(n: int, sample_rate_hz: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
 
 
-def rrc_time_taps(sps: int, span_symbols: int, rolloff: float) -> np.ndarray:
-    """Unit-energy root-raised-cosine taps over span_symbols symbols."""
-    n = span_symbols * sps
-    t = (np.arange(n + 1) - n / 2.0) / sps
-    b = rolloff
-    h = np.empty(t.shape)
-    for i, tt in enumerate(t):
-        if abs(tt) < 1e-12:
-            h[i] = 1.0 - b + 4.0 * b / np.pi
-        elif abs(abs(tt) - 1.0 / (4.0 * b)) < 1e-9:
-            h[i] = b / math.sqrt(2.0) * (
-                (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * b))
-                + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * b))
-            )
-        else:
-            h[i] = (math.sin(np.pi * tt * (1.0 - b))
-                    + 4.0 * b * tt * math.cos(np.pi * tt * (1.0 + b))) / (
-                np.pi * tt * (1.0 - (4.0 * b * tt) ** 2)
-            )
-    return h / math.sqrt(float(np.sum(h * h)))
-
-
 def _rc_spectrum(f_over_rs: np.ndarray, rolloff: float) -> np.ndarray:
     """Closed-form raised-cosine spectrum, frequency in symbol-rate units."""
     af = np.abs(f_over_rs)
@@ -376,26 +343,15 @@ def _rc_spectrum(f_over_rs: np.ndarray, rolloff: float) -> np.ndarray:
 def pulse_spectrum(wdm: WdmConfig, n_samples: int) -> np.ndarray:
     """Tx/Rx pulse filter response on the cyclic grid (real, zero phase).
 
-    In exact mode the squared response is the sampled raised-cosine spectrum
-    scaled so the matched cascade has unit gain at symbol instants; in FIR
-    mode it is the DFT of the zero-phase embedded unit-energy tap vector.
+    The squared response is the sampled raised-cosine spectrum, scaled so
+    the matched cascade has unit gain at symbol instants.
     """
-    if wdm.pulse_shape == "exact":
-        f = np.fft.fftfreq(n_samples, d=1.0 / wdm.sps)  # in symbol-rate units
-        g = _rc_spectrum(f, wdm.rolloff)
-        mean = g.mean()
-        if mean <= 0:
-            raise ChannelError("degenerate pulse spectrum")
-        return np.sqrt(g / mean)
-    span = min(wdm.fir_span_symbols, max(2, (n_samples - 1) // wdm.sps))
-    taps = rrc_time_taps(wdm.sps, span, wdm.rolloff)
-    if taps.size > n_samples:
-        raise ChannelError("FIR pulse longer than the block")
-    kernel = np.zeros(n_samples)
-    center = taps.size // 2
-    idx = (np.arange(taps.size) - center) % n_samples
-    np.add.at(kernel, idx, taps)
-    return np.fft.fft(kernel).real
+    f = np.fft.fftfreq(n_samples, d=1.0 / wdm.sps)  # in symbol-rate units
+    g = _rc_spectrum(f, wdm.rolloff)
+    mean = g.mean()
+    if mean <= 0:
+        raise ChannelError("degenerate pulse spectrum")
+    return np.sqrt(g / mean)
 
 
 def rrc_modulate(symbols: np.ndarray, wdm: WdmConfig,

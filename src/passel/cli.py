@@ -105,8 +105,7 @@ def _check(ok, what: str) -> None:
 def _selftest_checks():
     from .channel import (FieldWaveform, FiberParams, SsfmStepConfig, WdmConfig,
                           rrc_modulate, ssfm_span)
-    from .receiver import (air_bitwise, constellation_priors, matched_filter_sample,
-                           pas_constellation)
+    from .receiver import air_bitwise, constellation_priors, matched_filter_sample
     from .seeding import substream
     from .selection import (PermutationBook, PilotBook, ScramblerBook, bsss_decode,
                             bsss_encode, bsss_pilot_bits, siss_decode, siss_encode,
@@ -135,7 +134,7 @@ def _selftest_checks():
         levels = np.array([-7, -5, -3, -1, 1, 3, 5, 7], float)
         syms = (rng.choice(levels, size=(2, 1200))
                 + 1j * rng.choice(levels, size=(2, 1200)))
-        pri = constellation_priors(pas_constellation(), np.full(4, 0.25))
+        pri = constellation_priors(np.full(4, 0.25))
         res = air_bitwise(syms, syms.copy(), pri, sigma2=1e-12)
         _check(abs(res.air_bits_per_4d - 12.0) < 1e-6,
                "noiseless rate %.9f, want 12" % res.air_bits_per_4d)

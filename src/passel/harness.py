@@ -55,7 +55,6 @@ from .receiver import (
     constellation_priors,
     matched_filter_sample,
     mean_phase_comp,
-    pas_constellation,
     se_from_air,
 )
 from .seeding import TAG_ASE, TAG_DATA, substream
@@ -71,7 +70,8 @@ from .selection import (
     wk_metric,
 )
 from .shaping import (
-    AmplitudeAlphabet,
+    BITS_PER_AMPLITUDE,
+    LEVELS,
     PasShaper,
     mb_fit,
     mb_sample,
@@ -135,16 +135,12 @@ class ExperimentConfig:
     spacing_ghz: float = 50.0
     rolloff: float = 0.05
     sps: int = 16
-    pulse_shape: str = "exact"
     steps_per_span: int = 0
     noise_figure_db: float = 5.0
     noise_on: bool = True
     center_frequency_thz: float = 193.41
     metric_sps: int = 4
     metric_steps_per_span: int = 100
-    wk_window: int = 0
-    wk_stride: int = 0
-    wk_aggregate: str = "mean"
     bound_eta: float = 1.0
     bound_m_total: int = 200
 
@@ -176,14 +172,27 @@ class ExperimentConfig:
         if self.bound_m_total * self.bound_eta < 30.0 - 1e-12:
             raise HarnessError("need bound_m_total*bound_eta >= 30 kept blocks, got %g"
                                % (self.bound_m_total * self.bound_eta))
-        max_rate = AmplitudeAlphabet().bits_per_amplitude
-        if not 0.0 < self.dm_rate_bits_per_amp <= max_rate:
-            raise HarnessError("dm_rate_bits_per_amp must be in (0, %d]" % max_rate)
+        if not 0.0 < self.dm_rate_bits_per_amp <= BITS_PER_AMPLITUDE:
+            raise HarnessError("dm_rate_bits_per_amp must be in (0, %d]" % BITS_PER_AMPLITUDE)
         if self.block_len_4d < 1:
             raise HarnessError("block_len_4d must be >= 1")
         if self.dm_blocklength < 1 or (4 * self.block_len_4d) % self.dm_blocklength:
             raise HarnessError("dm_blocklength must be >= 1 and divide 4*block_len_4d = %d"
                                % (4 * self.block_len_4d))
+        k = dm_bits_per_block(self)
+        if k < 1:
+            raise HarnessError("dm_rate_bits_per_amp = %r gives %d bits per DM block of %d; "
+                               "need >= 1" % (self.dm_rate_bits_per_amp, k,
+                                              self.dm_blocklength))
+        if "ess+bsss" in self.schemes:
+            # n amplitudes index at most BITS_PER_AMPLITUDE * n bits
+            n_t = max(self.n_t_values)
+            k_adj = bsss_bits_per_block(self, n_t)
+            if k_adj > BITS_PER_AMPLITUDE * self.dm_blocklength:
+                raise HarnessError("ess+bsss at n_t = %d needs %d bits per DM block of %d, "
+                                   "above the %d it can carry"
+                                   % (n_t, k_adj, self.dm_blocklength,
+                                      BITS_PER_AMPLITUDE * self.dm_blocklength))
         try:
             for build in (fiber_for, link_wdm, metric_wdm, amp_for):
                 build(self)
@@ -308,14 +317,12 @@ def paper_preset() -> ExperimentConfig:
 
 def link_wdm(cfg: ExperimentConfig) -> WdmConfig:
     return WdmConfig(n_channels=cfg.n_channels, symbol_rate_gbd=cfg.symbol_rate_gbd,
-                     spacing_ghz=cfg.spacing_ghz, rolloff=cfg.rolloff, sps=cfg.sps,
-                     pulse_shape=cfg.pulse_shape)
+                     spacing_ghz=cfg.spacing_ghz, rolloff=cfg.rolloff, sps=cfg.sps)
 
 
 def metric_wdm(cfg: ExperimentConfig) -> WdmConfig:
     return WdmConfig(n_channels=1, symbol_rate_gbd=cfg.symbol_rate_gbd,
-                     spacing_ghz=cfg.spacing_ghz, rolloff=cfg.rolloff,
-                     sps=cfg.metric_sps, pulse_shape=cfg.pulse_shape)
+                     spacing_ghz=cfg.spacing_ghz, rolloff=cfg.rolloff, sps=cfg.metric_sps)
 
 
 def fiber_for(cfg: ExperimentConfig) -> FiberParams:
@@ -345,10 +352,8 @@ def peak_allowance_w(cfg: ExperimentConfig, power_dbm: float) -> float:
     the corner itself. The allowance is not a bound on the field: pulse
     overshoot and ASE are left to the per-step guard.
     """
-    alphabet = AmplitudeAlphabet()
-    levels = alphabet.as_array()
-    mean_energy = float(mb_fit(cfg.dm_rate_bits_per_amp, alphabet).probs @ levels ** 2)
-    corner_to_mean = alphabet.max_level ** 2 / mean_energy
+    mean_energy = float(mb_fit(cfg.dm_rate_bits_per_amp).probs @ np.asarray(LEVELS) ** 2)
+    corner_to_mean = LEVELS[-1] ** 2 / mean_energy
     power_w = dbm_to_watts(max(power_dbm, *cfg.powers_dbm))
     return cfg.n_channels ** 2 * power_w * corner_to_mean
 
@@ -371,6 +376,12 @@ def dm_bits_per_block(cfg: ExperimentConfig) -> int:
     return math.ceil(cfg.dm_blocklength * cfg.dm_rate_bits_per_amp - 1e-9)
 
 
+def bsss_bits_per_block(cfg: ExperimentConfig, n_t: int) -> int:
+    """ess+bsss matcher bits per DM block: the pilot bits spread over the DM blocks."""
+    n_dm = 4 * cfg.block_len_4d // cfg.dm_blocklength
+    return dm_bits_per_block(cfg) + math.ceil(bsss_pilot_bits(n_t) / n_dm)
+
+
 class _PointState:
     """Everything one (scheme, power, n_t) point needs to encode blocks.
 
@@ -390,8 +401,6 @@ class _PointState:
         self.power_dbm = float(power_dbm)
         self.n_t = int(n_t)
         self.n = cfg.block_len_4d
-        self.alphabet = AmplitudeAlphabet()
-        self.n_dm = 4 * self.n // cfg.dm_blocklength
         self.k_base = self.k_adj = dm_bits_per_block(cfg)
         self.pilot_bits = 0
         self.pilot_syms = 0
@@ -399,16 +408,16 @@ class _PointState:
         self.shaper = None
 
         if scheme == "mb":
-            self.dist = mb_fit(cfg.dm_rate_bits_per_amp, self.alphabet)
+            self.dist = mb_fit(cfg.dm_rate_bits_per_amp)
             self.realized_bits_4d = None  # ideal matcher: no rate loss
         else:
             if scheme == "ess+bsss":
                 self.pilot_bits = bsss_pilot_bits(n_t)
-                self.k_adj += math.ceil(self.pilot_bits / self.n_dm)
+                self.k_adj = bsss_bits_per_block(cfg, n_t)
             elif scheme == "ess+siss":
                 self.pilot_syms = siss_pilot_symbols(n_t)
             self.shaper = PasShaper(
-                trellis_for(cfg.dm_blocklength, self.k_adj, self.alphabet), self.n)
+                trellis_for(cfg.dm_blocklength, self.k_adj), self.n)
             self.payload_bits = self.shaper.bits_per_selection_block - self.pilot_bits
             self.realized_bits_4d = self.payload_bits / self.n
 
@@ -417,7 +426,7 @@ class _PointState:
                 self.book = ScramblerBook.generate(cfg.seed, n_t, self.payload_bits)
             else:
                 self.book = PermutationBook.generate(cfg.seed, n_t, self.n)
-                self.pilots = PilotBook.build(self.alphabet)
+                self.pilots = PilotBook.build()
             self.metric_fn = self._build_metric(
                 payload=slice(self.pilot_syms, None) if self.pilot_syms else None)
 
@@ -427,9 +436,7 @@ class _PointState:
     def _build_metric(self, payload):
         cfg = self.cfg
         if cfg.selection_metric == "wk":
-            return partial(wk_metric, window=cfg.wk_window or None,
-                           stride=cfg.wk_stride or None,
-                           aggregate=cfg.wk_aggregate, payload=payload)
+            return partial(wk_metric, payload=payload)
         return NliMetric(fiber_for(cfg), metric_wdm(cfg), metric_steps(cfg),
                          launch_power_dbm=self.power_dbm, payload=payload)
 
@@ -466,13 +473,11 @@ class _PointState:
         return tx, costs, indices
 
 
-def empirical_amp_probs(symbols: np.ndarray, alphabet: AmplitudeAlphabet | None = None
-                        ) -> np.ndarray:
-    """Relative frequency of each amplitude level over both rails."""
-    alphabet = alphabet or AmplitudeAlphabet()
+def empirical_amp_probs(symbols: np.ndarray) -> np.ndarray:
+    """Relative frequency of each of LEVELS over both rails."""
     s = np.asarray(symbols)
     vals = np.concatenate([np.abs(s.real).ravel(), np.abs(s.imag).ravel()])
-    levels = alphabet.as_array()
+    levels = np.asarray(LEVELS)
     mids = (levels[1:] + levels[:-1]) / 2.0
     idx = np.searchsorted(mids, vals)
     counts = np.bincount(idx, minlength=levels.size).astype(float)
@@ -569,8 +574,8 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
     if st.dist is not None:
         amp_probs = st.dist.probs
     else:
-        amp_probs = empirical_amp_probs(tx_kept, st.alphabet)
-    priors = constellation_priors(pas_constellation(st.alphabet), amp_probs, st.alphabet)
+        amp_probs = empirical_amp_probs(tx_kept)
+    priors = constellation_priors(amp_probs)
     air = air_bitwise(tx_kept, y_pay[keep], priors)
     air_net = max(0.0, air.air_bits_per_4d + rate_penalty)
     prior4 = air.prior_entropy_bits_per_4d
@@ -793,14 +798,14 @@ def resolve_defaults(cfg: ExperimentConfig) -> dict:
     msteps = metric_steps(cfg).resolve(fiber)
     k = dm_bits_per_block(cfg)
     n = cfg.block_len_4d
-    wk_w = cfg.wk_window or min(128, n)
+    wk_w = min(128, n)  # wk_metric's default window and stride
     return {
         "dm_bits_per_block": k,
         "dm_realized_bits_per_4d": (4 * n // cfg.dm_blocklength * k + 4 * n) / n,
         "link_steps_per_span": steps,
         "metric_steps_per_span": msteps,
         "wk_window": wk_w,
-        "wk_stride": cfg.wk_stride or max(1, wk_w // 2),
+        "wk_stride": max(1, wk_w // 2),
         "bound_rate_penalty_formula": "log2(eta)/block_len_4d",
         "ase_seed_scheme": "substream(seed, tag, indices) per data/noise/book draw",
     }

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .channel import FieldWaveform, FiberParams, WdmConfig, pulse_spectrum
-from .shaping import AmplitudeAlphabet
+from .shaping import BITS_PER_AMPLITUDE, LEVELS
 
 __all__ = [
     "Constellation",
@@ -109,60 +110,42 @@ class Constellation:
         return self.labels.shape[1]
 
 
-def _rail_points_and_labels(alphabet: AmplitudeAlphabet) -> tuple[np.ndarray, np.ndarray]:
-    m_amp = alphabet.bits_per_amplitude
-    levels = alphabet.as_array()
-    n_rail = 2 * alphabet.size
-    vals = np.empty(n_rail)
-    labels = np.empty((n_rail, 1 + m_amp), dtype=np.uint8)
-    for code in range(n_rail):
-        sign = code >> m_amp
-        gray = code & (alphabet.size - 1)
-        # invert binary-reflected Gray to the ascending level index
-        idx = gray
-        shift = 1
-        while (gray >> shift) and shift < 16:
-            idx ^= gray >> shift
-            shift += 1
-        vals[code] = (1.0 - 2.0 * sign) * levels[idx]
-        labels[code, 0] = sign
-        for b in range(m_amp):
-            labels[code, 1 + b] = (gray >> (m_amp - 1 - b)) & 1
-    return vals, labels
+# Rail code c (0..7) is its label, MSB first: the sign bit, then the
+# binary-reflected Gray label g of the amplitude, which for two bits names
+# level g ^ (g >> 1) of LEVELS.
+_RAIL_CODES = np.arange(2 * len(LEVELS))
+_RAIL_GRAY = _RAIL_CODES & (len(LEVELS) - 1)
+_RAIL_LEVEL = _RAIL_GRAY ^ (_RAIL_GRAY >> 1)
 
 
-def pas_constellation(alphabet: AmplitudeAlphabet | None = None) -> Constellation:
-    """Square QAM built from signed shaped rails, Gray labeled per rail."""
-    alphabet = alphabet or AmplitudeAlphabet()
-    vals, rail_labels = _rail_points_and_labels(alphabet)
-    n_rail = vals.size
-    points = np.empty(n_rail * n_rail, dtype=complex)
-    labels = np.empty((n_rail * n_rail, 2 * rail_labels.shape[1]), dtype=np.uint8)
-    for i in range(n_rail):
-        for q in range(n_rail):
-            k = i * n_rail + q
-            points[k] = vals[i] + 1j * vals[q]
-            labels[k, :rail_labels.shape[1]] = rail_labels[i]
-            labels[k, rail_labels.shape[1]:] = rail_labels[q]
+@cache
+def pas_constellation() -> Constellation:
+    """Square QAM of two signed LEVELS rails, Gray labeled per rail.
+
+    Point 8 * i + q carries rail code i on I and rail code q on Q. Built
+    once; every call returns the same read-only arrays.
+    """
+    sign = _RAIL_CODES >> BITS_PER_AMPLITUDE
+    vals = (1.0 - 2.0 * sign) * np.asarray(LEVELS)[_RAIL_LEVEL]
+    rail_labels = (_RAIL_CODES[:, None] >> np.arange(BITS_PER_AMPLITUDE, -1, -1)) & 1
+    n_rail = _RAIL_CODES.size
+    points = (vals[:, None] + 1j * vals[None, :]).ravel()
+    labels = np.hstack([np.repeat(rail_labels, n_rail, axis=0),
+                        np.tile(rail_labels, (n_rail, 1))]).astype(np.uint8)
+    points.setflags(write=False)
+    labels.setflags(write=False)
     return Constellation(points=points, labels=labels)
 
 
-def constellation_priors(constellation: Constellation,
-                         amp_probs: np.ndarray,
-                         alphabet: AmplitudeAlphabet | None = None) -> np.ndarray:
-    """Per-point priors from an amplitude distribution and uniform signs."""
-    alphabet = alphabet or AmplitudeAlphabet()
+def constellation_priors(amp_probs: np.ndarray) -> np.ndarray:
+    """Per-point priors of pas_constellation() from LEVELS probabilities and uniform signs."""
     amp_probs = np.asarray(amp_probs, dtype=float)
-    if amp_probs.shape != (alphabet.size,) or abs(amp_probs.sum() - 1.0) > 1e-9:
+    if amp_probs.shape != (len(LEVELS),) or abs(amp_probs.sum() - 1.0) > 1e-9:
         raise ReceiverError("amplitude priors must sum to 1 over the alphabet")
     if np.any(amp_probs < 0):
         raise ReceiverError("negative prior")
-    levels = alphabet.as_array()
-    prob_of = {lv: p / 2.0 for lv, p in zip(levels, amp_probs)}  # per signed rail value
-    pri = np.empty(constellation.points.size)
-    for k, pt in enumerate(constellation.points):
-        pri[k] = prob_of[abs(pt.real)] * prob_of[abs(pt.imag)]
-    return pri
+    rail = amp_probs[_RAIL_LEVEL] / 2.0  # per signed rail value
+    return np.outer(rail, rail).ravel()
 
 
 def fit_noise_variance(tx_syms: np.ndarray, rx_syms: np.ndarray) -> float:
@@ -244,7 +227,7 @@ def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
     """Bit-metric AIR over paired dual-pol symbol blocks.
 
     tx_syms/rx_syms: (..., 2, n) in constellation units; priors: per-point
-    probabilities matching the default pas_constellation(). The AIR is the
+    probabilities over pas_constellation(). The AIR is the
     prior entropy minus the mean per-4D bit equivocation under the fitted
     (or supplied) circular-Gaussian auxiliary channel, clipped below at zero.
     """

@@ -35,7 +35,7 @@ from .channel import (
 )
 from .receiver import cdc, matched_filter_sample, mean_phase_comp
 from .seeding import TAG_PERMUTATION, TAG_SCRAMBLER, substream
-from .shaping import AmplitudeAlphabet, bits_to_index, index_to_bits
+from .shaping import LEVELS, bits_to_index, index_to_bits
 
 __all__ = [
     "SelectionError",
@@ -173,8 +173,8 @@ class PilotBook:
     points: np.ndarray  # (16, 2) complex
 
     @classmethod
-    def build(cls, alphabet: AmplitudeAlphabet | None = None) -> "PilotBook":
-        a = float((alphabet or AmplitudeAlphabet()).max_level)
+    def build(cls) -> "PilotBook":
+        a = LEVELS[-1]
         corners = np.array([a + 1j * a, a - 1j * a, -a + 1j * a, -a - 1j * a])
         pts = np.empty((16, 2), dtype=complex)
         for cx in range(4):
@@ -301,15 +301,15 @@ def siss_decode(received: np.ndarray, book: PermutationBook, pilots: PilotBook,
 
 
 def wk_metric(symbols: np.ndarray, window: int | None = None,
-              stride: int | None = None, aggregate: str = "mean",
+              stride: int | None = None,
               payload: slice | None = None) -> float | np.ndarray:
     """Windowed kurtosis of per-4D-symbol energies; lower is smoother.
 
     For each length-`window` span of consecutive 4D symbols (default
     min(128, n), stride half a window), the span's kurtosis is
-    mean(e^2)/mean(e)^2 with e the dual-pol symbol energy. Aggregates the
-    spans by mean (default) or max. Batched (..., 2, n) input returns one
-    value per leading element.
+    mean(e^2)/mean(e)^2 with e the dual-pol symbol energy; the result is
+    the mean over the spans. Batched (..., 2, n) input returns one value
+    per leading element.
     """
     s = np.asarray(symbols, dtype=complex)
     if s.ndim < 2 or s.shape[-2] != 2:
@@ -325,8 +325,6 @@ def wk_metric(symbols: np.ndarray, window: int | None = None,
     st = max(1, w // 2) if stride is None else int(stride)
     if not 1 <= st <= w:
         raise SelectionError("stride must be in [1, window]")
-    if aggregate not in ("mean", "max"):
-        raise SelectionError("aggregate must be mean or max")
     e = (np.abs(s) ** 2).sum(axis=-2)
     offsets = range(0, n - w + 1, st)
     kappas = np.empty(s.shape[:-2] + (len(offsets),))
@@ -336,7 +334,7 @@ def wk_metric(symbols: np.ndarray, window: int | None = None,
         if np.any(m1 == 0.0):
             raise SelectionError("all-zero energy window")
         kappas[..., j] = (win ** 2).mean(axis=-1) / (m1 * m1)
-    out = kappas.mean(axis=-1) if aggregate == "mean" else kappas.max(axis=-1)
+    out = kappas.mean(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -25,7 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "AmplitudeAlphabet",
+    "LEVELS",
+    "BITS_PER_AMPLITUDE",
     "EssTrellis",
     "MbDistribution",
     "ess_choose_emax",
@@ -43,80 +44,26 @@ __all__ = [
     "PasShaper",
 ]
 
+
 class ShapingError(ValueError):
     """Raised for infeasible shaping configurations or inadmissible inputs."""
 
 
-@dataclass(frozen=True)
-class AmplitudeAlphabet:
-    """Ordered amplitude levels used on every QAM rail.
+# Amplitude levels on every QAM rail: 64QAM per polarization, two bits per
+# amplitude under a dyadic labeling.
+LEVELS = (1.0, 3.0, 5.0, 7.0)
+BITS_PER_AMPLITUDE = 2
 
-    Levels must be positive, strictly increasing, and a power of two in
-    count (each amplitude carries log2(len) bits under a dyadic labeling).
-    The default {1, 3, 5, 7} spans 64QAM per polarization.
-    """
-
-    levels: tuple[float, ...] = (1.0, 3.0, 5.0, 7.0)
-
-    def __post_init__(self):
-        lv = tuple(float(x) for x in self.levels)
-        if len(lv) == 0 or len(lv) & (len(lv) - 1):
-            raise ShapingError("alphabet size must be a power of two, got %d" % len(lv))
-        if any(x <= 0 for x in lv):
-            raise ShapingError("amplitude levels must be positive")
-        if any(b <= a for a, b in zip(lv, lv[1:])):
-            raise ShapingError("amplitude levels must be strictly increasing")
-        object.__setattr__(self, "levels", lv)
-
-    @property
-    def size(self) -> int:
-        return len(self.levels)
-
-    @property
-    def bits_per_amplitude(self) -> int:
-        return self.size.bit_length() - 1
-
-    @property
-    def max_level(self) -> float:
-        return self.levels[-1]
-
-    def squared_int_levels(self) -> tuple[int, ...]:
-        """Squared levels on the integer energy lattice.
-
-        The sphere-shaping trellis indexes energy on the integer lattice of
-        squared levels, so each level^2 must round cleanly to an integer
-        (true for all odd-integer QAM rail alphabets).
-        """
-        sq = []
-        for lv in self.levels:
-            s = lv * lv
-            r = round(s)
-            if abs(s - r) > 1e-9:
-                raise ShapingError(
-                    "squared level %g is not on the integer energy lattice" % lv
-                )
-            sq.append(int(r))
-        return tuple(sq)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.levels, dtype=float)
+# The integer energy lattice of LEVELS: level j has squared value
+# _S0 + _G * _INCR[j], i.e. 1 + 8 * (0, 1, 3, 6).
+_SQUARES = tuple(round(a * a) for a in LEVELS)
+_S0 = _SQUARES[0]
+_G = math.gcd(*(sq - _S0 for sq in _SQUARES))
+_INCR = tuple((sq - _S0) // _G for sq in _SQUARES)
+_LEVEL_INDEX = {a: j for j, a in enumerate(LEVELS)}
 
 
-def _lattice(alphabet: AmplitudeAlphabet) -> tuple[int, int, tuple[int, ...]]:
-    """Return (min squared level, lattice step g, per-level slack increments)."""
-    sq = alphabet.squared_int_levels()
-    s0 = sq[0]
-    diffs = [s - s0 for s in sq[1:]]
-    g = 0
-    for d in diffs:
-        g = math.gcd(g, d)
-    if g == 0:
-        g = 1  # single-level alphabet: degenerate lattice
-    incr = tuple((s - s0) // g for s in sq)
-    return s0, g, incr
-
-
-def _suffix_step(row: np.ndarray, incr: tuple[int, ...]) -> np.ndarray:
+def _suffix_step(row: np.ndarray) -> np.ndarray:
     """Suffix counts one amplitude longer than ``row``, at every slack.
 
     Entry t of ``row`` counts suffixes whose energy is within t lattice
@@ -124,7 +71,7 @@ def _suffix_step(row: np.ndarray, incr: tuple[int, ...]) -> np.ndarray:
     uses d of those steps. Counts are Python ints (object array).
     """
     nxt = np.zeros(len(row), dtype=object)
-    for d in incr:
+    for d in _INCR:
         if d == 0:
             nxt += row
         elif d < len(row):
@@ -139,23 +86,22 @@ def _check_block(n: int, k: int) -> None:
         raise ShapingError("bits per block must be >= 1")
 
 
-def ess_choose_emax(n: int, k: int, alphabet: AmplitudeAlphabet | None = None) -> int:
+def ess_choose_emax(n: int, k: int) -> int:
     """Smallest energy bound admitting at least 2**k length-n sequences.
 
     At the full slack width every sequence fits, so row 0 of the suffix
     count recursion is the cumulative sphere count by energy; returns the
     first total energy whose sphere holds 2**k or more sequences.
-    Raises if even the full alphabet cube falls short.
+    Raises if even the full cube of LEVELS falls short.
     """
     _check_block(n, k)
-    s0, g, incr = _lattice(alphabet or AmplitudeAlphabet())
-    row = np.ones(n * incr[-1] + 1, dtype=object)
+    row = np.ones(n * _INCR[-1] + 1, dtype=object)
     for _ in range(n):
-        row = _suffix_step(row, incr)
+        row = _suffix_step(row)
     need = 1 << k
     for t, count in enumerate(row):
         if count >= need:
-            return n * s0 + g * t
+            return n * _S0 + _G * t
     raise ShapingError("%d bits per block infeasible at blocklength %d" % (k, n))
 
 
@@ -165,15 +111,13 @@ class EssTrellis:
 
     ``counts[p][t]`` is the number of admissible suffixes of length N - p
     given an energy budget of (N - p) * s0 + g * t, i.e. t lattice steps of
-    slack beyond the cheapest possible suffix. Counts are Python ints, so
-    blocklength-256 tables (hundreds of bits per entry) are exact.
-    ``lattice`` is (s0, g, per-level slack increments) of the alphabet.
+    slack beyond the cheapest possible suffix, with s0 = 1 and g = 8 the
+    energy lattice of LEVELS. Counts are Python ints, so blocklength-256
+    tables (hundreds of bits per entry) are exact.
     """
 
     blocklength: int
     bits_per_block: int
-    alphabet: AmplitudeAlphabet
-    lattice: tuple[int, int, tuple[int, ...]]
     emax: int
     counts: tuple  # tuple of object ndarrays, length N+1
 
@@ -194,35 +138,30 @@ class EssTrellis:
         n = self.blocklength
         if not 0 <= position <= n:
             raise ShapingError("position out of range")
-        s0, g, _ = self.lattice
-        slack = math.floor((energy_budget - (n - position) * s0) / g + 1e-12)
+        slack = math.floor((energy_budget - (n - position) * _S0) / _G + 1e-12)
         if slack < 0:
             return 0
         slack = min(slack, self.slack_width - 1)
         return int(self.counts[position][slack])
 
 
-def ess_build_trellis(n: int, k: int, alphabet: AmplitudeAlphabet | None = None,
-                      emax: int | None = None) -> EssTrellis:
+def ess_build_trellis(n: int, k: int, emax: int | None = None) -> EssTrellis:
     """Build the suffix-counting table of n amplitudes for k-bit blocks.
 
     With ``emax`` omitted, the tightest feasible sphere is chosen. The table
     satisfies counts[n][t] = 1 (one empty suffix) and counts[0][last] >= 2**k.
     """
     _check_block(n, k)
-    alphabet = alphabet or AmplitudeAlphabet()
     if emax is None:
-        emax = ess_choose_emax(n, k, alphabet)
-    lattice = _lattice(alphabet)
-    s0, g, incr = lattice
-    width = (emax - n * s0) // g + 1
+        emax = ess_choose_emax(n, k)
+    width = (emax - n * _S0) // _G + 1
     if width < 1:
-        raise ShapingError("emax %d below the minimum block energy %d" % (emax, n * s0))
+        raise ShapingError("emax %d below the minimum block energy %d" % (emax, n * _S0))
     rows = [np.ones(width, dtype=object)]  # rows N, N-1, ..., 0
     for _ in range(n):
-        rows.append(_suffix_step(rows[-1], incr))
-    trellis = EssTrellis(blocklength=n, bits_per_block=k, alphabet=alphabet,
-                         lattice=lattice, emax=int(emax), counts=tuple(reversed(rows)))
+        rows.append(_suffix_step(rows[-1]))
+    trellis = EssTrellis(blocklength=n, bits_per_block=k, emax=int(emax),
+                         counts=tuple(reversed(rows)))
     if trellis.total_count() < (1 << k):
         raise ShapingError("sphere emax=%d holds %d sequences, need 2^%d"
                            % (emax, trellis.total_count(), k))
@@ -230,10 +169,9 @@ def ess_build_trellis(n: int, k: int, alphabet: AmplitudeAlphabet | None = None,
 
 
 @lru_cache(maxsize=32)
-def trellis_for(blocklength: int, bits_per_block: int,
-                alphabet: AmplitudeAlphabet | None = None) -> EssTrellis:
-    """:func:`ess_build_trellis` at the tightest sphere, cached by exact arguments."""
-    return ess_build_trellis(blocklength, bits_per_block, alphabet)
+def trellis_for(blocklength: int, bits_per_block: int) -> EssTrellis:
+    """:func:`ess_build_trellis` at the tightest sphere, cached by (n, k)."""
+    return ess_build_trellis(blocklength, bits_per_block)
 
 
 def ess_encode_index(index: int, trellis: EssTrellis) -> np.ndarray:
@@ -244,21 +182,19 @@ def ess_encode_index(index: int, trellis: EssTrellis) -> np.ndarray:
     """
     if not 0 <= index < (1 << trellis.bits_per_block):
         raise ShapingError("index out of range for %d-bit blocks" % trellis.bits_per_block)
-    levels = trellis.alphabet.levels
-    incr = trellis.lattice[2]
     counts = trellis.counts
     slack = trellis.slack_width - 1
     out = np.empty(trellis.blocklength, dtype=float)
     rem = index
     for p in range(trellis.blocklength):
         nxt = counts[p + 1]
-        for j, d in enumerate(incr):
+        for j, d in enumerate(_INCR):
             s = slack - d
             if s < 0:
                 raise ShapingError("index walks outside the energy sphere")  # unreachable
             c = int(nxt[s])
             if rem < c:
-                out[p] = levels[j]
+                out[p] = LEVELS[j]
                 slack = s
                 break
             rem -= c
@@ -270,7 +206,7 @@ def ess_encode_index(index: int, trellis: EssTrellis) -> np.ndarray:
 def ess_decode_index(amplitudes: np.ndarray, trellis: EssTrellis) -> int:
     """Invert :func:`ess_encode_index`.
 
-    Raises :class:`ShapingError` on amplitudes outside the alphabet, on
+    Raises :class:`ShapingError` on amplitudes outside LEVELS, on
     blocks exceeding the energy sphere, and on indices at or above 2**k
     (sequences that are admissible but unused by the k-bit code).
     """
@@ -278,23 +214,21 @@ def ess_decode_index(amplitudes: np.ndarray, trellis: EssTrellis) -> int:
     amps = np.asarray(amplitudes, dtype=float)
     if amps.shape != (n,):
         raise ShapingError("expected %d amplitudes" % n)
-    level_of = {lv: j for j, lv in enumerate(trellis.alphabet.levels)}
-    incr = trellis.lattice[2]
     counts = trellis.counts
     slack = trellis.slack_width - 1
     index = 0
     for p in range(n):
-        j = level_of.get(float(amps[p]))
+        j = _LEVEL_INDEX.get(float(amps[p]))
         if j is None:
             raise ShapingError("amplitude %g not in the alphabet" % amps[p])
-        if slack - incr[j] < 0:
+        if slack - _INCR[j] < 0:
             raise ShapingError("sequence energy exceeds the sphere bound")
         nxt = counts[p + 1]
         for jj in range(j):
-            s = slack - incr[jj]
+            s = slack - _INCR[jj]
             if s >= 0:
                 index += int(nxt[s])
-        slack -= incr[j]
+        slack -= _INCR[j]
     if index >= (1 << trellis.bits_per_block):
         raise ShapingError("sequence is admissible but outside the k-bit codebook")
     return index
@@ -332,9 +266,8 @@ def ess_decode(amplitudes: np.ndarray, trellis: EssTrellis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MbDistribution:
-    """Maxwell-Boltzmann amplitude distribution p(a) ~ exp(-lambda a^2)."""
+    """Maxwell-Boltzmann distribution over LEVELS, p(a) ~ exp(-lambda a^2)."""
 
-    alphabet: AmplitudeAlphabet
     lam: float
     probs: tuple[float, ...]
 
@@ -344,53 +277,49 @@ class MbDistribution:
         return float(-(p * np.log2(p)).sum())
 
 
-def _mb_probs(alphabet: AmplitudeAlphabet, lam: float) -> np.ndarray:
-    w = np.exp(-lam * alphabet.as_array() ** 2)
+def _mb_probs(lam: float) -> np.ndarray:
+    w = np.exp(-lam * np.asarray(LEVELS) ** 2)
     return w / w.sum()
 
 
-def _mb_entropy(alphabet: AmplitudeAlphabet, lam: float) -> float:
-    p = _mb_probs(alphabet, lam)
+def _mb_entropy(lam: float) -> float:
+    p = _mb_probs(lam)
     return float(-(p * np.log2(p)).sum())
 
 
-def mb_fit(target_entropy_bits: float, alphabet: AmplitudeAlphabet | None = None,
-           tol_bits: float = 1e-9) -> MbDistribution:
+def mb_fit(target_entropy_bits: float, tol_bits: float = 1e-9) -> MbDistribution:
     """Fit lambda so the MB entropy hits the target, by bisection.
 
-    Entropy is strictly decreasing in lambda, from log2(M) at lambda=0
+    Entropy is strictly decreasing in lambda, from 2 bits at lambda=0
     towards 0, so plain bisection converges; tolerance is in bits.
     """
-    alphabet = alphabet or AmplitudeAlphabet()
-    hmax = math.log2(alphabet.size)
+    hmax = BITS_PER_AMPLITUDE
     if not 0 < target_entropy_bits <= hmax:
         raise ShapingError("target entropy must be in (0, %g] bits" % hmax)
     if abs(target_entropy_bits - hmax) <= tol_bits:
-        probs = tuple(1.0 / alphabet.size for _ in alphabet.levels)
-        return MbDistribution(alphabet=alphabet, lam=0.0, probs=probs)
+        return MbDistribution(lam=0.0, probs=(1.0 / len(LEVELS),) * len(LEVELS))
     lo, hi = 0.0, 1.0
-    while _mb_entropy(alphabet, hi) > target_entropy_bits:
+    while _mb_entropy(hi) > target_entropy_bits:
         lo, hi = hi, hi * 2
         if hi > 1e6:
             raise ShapingError("entropy target unreachable")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _mb_entropy(alphabet, mid) > target_entropy_bits:
+        if _mb_entropy(mid) > target_entropy_bits:
             lo = mid
         else:
             hi = mid
-        if abs(_mb_entropy(alphabet, 0.5 * (lo + hi)) - target_entropy_bits) <= tol_bits:
+        if abs(_mb_entropy(0.5 * (lo + hi)) - target_entropy_bits) <= tol_bits:
             break
     lam = 0.5 * (lo + hi)
-    return MbDistribution(alphabet=alphabet, lam=lam,
-                          probs=tuple(_mb_probs(alphabet, lam).tolist()))
+    return MbDistribution(lam=lam, probs=tuple(_mb_probs(lam).tolist()))
 
 
 def mb_sample(dist: MbDistribution, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw i.i.d. amplitudes from an MB distribution."""
     if count < 0:
         raise ShapingError("count must be >= 0")
-    return rng.choice(dist.alphabet.as_array(), size=count, p=np.asarray(dist.probs))
+    return rng.choice(np.asarray(LEVELS), size=count, p=np.asarray(dist.probs))
 
 
 def pas_map(amplitudes: np.ndarray, sign_bits: np.ndarray) -> np.ndarray:
@@ -412,15 +341,12 @@ def pas_map(amplitudes: np.ndarray, sign_bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def pas_demap_hard(symbols: np.ndarray,
-                   alphabet: AmplitudeAlphabet | None = None) -> tuple[np.ndarray, np.ndarray]:
+def pas_demap_hard(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-rail minimum-distance decisions back to (amplitudes, sign bits).
 
     Decision thresholds sit halfway between adjacent levels, so 1.9 -> 1
-    under the default alphabet and -2.1 -> (3, sign 1). Exact zeros take the
-    smallest level with sign 0.
+    and -2.1 -> (3, sign 1). Exact zeros take the smallest level with sign 0.
     """
-    alphabet = alphabet or AmplitudeAlphabet()
     sym = np.asarray(symbols, dtype=complex)
     if sym.ndim != 2 or sym.shape[0] != 2:
         raise ShapingError("expected symbols of shape (2, n)")
@@ -430,7 +356,7 @@ def pas_demap_hard(symbols: np.ndarray,
     rails[:, 2] = sym[1].real
     rails[:, 3] = sym[1].imag
     flat = rails.reshape(-1)
-    levels = alphabet.as_array()
+    levels = np.asarray(LEVELS)
     mids = 0.5 * (levels[1:] + levels[:-1])
     idx = np.searchsorted(mids, np.abs(flat))
     amps = levels[idx]
@@ -485,7 +411,7 @@ class PasShaper:
         return pas_map(amps, signs)
 
     def decode(self, symbols: np.ndarray) -> np.ndarray:
-        amps, signs = pas_demap_hard(symbols, self.trellis.alphabet)
+        amps, signs = pas_demap_hard(symbols)
         if amps.size != 4 * self.block_len_4d:
             raise ShapingError("symbol block length mismatch")
         parts = []

@@ -47,7 +47,6 @@ from passel.selection import (
     wk_metric,
 )
 from passel.shaping import (
-    AmplitudeAlphabet,
     PasShaper,
     ShapingError,
     ess_build_trellis,
@@ -147,7 +146,7 @@ def test_criterion_3_air_awgn_oracle():
     oracle_bits_2d = {6.0: 2.045810, 10.0: 3.168518, 14.0: 4.384907}
     t0 = time.perf_counter()
     constel = pas_constellation()
-    priors = constellation_priors(constel, np.full(4, 0.25))
+    priors = constellation_priors(np.full(4, 0.25))
     es = float((np.abs(constel.points) ** 2 * priors).sum())
     rng = substream(31, 0)
     n4 = 50000  # 1e5 2D symbols per point
@@ -232,7 +231,7 @@ def test_criterion_5_selection_monotonicity():
                         span_length_km=cfg.span_length_km, n_spans=4)
     wdm = WdmConfig(n_channels=1, symbol_rate_gbd=cfg.symbol_rate_gbd,
                     spacing_ghz=cfg.spacing_ghz, rolloff=cfg.rolloff,
-                    sps=cfg.metric_sps, pulse_shape=cfg.pulse_shape)
+                    sps=cfg.metric_sps)
     metric = NliMetric(fiber, wdm, SsfmStepConfig(steps_per_span=100),
                        launch_power_dbm=2.0)
     k = math.ceil(cfg.dm_blocklength * cfg.dm_rate_bits_per_amp - 1e-9)

@@ -19,7 +19,6 @@ from passel.channel import (
     propagate_link,
     pulse_spectrum,
     rrc_modulate,
-    rrc_time_taps,
     ssfm_span,
     standard_complex_noise,
     wdm_demux,
@@ -69,16 +68,6 @@ class TestPulse:
         want = np.sqrt(_rc_closed_form(f, wdm.rolloff))
         want *= np.abs(spec).max() / want.max()
         assert np.abs(np.abs(spec) - want).max() < 1e-3 * want.max()
-
-    def test_fir_taps_unit_energy_and_symmetric(self):
-        taps = rrc_time_taps(sps=8, span_symbols=32, rolloff=0.05)
-        assert abs(np.sum(taps ** 2) - 1.0) < 1e-12
-        assert np.allclose(taps, taps[::-1])
-
-    def test_fir_taps_handle_quarter_rolloff_singularity(self):
-        # t = 1/(4*0.05) = 5 symbols lands exactly on the tap grid
-        taps = rrc_time_taps(sps=4, span_symbols=16, rolloff=0.05)
-        assert np.all(np.isfinite(taps))
 
     def test_launch_power_scaling(self):
         wdm = WdmConfig(n_channels=1, sps=4)
