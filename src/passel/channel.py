@@ -412,17 +412,22 @@ def wdm_mux(channels: list[FieldWaveform], wdm: WdmConfig) -> FieldWaveform:
 
 
 def wdm_demux(field: FieldWaveform, wdm: WdmConfig, channel: int) -> FieldWaveform:
-    """Shift one channel to baseband and brick-wall filter to half the spacing."""
+    """Shift one channel to baseband and brick-wall filter to half the spacing.
+
+    The field must come from wdm_mux: one symbol scale per channel and block.
+    """
+    scale = np.asarray(field.symbol_scale)
+    want = (wdm.n_channels,) + field.samples.shape[:-2]
+    if scale.shape != want:
+        raise ChannelError("symbol scale shaped %s, not %s: demux needs a field from wdm_mux"
+                           % (scale.shape, want))
     t_len = field.n_samples
     spec = np.roll(np.fft.fft(field.samples, axis=-1),
                    -_carrier_bin(wdm, channel, t_len), axis=-1)
     f = np.fft.fftfreq(t_len, d=1.0 / field.sample_rate_hz)
     spec *= np.abs(f) <= wdm.spacing_hz / 2.0 + 1e-6
-    scale = field.symbol_scale
-    if isinstance(scale, np.ndarray) and scale.ndim >= 1 and scale.shape[0] == wdm.n_channels:
-        scale = scale[channel]
     return FieldWaveform(np.fft.ifft(spec, axis=-1), field.sample_rate_hz,
-                         symbol_scale=scale)
+                         symbol_scale=scale[channel])
 
 
 # Series rotation. sin(phi)/phi = sum_k (-1)^k u^k/(2k+1)!, u = phi^2. K terms

@@ -103,9 +103,10 @@ def _check(ok, what: str) -> None:
 
 
 def _selftest_checks():
-    from .channel import (FieldWaveform, FiberParams, SsfmStepConfig, WdmConfig,
-                          rrc_modulate, ssfm_span)
-    from .receiver import air_bitwise, constellation_priors, matched_filter_sample
+    from .channel import (AmplifierParams, FieldWaveform, FiberParams, SsfmStepConfig,
+                          WdmConfig, rrc_modulate, ssfm_span)
+    from .receiver import (air_bitwise, constellation_priors, link_receive,
+                           matched_filter_sample)
     from .seeding import substream
     from .selection import (PermutationBook, PilotBook, ScramblerBook, bsss_decode,
                             bsss_encode, bsss_pilot_bits, siss_decode, siss_encode,
@@ -173,18 +174,15 @@ def _selftest_checks():
                "symbol selection does not round-trip")
 
     def dispersion_inverts():
+        # the production chain, on a linear noiseless link
         fiber = FiberParams(beta2_ps2_per_km=-21.7, gamma_per_w_km=0.0,
                             alpha_db_per_km=0.2, span_length_km=80.0, n_spans=2)
-        from .channel import AmplifierParams, propagate_link
-        from .receiver import cdc
         wdm = WdmConfig(n_channels=1, symbol_rate_gbd=46.5, spacing_ghz=50.0,
                         rolloff=0.05, sps=4)
         rng = substream(13, 0)
         syms = (rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64)))
-        field = rrc_modulate(syms, wdm, 0.0)
-        out = propagate_link(field, fiber,
-                             AmplifierParams(noise_figure_db=5.0, noise_on=False))
-        back = matched_filter_sample(cdc(out, fiber), wdm)
+        back = link_receive(syms[None], wdm, fiber, AmplifierParams(noise_on=False),
+                            SsfmStepConfig(), 0.0)
         _check(np.abs(back - syms).max() < 1e-6, "dispersion not compensated")
 
     def spm_phase():

@@ -43,17 +43,13 @@ from .channel import (
     SsfmStepConfig,
     WdmConfig,
     dbm_to_watts,
-    propagate_link,
-    rrc_modulate,
     standard_complex_noise,
-    wdm_demux,
-    wdm_mux,
 )
 from .receiver import (
+    MIN_SYMBOLS_4D,
     air_bitwise,
-    cdc,
     constellation_priors,
-    matched_filter_sample,
+    link_receive,
     mean_phase_comp,
     se_from_air,
 )
@@ -198,6 +194,14 @@ class ExperimentConfig:
                 build(self)
         except ChannelError as exc:
             raise HarnessError(str(exc)) from None
+        # a point's blocks, and the bound's kept blocks, must hold enough symbols to rate
+        kept = math.ceil(self.bound_eta * self.bound_m_total)
+        for what, n_blocks in (("n_blocks", self.n_blocks),
+                               ("ceil(bound_eta*bound_m_total)", kept)):
+            if n_blocks * self.block_len_4d < MIN_SYMBOLS_4D:
+                raise HarnessError("%s*block_len_4d = %d*%d 4D symbols is below the %d "
+                                   "the rate estimate needs"
+                                   % (what, n_blocks, self.block_len_4d, MIN_SYMBOLS_4D))
 
 
 _LIST_ELEM = {"schemes": str, "powers_dbm": float, "n_t_values": int}
@@ -372,6 +376,12 @@ def metric_steps(cfg: ExperimentConfig) -> SsfmStepConfig:
     return SsfmStepConfig(steps_per_span=cfg.metric_steps_per_span or None)
 
 
+def _nli_metric(cfg: ExperimentConfig, power_dbm: float, payload: slice | None) -> NliMetric:
+    """The NLI cost of selection points and the bound: the link's fiber on the metric grid."""
+    return NliMetric(fiber_for(cfg), metric_wdm(cfg), metric_steps(cfg),
+                     launch_power_dbm=power_dbm, payload=payload)
+
+
 def dm_bits_per_block(cfg: ExperimentConfig) -> int:
     return math.ceil(cfg.dm_blocklength * cfg.dm_rate_bits_per_amp - 1e-9)
 
@@ -427,18 +437,14 @@ class _PointState:
             else:
                 self.book = PermutationBook.generate(cfg.seed, n_t, self.n)
                 self.pilots = PilotBook.build()
-            self.metric_fn = self._build_metric(
-                payload=slice(self.pilot_syms, None) if self.pilot_syms else None)
+            payload = slice(self.pilot_syms, None) if self.pilot_syms else None
+            if cfg.selection_metric == "wk":
+                self.metric_fn = partial(wk_metric, payload=payload)
+            else:
+                self.metric_fn = _nli_metric(cfg, self.power_dbm, payload)
 
         self.block_len_tx = self.n + self.pilot_syms
         self.time_fraction = self.n / self.block_len_tx
-
-    def _build_metric(self, payload):
-        cfg = self.cfg
-        if cfg.selection_metric == "wk":
-            return partial(wk_metric, payload=payload)
-        return NliMetric(fiber_for(cfg), metric_wdm(cfg), metric_steps(cfg),
-                         launch_power_dbm=self.power_dbm, payload=payload)
 
     def encode_block(self, rng: np.random.Generator):
         """One transmit block: (symbols (2, block_len_tx), cost, index)."""
@@ -526,21 +532,6 @@ def _ase_noise_source(seed: int, block_indices: np.ndarray, per_block_shape: tup
     return unit_noise
 
 
-def _propagate_and_receive(st: _PointState, tx: np.ndarray,
-                           block_ids: np.ndarray) -> np.ndarray:
-    """WDM-propagate (channels, blocks, 2, T) symbols; (blocks, 2, T) center rx."""
-    cfg = st.cfg
-    wdm, fiber = link_wdm(cfg), fiber_for(cfg)
-    composite = wdm_mux([rrc_modulate(tx[c], wdm, st.power_dbm)
-                         for c in range(cfg.n_channels)], wdm)
-    noise = None
-    if cfg.noise_on:
-        noise = _ase_noise_source(cfg.seed, block_ids, (2, composite.n_samples))
-    out = propagate_link(composite, fiber, amp_for(cfg), link_steps(cfg, st.power_dbm),
-                         unit_noise_for_span=noise)
-    return matched_filter_sample(cdc(wdm_demux(out, wdm, wdm.center_channel), fiber), wdm)
-
-
 def _metric_label(cfg: ExperimentConfig, scheme: str) -> str:
     return cfg.selection_metric if scheme in SELECTION_SCHEMES else "none"
 
@@ -557,8 +548,12 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
     for the bound), shaping rate loss and spectral efficiency. row carries
     the ResultRow fields fixed by the caller.
     """
-    y = _propagate_and_receive(st, tx, block_ids)
-    center = link_wdm(st.cfg).center_channel
+    cfg, wdm = st.cfg, link_wdm(st.cfg)
+    noise = _ase_noise_source(cfg.seed, block_ids, (2, tx.shape[-1] * wdm.sps)) \
+        if cfg.noise_on else None
+    y = link_receive(tx, wdm, fiber_for(cfg), amp_for(cfg), link_steps(cfg, st.power_dbm),
+                     st.power_dbm, noise)
+    center = wdm.center_channel
     pay = slice(st.pilot_syms, None)
     y_pay, theta = mean_phase_comp(y[..., pay], tx[center][..., pay])
 
@@ -571,19 +566,13 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
         raise HarnessError("all blocks discarded by pilot detection")
 
     tx_kept = tx[center][keep][..., pay]
-    if st.dist is not None:
-        amp_probs = st.dist.probs
-    else:
-        amp_probs = empirical_amp_probs(tx_kept)
-    priors = constellation_priors(amp_probs)
-    air = air_bitwise(tx_kept, y_pay[keep], priors)
+    amp_probs = st.dist.probs if st.dist is not None else empirical_amp_probs(tx_kept)
+    air = air_bitwise(tx_kept, y_pay[keep], constellation_priors(amp_probs))
     air_net = max(0.0, air.air_bits_per_4d + rate_penalty)
     prior4 = air.prior_entropy_bits_per_4d
-    if st.realized_bits_4d is None:
-        rate_loss = 0.0
-    else:
-        rate_loss = max(0.0, prior4 - st.realized_bits_4d)
-    se = se_from_air(air_net, link_wdm(st.cfg), rate_loss_bits_4d=rate_loss,
+    # the ideal mb matcher (realized_bits_4d None) has no rate loss
+    rate_loss = 0.0 if st.realized_bits_4d is None else max(0.0, prior4 - st.realized_bits_4d)
+    se = se_from_air(air_net, wdm, rate_loss_bits_4d=rate_loss,
                      time_fraction=st.time_fraction)
     return PointDetail(row=ResultRow(power_dbm=st.power_dbm, air_bits_4d=air_net,
                                      se_bits_s_hz=se, ci95=air.ci95_bits_per_4d,
@@ -655,14 +644,8 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     st = _PointState(cfg, "ess", power, 1)
     tx, _, indices = st.draw(m_total)
 
-    center = link_wdm(cfg).center_channel
-    scorer = NliMetric(fiber_for(cfg), metric_wdm(cfg), metric_steps(cfg),
-                       launch_power_dbm=power)
-    costs = np.empty(m_total)
-    chunk = 64
-    for lo in range(0, m_total, chunk):
-        hi = min(lo + chunk, m_total)
-        costs[lo:hi] = scorer(tx[center, lo:hi])
+    center, scorer = link_wdm(cfg).center_channel, _nli_metric(cfg, power, None)
+    costs = np.concatenate([scorer(tx[center, lo:lo + 64]) for lo in range(0, m_total, 64)])
 
     n_keep = math.ceil(eta * m_total)
     kept = np.sort(np.argsort(costs, kind="stable")[:n_keep])

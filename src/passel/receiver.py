@@ -23,13 +23,16 @@ from functools import cache
 
 import numpy as np
 
-from .channel import FieldWaveform, FiberParams, WdmConfig, pulse_spectrum
+from .channel import (AmplifierParams, FieldWaveform, FiberParams, SsfmStepConfig, WdmConfig,
+                      propagate_link, pulse_spectrum, rrc_modulate, wdm_demux, wdm_mux)
 from .shaping import BITS_PER_AMPLITUDE, LEVELS
 
 __all__ = [
     "Constellation",
     "AirResult",
     "ReceiverError",
+    "MIN_SYMBOLS_4D",
+    "link_receive",
     "cdc",
     "matched_filter_sample",
     "mean_phase_comp",
@@ -41,6 +44,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+MIN_SYMBOLS_4D = 1000  # fewest 4D symbols air_bitwise rates
 
 
 class ReceiverError(ValueError):
@@ -71,11 +75,24 @@ def matched_filter_sample(field: FieldWaveform, wdm: WdmConfig) -> np.ndarray:
         raise ReceiverError("waveform length is not a whole number of symbols")
     h = pulse_spectrum(wdm, field.n_samples)
     filtered = np.fft.ifft(np.fft.fft(field.samples, axis=-1) * h, axis=-1)
-    sym = filtered[..., ::sps]
-    scale = np.asarray(field.symbol_scale)
-    if scale.ndim:
-        scale = scale[..., None, None]
-    return sym / scale
+    # the scale is per block, as wdm_demux or rrc_modulate left it
+    return filtered[..., ::sps] / np.asarray(field.symbol_scale)[..., None, None]
+
+
+def link_receive(tx: np.ndarray, wdm: WdmConfig, fiber: FiberParams, amp: AmplifierParams,
+                 step_cfg: SsfmStepConfig, launch_power_dbm: float,
+                 unit_noise_for_span=None) -> np.ndarray:
+    """Center channel's (..., 2, n) received symbols for (n_channels, ..., 2, n) sent.
+
+    Modulates each channel at launch_power_dbm, multiplexes, propagates
+    (unit_noise_for_span as in propagate_link), then demultiplexes, compensates
+    dispersion and matched-filters the center channel. Sweep points, the bound
+    and the NLI metric all run this one chain.
+    """
+    composite = wdm_mux([rrc_modulate(ch, wdm, launch_power_dbm) for ch in tx], wdm)
+    out = propagate_link(composite, fiber, amp, step_cfg,
+                         unit_noise_for_span=unit_noise_for_span)
+    return matched_filter_sample(cdc(wdm_demux(out, wdm, wdm.center_channel), fiber), wdm)
 
 
 def mean_phase_comp(rx_syms: np.ndarray, tx_syms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,14 +239,14 @@ def _bit_equivocations(tx_idx: np.ndarray, rx: np.ndarray, constellation: Conste
 
 
 def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
-                sigma2: float | None = None,
-                min_symbols_4d: int = 1000) -> AirResult:
+                sigma2: float | None = None) -> AirResult:
     """Bit-metric AIR over paired dual-pol symbol blocks.
 
     tx_syms/rx_syms: (..., 2, n) in constellation units; priors: per-point
     probabilities over pas_constellation(). The AIR is the
     prior entropy minus the mean per-4D bit equivocation under the fitted
     (or supplied) circular-Gaussian auxiliary channel, clipped below at zero.
+    Fewer than MIN_SYMBOLS_4D symbols raise ReceiverError.
     """
     constellation = pas_constellation()
     tx = np.asarray(tx_syms, dtype=complex)
@@ -239,8 +256,8 @@ def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
     tx2 = tx.reshape(-1, 2, tx.shape[-1])
     rx2 = rx.reshape(-1, 2, rx.shape[-1])
     n4 = tx2.shape[0] * tx2.shape[2]
-    if n4 < min_symbols_4d:
-        raise ReceiverError("need at least %d 4D symbols, got %d" % (min_symbols_4d, n4))
+    if n4 < MIN_SYMBOLS_4D:
+        raise ReceiverError("need at least %d 4D symbols, got %d" % (MIN_SYMBOLS_4D, n4))
     priors = np.asarray(priors, dtype=float)
     if priors.shape != constellation.points.shape or abs(priors.sum() - 1.0) > 1e-6:
         raise ReceiverError("priors must be a distribution over constellation points")

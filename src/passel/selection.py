@@ -25,15 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import (
-    AmplifierParams,
-    FiberParams,
-    SsfmStepConfig,
-    WdmConfig,
-    propagate_link,
-    rrc_modulate,
-)
-from .receiver import cdc, matched_filter_sample, mean_phase_comp
+from .channel import AmplifierParams, FiberParams, SsfmStepConfig, WdmConfig
+from .receiver import link_receive, mean_phase_comp
 from .seeding import TAG_PERMUTATION, TAG_SCRAMBLER, substream
 from .shaping import LEVELS, bits_to_index, index_to_bits
 
@@ -341,10 +334,11 @@ def wk_metric(symbols: np.ndarray, window: int | None = None,
 class NliMetric:
     """Residual distortion after a noiseless single-channel link emulation.
 
-    Modulates the candidate block alone on the fiber under test (amplifiers
-    transparent, no noise), runs the full receiver chain, and returns the
-    Euclidean norm of the symbol error over the payload span. Captures the
-    nonlinear interference the block generates for itself.
+    Runs the candidate block alone through link_receive, the chain of a
+    sweep point, on a one-channel grid (amplifiers transparent, no noise),
+    and returns the Euclidean norm of the symbol error over the payload span
+    after mean phase compensation. Captures the nonlinear interference the
+    block generates for itself.
     """
 
     def __init__(self, fiber: FiberParams, wdm: WdmConfig,
@@ -364,9 +358,8 @@ class NliMetric:
         x = np.asarray(symbols, dtype=complex)
         if x.ndim < 2 or x.shape[-2] != 2:
             raise SelectionError("expected (..., 2, n) symbols")
-        tx = rrc_modulate(x, self.wdm, self.launch_power_dbm)
-        out = propagate_link(tx, self.fiber, self.amp, self.step_cfg)
-        y = matched_filter_sample(cdc(out, self.fiber), self.wdm)
+        y = link_receive(x[None], self.wdm, self.fiber, self.amp, self.step_cfg,
+                         self.launch_power_dbm)
         xp = x[..., self.payload]
         yp, _ = mean_phase_comp(y[..., self.payload], xp)
         cost = np.sqrt((np.abs(yp - xp) ** 2).sum(axis=(-2, -1)))

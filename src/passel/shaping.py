@@ -277,6 +277,9 @@ class MbDistribution:
         return float(-(p * np.log2(p)).sum())
 
 
+_MB_TOL_BITS = 1e-9  # mb_fit's entropy tolerance
+
+
 def _mb_probs(lam: float) -> np.ndarray:
     w = np.exp(-lam * np.asarray(LEVELS) ** 2)
     return w / w.sum()
@@ -287,16 +290,16 @@ def _mb_entropy(lam: float) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def mb_fit(target_entropy_bits: float, tol_bits: float = 1e-9) -> MbDistribution:
+def mb_fit(target_entropy_bits: float) -> MbDistribution:
     """Fit lambda so the MB entropy hits the target, by bisection.
 
     Entropy is strictly decreasing in lambda, from 2 bits at lambda=0
-    towards 0, so plain bisection converges; tolerance is in bits.
+    towards 0, so plain bisection converges to within _MB_TOL_BITS.
     """
     hmax = BITS_PER_AMPLITUDE
     if not 0 < target_entropy_bits <= hmax:
         raise ShapingError("target entropy must be in (0, %g] bits" % hmax)
-    if abs(target_entropy_bits - hmax) <= tol_bits:
+    if abs(target_entropy_bits - hmax) <= _MB_TOL_BITS:
         return MbDistribution(lam=0.0, probs=(1.0 / len(LEVELS),) * len(LEVELS))
     lo, hi = 0.0, 1.0
     while _mb_entropy(hi) > target_entropy_bits:
@@ -309,7 +312,7 @@ def mb_fit(target_entropy_bits: float, tol_bits: float = 1e-9) -> MbDistribution
             lo = mid
         else:
             hi = mid
-        if abs(_mb_entropy(0.5 * (lo + hi)) - target_entropy_bits) <= tol_bits:
+        if abs(_mb_entropy(0.5 * (lo + hi)) - target_entropy_bits) <= _MB_TOL_BITS:
             break
     lam = 0.5 * (lo + hi)
     return MbDistribution(lam=lam, probs=tuple(_mb_probs(lam).tolist()))

@@ -129,6 +129,22 @@ class TestWdmMuxDemux:
             got = wdm_demux(composite, self.wdm, k)
             assert np.allclose(got.symbol_scale, self.waves[k].symbol_scale)
 
+    def test_demux_takes_only_the_scales_wdm_mux_writes(self):
+        # three blocks on a three-channel grid: one scale per block, none per channel
+        blocks = rrc_modulate(np.stack(self.blocks), self.wdm, 0.0)
+        assert blocks.symbol_scale.shape == (3,)
+        with pytest.raises(ChannelError):
+            wdm_demux(blocks, self.wdm, 1)
+        with pytest.raises(ChannelError):
+            wdm_demux(self.waves[0], self.wdm, 0)  # one block, one scalar scale
+        # muxed, every channel keeps its own per-block scales
+        batched = [rrc_modulate(np.stack(self.blocks), self.wdm, p) for p in (0.0, 1.0, 2.0)]
+        composite = wdm_mux(batched, self.wdm)
+        assert composite.symbol_scale.shape == (3, 3)
+        for k in range(3):
+            got = wdm_demux(composite, self.wdm, k).symbol_scale
+            assert np.array_equal(got, batched[k].symbol_scale)
+
     def test_grid_validation(self):
         with pytest.raises(ChannelError):
             WdmConfig(n_channels=4)

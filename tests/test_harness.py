@@ -54,12 +54,12 @@ class TestConfig:
     def test_overlay_and_comments(self):
         text = """
         # comment line
-        n_blocks = 12   # trailing comment
+        n_blocks = 100   # trailing comment
         powers_dbm = -1, 0, 1
         noise_on = false
         """
         cfg = parse_config(text, base=tiny_config())
-        assert cfg.n_blocks == 12
+        assert cfg.n_blocks == 100
         assert cfg.powers_dbm == (-1.0, 0.0, 1.0)
         assert cfg.noise_on is False
         assert cfg.block_len_4d == 16  # untouched base value
@@ -315,8 +315,8 @@ class TestSweepDeterminism:
                 assert r.metric == "wk" and not math.isnan(r.sel_metric_mean)
 
     def test_failed_point_becomes_nan_row(self, tmp_path):
-        # blocks too short for the rate floor -> that point fails, others pass
-        cfg = tiny_config(schemes=("ess",), powers_dbm=(1.0,), n_blocks=8)
+        # a 40 dB noise figure trips the step guard in span 1 -> that point fails
+        cfg = tiny_config(schemes=("ess",), powers_dbm=(1.0,), noise_figure_db=40.0)
         rows, errors, _ = sweep(cfg)
         assert len(errors) == 1
         assert math.isnan(rows[0].air_bits_4d)
@@ -472,14 +472,21 @@ class TestCli:
          "dm_rate_bits_per_amp = 1e-12 gives 0 bits per DM block of 64; need >= 1"),
         ("dm_rate_bits_per_amp = 2",
          "ess+bsss at n_t = 16 needs 129 bits per DM block of 64, above the 128 it can carry"),
+        pytest.param("n_blocks = 2", "n_blocks*block_len_4d = 2*64 4D symbols is below "
+                     "the 1000 the rate estimate needs", id="run-too-few-symbols"),
+        pytest.param("n_blocks = 100\nblock_len_4d = 16\nbound_m_total = 40\nbound_eta = 1",
+                     "ceil(bound_eta*bound_m_total)*block_len_4d = 40*16 4D symbols is "
+                     "below the 1000 the rate estimate needs", id="bound-too-few-symbols"),
     ])
     def test_bad_config_value_is_a_usage_error(self, tmp_path, line, message):
+        # the config is checked whole, so run and bound reject it alike
         (tmp_path / "c.cfg").write_text("n_blocks = 2\nn_spans = 1\n%s\n" % line)
-        proc = run_python("-m", "passel.cli", "run", "--scale", "desk", "--config", "c.cfg",
-                          cwd=tmp_path)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.splitlines() == ["passel: error: " + message]
-        assert proc.stdout == "" and os.listdir(tmp_path) == ["c.cfg"]
+        for command in ("run", "bound"):
+            proc = run_python("-m", "passel.cli", command, "--scale", "desk",
+                              "--config", "c.cfg", cwd=tmp_path)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.splitlines() == ["passel: error: " + message]
+            assert proc.stdout == "" and os.listdir(tmp_path) == ["c.cfg"]
 
     def test_failed_point_still_exits_1(self, tmp_path, capsys):
         from passel.cli import main

@@ -12,7 +12,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from passel.channel import FiberParams, SsfmStepConfig, WdmConfig
+from passel import harness
+from passel.channel import (
+    AmplifierParams,
+    FiberParams,
+    SsfmStepConfig,
+    WdmConfig,
+    propagate_link,
+    rrc_modulate,
+)
+from passel.receiver import cdc, matched_filter_sample, mean_phase_comp
 from passel.seeding import substream
 from passel.selection import (
     NliMetric,
@@ -306,6 +315,55 @@ class TestNliMetric:
     def test_requires_single_channel(self):
         with pytest.raises(SelectionError):
             NliMetric(FiberParams(), WdmConfig(n_channels=3))
+
+    @pytest.mark.parametrize("scheme, power_dbm", [
+        ("ess+bsss", 2.0), ("ess+bsss", 4.0), ("ess+siss", 2.0)])
+    def test_matches_the_chain_without_mux_and_demux(self, scheme, power_dbm):
+        # NliMetric runs link_receive, whose one-channel mux and demux add an FFT
+        # round trip each; the demux's brick wall lies outside the RRC passband
+        cfg = harness.desk_preset()
+        cands, payload = desk_candidates(cfg, scheme, 16)
+        fiber, wdm, steps = harness.fiber_for(cfg), harness.metric_wdm(cfg), \
+            harness.metric_steps(cfg)
+        got = NliMetric(fiber, wdm, steps, launch_power_dbm=power_dbm, payload=payload)(cands)
+        want = reference_nli_costs(cands, fiber, wdm, steps, power_dbm, payload)
+        assert np.abs(got - want).max() <= 1e-12 * want.min()
+        assert np.argmin(got) == np.argmin(want)
+
+
+def desk_candidates(cfg, scheme, n_t):
+    """The (n_t, 2, T) candidate stack a desk selection point scores, and its payload slice."""
+    stacks = []
+
+    def keep_stack(stack):
+        stacks.append(stack)
+        return np.zeros(stack.shape[0])
+
+    n = cfg.block_len_4d
+    rng = substream(cfg.seed, 99)
+    if scheme == "ess+bsss":
+        k = harness.bsss_bits_per_block(cfg, n_t)
+        shaper = PasShaper(trellis_for(cfg.dm_blocklength, k), n)
+        n_bits = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
+        bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
+        bsss_encode(bits, ScramblerBook.generate(cfg.seed, n_t, n_bits), n_t,
+                    shaper.encode, keep_stack)
+        return stacks[0], None
+    shaper = PasShaper(trellis_for(cfg.dm_blocklength, harness.dm_bits_per_block(cfg)), n)
+    bits = rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8)
+    siss_encode(shaper.encode(bits), PermutationBook.generate(cfg.seed, n_t, n),
+                PilotBook.build(), n_t, keep_stack)
+    return stacks[0], slice(siss_pilot_symbols(n_t), None)
+
+
+def reference_nli_costs(x, fiber, wdm, step_cfg, power_dbm, payload):
+    """The NLI cost by its own single-channel chain: modulate, link, cdc, matched filter."""
+    out = propagate_link(rrc_modulate(x, wdm, power_dbm), fiber,
+                         AmplifierParams(noise_on=False), step_cfg)
+    y = matched_filter_sample(cdc(out, fiber), wdm)
+    pay = payload or slice(None)
+    yp, _ = mean_phase_comp(y[..., pay], x[..., pay])
+    return np.sqrt((np.abs(yp - x[..., pay]) ** 2).sum(axis=(-2, -1)))
 
 
 class TestBsss:
