@@ -34,11 +34,21 @@ agrees within 4 ulp up to the 0.05 rad bound, and within 1e-13 absolute up
 to 10 rad. A span runs block by block in cache-sized chunks, on
 preallocated buffers, with np.fft writing in place through out= (numpy 2.0
 or later); the caller's field is never written.
+
+Chunks share nothing, so propagate_link may run a batch of two or more
+chunks on several processes: it forks once per call, each process takes a
+contiguous share of the rows, and the spans meet in an anonymous shared
+mapping. The bits are those of the serial loop whatever the process count.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -545,30 +555,136 @@ def _split_steps(buf: np.ndarray, operators, step_cfg: SsfmStepConfig,
         buf *= lin
 
 
+# A child's reply to each span: _SPAN_DONE when its rows passed, else the args
+# of its StepSizeError (block, step, step_m, phase, peak, bound, allowance).
+_SPAN_DONE = b"\0"
+_STEP_ERROR = struct.Struct("<qq5d")
+
+
 class _Span:
     """One span's split-step operators and work buffers, for fields shaped like `field`.
 
     They depend on the fiber, the step schedule and the field's shape and
     sample rate alone, so a link builds them once and runs every span on them.
+
+    With processes > 1, a batch of two chunks or more is cut into
+    min(processes, chunks) contiguous shares of near-equal rows, and entering
+    the span as a context manager forks one process per share past the
+    first; the parent keeps the lowest rows. A process with more than one
+    thread runs every share itself. Every span, the parent writes
+    the spectrum into an anonymous shared mapping, wakes the children over
+    their pipes, steps its own share and then waits for each child's reply.
+    The children inherit the operators and work buffers through the fork and
+    leave through os._exit; leaving the context reaps them, and kills them
+    first when the link is raising.
     """
 
-    def __init__(self, field: FieldWaveform, fiber: FiberParams, step_cfg: SsfmStepConfig):
+    def __init__(self, field: FieldWaveform, fiber: FiberParams, step_cfg: SsfmStepConfig,
+                 processes: int = 1):
         t_len = field.n_samples
         self.step_cfg = step_cfg
         self.operators = _span_operators(fiber, step_cfg, t_len, field.sample_rate_hz)
-        self.rows = max(1, min(field.samples.size // (2 * t_len),
-                               _CHUNK_SAMPLES // (2 * t_len)))
+        n = field.samples.size // (2 * t_len)
+        self.shape = (n, 2, t_len)
+        self.rows = max(1, min(n, _CHUNK_SAMPLES // (2 * t_len)))
         self.work = _SplitStepWork(self.rows, t_len)
+        shares = max(1, min(processes, -(-n // self.rows)))
+        self.bounds = [n * k // shares for k in range(shares + 1)]
+        self.spec = None    # the shared spectrum, while children run
+        self.children = []  # [pid, wake fd, reply fd] per share past the first
+
+    def __enter__(self):
+        # a lock another thread held at the fork would stay held in the child
+        if len(self.bounds) > 2 and threading.active_count() == 1:
+            # no descriptor: the mapping is unmapped with the last array on it
+            mem = mmap.mmap(-1, 16 * math.prod(self.shape))
+            self.spec = np.frombuffer(mem, dtype=complex).reshape(self.shape)
+            try:
+                for lo, hi in zip(self.bounds[1:-1], self.bounds[2:]):
+                    self.children.append(self._fork(lo, hi))
+            except BaseException:
+                self.__exit__(True)
+                raise
+        return self
+
+    def __exit__(self, raising, *_):
+        children, self.children, self.spec = self.children, [], None
+        for pid, wake, reply in children:
+            os.close(wake)  # a waiting child reads the end of its pipe and exits
+            os.close(reply)
+            if pid:  # not reaped yet
+                if raising:  # the child may be mid-span
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    def _fork(self, lo: int, hi: int) -> list:
+        """Start the process for rows lo..hi-1; returns [pid, wake fd, reply fd]."""
+        wake_r, wake_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (wake_r, wake_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        if pid:
+            os.close(wake_r)
+            os.close(reply_w)
+            return [pid, wake_w, reply_r]
+        status = 1
+        try:  # the child: nothing may unwind into the parent's stack
+            for fd in [wake_w, reply_r] + [fd for c in self.children for fd in c[1:]]:
+                os.close(fd)
+            while os.read(wake_r, 1):
+                try:
+                    self._steps(self.spec, lo, hi)
+                    reply = _SPAN_DONE
+                except StepSizeError as exc:
+                    reply = _STEP_ERROR.pack(*exc.args)
+                os.write(reply_w, reply)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def _steps(self, spec: np.ndarray, lo: int, hi: int) -> None:
+        """All steps of the span on rows lo..hi-1 of spec, chunk by chunk from lo."""
+        for a in range(lo, hi, self.rows):
+            _split_steps(spec[a:min(a + self.rows, hi)], self.operators, self.step_cfg,
+                         self.work, a)
+
+    def _wait(self, child: list, lo: int, hi: int) -> None:
+        """Wait for a child's span: return, or raise its error or its death."""
+        reply = os.read(child[2], _STEP_ERROR.size)
+        if reply == _SPAN_DONE:
+            return
+        if reply:
+            raise StepSizeError(*_STEP_ERROR.unpack(reply))
+        _, status = os.waitpid(child[0], 0)
+        child[0] = 0
+        raise RuntimeError("the link process for rows %d..%d ended mid-span with exit code %d"
+                           % (lo, hi - 1, os.waitstatus_to_exitcode(status)))
 
     def __call__(self, field: FieldWaveform) -> FieldWaveform:
-        a = field.samples
-        # spec is this call's own array, one row per block, so the FFTs may overwrite it
-        spec = np.fft.fft(a.reshape(-1, 2, field.n_samples), axis=-1)
-        for lo in range(0, spec.shape[0], self.rows):
-            _split_steps(spec[lo:lo + self.rows], self.operators, self.step_cfg,
-                         self.work, lo)
-        return FieldWaveform(np.fft.ifft(spec, axis=-1, out=spec).reshape(a.shape),
-                             field.sample_rate_hz, symbol_scale=field.symbol_scale)
+        a = field.samples.reshape(self.shape)
+        if self.spec is None:
+            # spec is this call's own array, one row per block, so the FFTs may overwrite it
+            spec = np.fft.fft(a, axis=-1)
+            self._steps(spec, 0, self.shape[0])
+            out = np.fft.ifft(spec, axis=-1, out=spec)
+        else:
+            np.fft.fft(a, axis=-1, out=self.spec)
+            for child in self.children:
+                try:
+                    os.write(child[1], b"\1")
+                except BrokenPipeError:  # the child is gone; _wait names it below
+                    pass
+            self._steps(self.spec, *self.bounds[:2])
+            # the serial order's error: the parent's rows first, then the lowest child's
+            for child, lo, hi in zip(self.children, self.bounds[1:], self.bounds[2:]):
+                self._wait(child, lo, hi)
+            out = np.fft.ifft(self.spec, axis=-1)  # out of the mapping
+        return FieldWaveform(out.reshape(field.samples.shape), field.sample_rate_hz,
+                             symbol_scale=field.symbol_scale)
 
 
 def ssfm_span(field: FieldWaveform, fiber: FiberParams,
@@ -603,26 +719,34 @@ def edfa(field: FieldWaveform, amp: AmplifierParams, gain_db: float,
 
 def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParams,
                    step_cfg: SsfmStepConfig | None = None,
-                   unit_noise_for_span=None) -> FieldWaveform:
+                   unit_noise_for_span=None, processes: int = 1) -> FieldWaveform:
     """Run n_spans of fiber, each followed by a loss-compensating EDFA.
 
     unit_noise_for_span: callable span_index -> unit-variance complex array
     shaped like the samples (or None for that span). Required when ASE is on.
     A link with zero spans returns the input unchanged.
+
+    processes: how many processes the split steps may use (past 1, the
+    platform needs os.fork). A batch of two chunks or more runs on up to
+    that many, forked once for the whole link and gone when it returns or
+    raises. The result is bit-identical for every count. A StepSizeError is
+    the one the lowest share of rows raises; with one loud block, that is
+    the serial error.
     """
     out = field
-    span_fn = _Span(field, fiber, step_cfg or SsfmStepConfig())
-    for span in range(fiber.n_spans):
-        try:
-            out = span_fn(out)
-        except StepSizeError as exc:
-            exc.span = span
-            raise
-        noise = None
-        if amp.noise_on:
-            if unit_noise_for_span is None:
-                raise ChannelError("ASE enabled but no per-span noise source given")
-            noise = unit_noise_for_span(span)
-        out = edfa(out, amp, gain_db=fiber.span_loss_db, unit_noise=noise)
+    with _Span(field, fiber, step_cfg or SsfmStepConfig(),
+               processes if fiber.n_spans else 1) as span_fn:
+        for span in range(fiber.n_spans):
+            try:
+                out = span_fn(out)
+            except StepSizeError as exc:
+                exc.span = span
+                raise
+            noise = None
+            if amp.noise_on:
+                if unit_noise_for_span is None:
+                    raise ChannelError("ASE enabled but no per-span noise source given")
+                noise = unit_noise_for_span(span)
+            out = edfa(out, amp, gain_db=fiber.span_loss_db, unit_noise=noise)
     return out
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import traceback
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -202,6 +203,8 @@ class ExperimentConfig:
                 raise HarnessError("%s*block_len_4d = %d*%d 4D symbols is below the %d "
                                    "the rate estimate needs"
                                    % (what, n_blocks, self.block_len_4d, MIN_SYMBOLS_4D))
+        if self.max_workers < 1:
+            raise HarnessError("max_workers must be >= 1")
 
 
 _LIST_ELEM = {"schemes": str, "powers_dbm": float, "n_t_values": int}
@@ -376,10 +379,23 @@ def metric_steps(cfg: ExperimentConfig) -> SsfmStepConfig:
     return SsfmStepConfig(steps_per_span=cfg.metric_steps_per_span or None)
 
 
-def _nli_metric(cfg: ExperimentConfig, power_dbm: float, payload: slice | None) -> NliMetric:
+def _core_share(pool_width: int) -> int:
+    """Processes a point's link and metric may use: its share of the usable cores.
+
+    pool_width is how many points run at once: the sweep's pool, or 1 for a
+    serial sweep and every in-process call. Without os.fork or
+    os.sched_getaffinity a point runs on one process.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // pool_width)
+
+
+def _nli_metric(cfg: ExperimentConfig, power_dbm: float, payload: slice | None,
+                processes: int) -> NliMetric:
     """The NLI cost of selection points and the bound: the link's fiber on the metric grid."""
     return NliMetric(fiber_for(cfg), metric_wdm(cfg), metric_steps(cfg),
-                     launch_power_dbm=power_dbm, payload=payload)
+                     launch_power_dbm=power_dbm, payload=payload, processes=processes)
 
 
 def dm_bits_per_block(cfg: ExperimentConfig) -> int:
@@ -398,10 +414,12 @@ class _PointState:
     mb samples amplitudes directly; every other scheme shapes payload_bits
     per block through one sphere shaper. ess+bsss carries its index as pilot
     bits absorbed by a higher matcher rate k_adj; ess+siss carries it as
-    pilot symbols in extra time slots.
+    pilot symbols in extra time slots. The point runs its link and NLI
+    metric on its share of the cores, pool_width points being in flight.
     """
 
-    def __init__(self, cfg: ExperimentConfig, scheme: str, power_dbm: float, n_t: int):
+    def __init__(self, cfg: ExperimentConfig, scheme: str, power_dbm: float, n_t: int,
+                 pool_width: int = 1):
         if scheme not in KNOWN_SCHEMES:
             raise HarnessError("unknown scheme %r" % (scheme,))
         if scheme not in SELECTION_SCHEMES and n_t != 1:
@@ -410,6 +428,7 @@ class _PointState:
         self.scheme = scheme
         self.power_dbm = float(power_dbm)
         self.n_t = int(n_t)
+        self.processes = _core_share(pool_width)
         self.n = cfg.block_len_4d
         self.k_base = self.k_adj = dm_bits_per_block(cfg)
         self.pilot_bits = 0
@@ -441,7 +460,7 @@ class _PointState:
             if cfg.selection_metric == "wk":
                 self.metric_fn = partial(wk_metric, payload=payload)
             else:
-                self.metric_fn = _nli_metric(cfg, self.power_dbm, payload)
+                self.metric_fn = _nli_metric(cfg, self.power_dbm, payload, self.processes)
 
         self.block_len_tx = self.n + self.pilot_syms
         self.time_fraction = self.n / self.block_len_tx
@@ -552,7 +571,7 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
     noise = _ase_noise_source(cfg.seed, block_ids, (2, tx.shape[-1] * wdm.sps)) \
         if cfg.noise_on else None
     y = link_receive(tx, wdm, fiber_for(cfg), amp_for(cfg), link_steps(cfg, st.power_dbm),
-                     st.power_dbm, noise)
+                     st.power_dbm, noise, st.processes)
     center = wdm.center_channel
     pay = slice(st.pilot_syms, None)
     y_pay, theta = mean_phase_comp(y[..., pay], tx[center][..., pay])
@@ -590,8 +609,9 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
 
 
 def run_point_detailed(cfg: ExperimentConfig, scheme: str, power_dbm: float,
-                       n_t: int = 1) -> PointDetail:
-    st = _PointState(cfg, scheme, power_dbm, n_t)
+                       n_t: int = 1, pool_width: int = 1) -> PointDetail:
+    """One sweep point; pool_width is how many points run at once (see _core_share)."""
+    st = _PointState(cfg, scheme, power_dbm, n_t, pool_width)
     resolved = _resolved_point(st)
     try:
         tx, costs, indices = st.draw(cfg.n_blocks)
@@ -644,7 +664,8 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     st = _PointState(cfg, "ess", power, 1)
     tx, _, indices = st.draw(m_total)
 
-    center, scorer = link_wdm(cfg).center_channel, _nli_metric(cfg, power, None)
+    center = link_wdm(cfg).center_channel
+    scorer = _nli_metric(cfg, power, None, st.processes)
     costs = np.concatenate([scorer(tx[center, lo:lo + 64]) for lo in range(0, m_total, 64)])
 
     n_keep = math.ceil(eta * m_total)
@@ -677,9 +698,9 @@ def _failure_record(scheme: str, power: float, n_t: int, error: str,
 
 
 def _point_worker(args):
-    cfg, scheme, power, n_t = args
+    cfg, scheme, power, n_t, pool_width = args
     try:
-        detail = run_point_detailed(cfg, scheme, power, n_t)
+        detail = run_point_detailed(cfg, scheme, power, n_t, pool_width)
         return detail.row, None, detail.resolved
     except Exception as exc:  # a failed point becomes a NaN row and a sidecar record
         row = ResultRow(scheme=scheme, metric=_metric_label(cfg, scheme),
@@ -706,13 +727,14 @@ def sweep(cfg: ExperimentConfig):
             for n_t in nts:
                 points.append((cfg, scheme, float(power), int(n_t)))
 
-    if cfg.max_workers > 1 and len(points) > 1:
+    width = min(cfg.max_workers, len(points))
+    if width > 1:
         # imported here: it pulls in multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.max_workers) as pool:
-            outcomes = list(pool.map(_point_worker, points))
+        with ProcessPoolExecutor(max_workers=width) as pool:
+            outcomes = list(pool.map(_point_worker, [p + (width,) for p in points]))
     else:
-        outcomes = [_point_worker(p) for p in points]
+        outcomes = [_point_worker(p + (1,)) for p in points]
 
     rows, errors, resolved = [], {}, []
     for (_, scheme, power, n_t), (row, err, res) in zip(points, outcomes):

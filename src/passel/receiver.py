@@ -81,17 +81,17 @@ def matched_filter_sample(field: FieldWaveform, wdm: WdmConfig) -> np.ndarray:
 
 def link_receive(tx: np.ndarray, wdm: WdmConfig, fiber: FiberParams, amp: AmplifierParams,
                  step_cfg: SsfmStepConfig, launch_power_dbm: float,
-                 unit_noise_for_span=None) -> np.ndarray:
+                 unit_noise_for_span=None, processes: int = 1) -> np.ndarray:
     """Center channel's (..., 2, n) received symbols for (n_channels, ..., 2, n) sent.
 
     Modulates each channel at launch_power_dbm, multiplexes, propagates
-    (unit_noise_for_span as in propagate_link), then demultiplexes, compensates
-    dispersion and matched-filters the center channel. Sweep points, the bound
-    and the NLI metric all run this one chain.
+    (unit_noise_for_span and processes as in propagate_link), then
+    demultiplexes, compensates dispersion and matched-filters the center
+    channel. Sweep points, the bound and the NLI metric all run this one chain.
     """
     composite = wdm_mux([rrc_modulate(ch, wdm, launch_power_dbm) for ch in tx], wdm)
     out = propagate_link(composite, fiber, amp, step_cfg,
-                         unit_noise_for_span=unit_noise_for_span)
+                         unit_noise_for_span=unit_noise_for_span, processes=processes)
     return matched_filter_sample(cdc(wdm_demux(out, wdm, wdm.center_channel), fiber), wdm)
 
 

@@ -338,13 +338,15 @@ class NliMetric:
     sweep point, on a one-channel grid (amplifiers transparent, no noise),
     and returns the Euclidean norm of the symbol error over the payload span
     after mean phase compensation. Captures the nonlinear interference the
-    block generates for itself.
+    block generates for itself. processes is handed to propagate_link: a
+    batch of candidates may use that many processes, with the same costs.
     """
 
     def __init__(self, fiber: FiberParams, wdm: WdmConfig,
                  step_cfg: SsfmStepConfig | None = None,
                  launch_power_dbm: float = 0.0,
-                 payload: slice | None = None):
+                 payload: slice | None = None,
+                 processes: int = 1):
         if wdm.n_channels != 1:
             raise SelectionError("metric emulation is single-channel")
         self.fiber = fiber
@@ -353,13 +355,14 @@ class NliMetric:
         self.launch_power_dbm = launch_power_dbm
         self.payload = payload if payload is not None else slice(None)
         self.amp = AmplifierParams(noise_on=False)
+        self.processes = processes
 
     def __call__(self, symbols: np.ndarray) -> float | np.ndarray:
         x = np.asarray(symbols, dtype=complex)
         if x.ndim < 2 or x.shape[-2] != 2:
             raise SelectionError("expected (..., 2, n) symbols")
         y = link_receive(x[None], self.wdm, self.fiber, self.amp, self.step_cfg,
-                         self.launch_power_dbm)
+                         self.launch_power_dbm, processes=self.processes)
         xp = x[..., self.payload]
         yp, _ = mean_phase_comp(y[..., self.payload], xp)
         cost = np.sqrt((np.abs(yp - xp) ** 2).sum(axis=(-2, -1)))

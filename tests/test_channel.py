@@ -1,6 +1,9 @@
 """Channel tests against closed-form fiber/amplifier oracles."""
 
 import math
+import os
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +27,9 @@ from passel.channel import (
     wdm_demux,
     wdm_mux,
 )
-from passel.channel import _CHUNK_SAMPLES, _SplitStepWork
+from passel.channel import _CHUNK_SAMPLES, _Span, _SplitStepWork
 from passel.harness import (
+    ExperimentConfig,
     desk_preset,
     fiber_for,
     link_steps,
@@ -33,6 +37,7 @@ from passel.harness import (
     metric_steps,
     metric_wdm,
     resolve_defaults,
+    sweep,
 )
 from passel.seeding import substream
 
@@ -580,3 +585,144 @@ class TestLink:
                            SsfmStepConfig(steps_per_span=20), unit_noise_for_span=noise)
         assert np.array_equal(a.samples, b.samples)
 
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_nothing_left(fds):
+    """No child process is left to reap and no descriptor stays open."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+def count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/fd")),
+                    reason="the forked link needs os.fork; the checks read /proc/self/fd")
+class TestForkedLink:
+    """propagate_link on forked shares of the rows against the serial chunk loop."""
+
+    # desk-link blocks of 2 x 512 samples run in chunks of 16 rows: 7, 3 and 2 chunks
+    @pytest.mark.parametrize("n_blocks", [100, 33, 17])
+    def test_bit_identical_to_serial_chunk_loop(self, monkeypatch, n_blocks):
+        fiber = FiberParams(n_spans=1)
+        field = desk_composite(np.random.default_rng(30), 2.0, n_blocks=n_blocks)
+        assert field.n_samples == 512
+        want = uniform_span_before_schedules(field, fiber, 200) \
+            * 10.0 ** (fiber.span_loss_db / 20.0)
+        chunks = -(-n_blocks // 16)
+        fds = open_fds()
+        forks = count_forks(monkeypatch)
+        for processes in (2, 3):
+            got = propagate_link(field, fiber, AmplifierParams(noise_on=False),
+                                 SsfmStepConfig(steps_per_span=200), processes=processes)
+            assert np.array_equal(got.samples, want)
+            assert_nothing_left(fds)
+        assert len(forks) == 1 + min(2, chunks - 1)  # one child, then two where they fit
+
+    def test_noisy_scheduled_link_bit_identical_to_serial(self):
+        # the spans meet in the shared mapping; the ASE is drawn and added by the parent
+        cfg = desk_preset()
+        fiber = replace(fiber_for(cfg), n_spans=2)
+        field = desk_composite(np.random.default_rng(31), 4.0, n_blocks=33)
+
+        def noise(span):
+            return standard_complex_noise(substream(7, 2, 0, span), field.samples.shape)
+
+        links = [propagate_link(field, fiber, AmplifierParams(), link_steps(cfg, 4.0),
+                                noise, processes=p).samples for p in (1, 2)]
+        assert np.array_equal(links[0], links[1])
+
+    @pytest.mark.parametrize("loud", [(20,), (3, 20)])
+    def test_step_error_is_the_serial_one(self, loud):
+        # 33 rows in two shares: the parent's rows 0..15 and the child's 16..32
+        fiber = FiberParams(n_spans=2)
+        field = desk_composite(np.random.default_rng(32), 0.0, n_blocks=33)
+        for b, gain in zip(loud, (8.0, 12.0)):  # the child's block trips first
+            field.samples[b] *= gain
+        fds = open_fds()
+        errors = []
+        for processes in (1, 2):
+            with pytest.raises(StepSizeError) as info:
+                propagate_link(field, fiber, AmplifierParams(noise_on=False),
+                               SsfmStepConfig(steps_per_span=100), processes=processes)
+            errors.append((info.value.args, info.value.span, str(info.value)))
+            assert_nothing_left(fds)
+        assert errors[1] == errors[0]
+        assert errors[1][0][0] == loud[0]  # with loud blocks in both shares, the parent's
+
+    @pytest.mark.parametrize("between_spans", [False, True])
+    def test_dead_child_makes_the_link_raise(self, monkeypatch, between_spans):
+        # the child dies in its first span, or right after replying to it; then the
+        # parent waits for the death before its next wake-up finds the pipe broken
+        parent, children, fork = os.getpid(), [], os.fork
+        target, name = (os, "write") if between_spans else (_Span, "_steps")
+        real = getattr(target, name)
+
+        def fork_and_note():
+            children.append(fork())
+            return children[-1]
+
+        def die_in_child(*args):
+            if os.getpid() != parent and not between_spans:
+                os._exit(3)
+            out = real(*args)
+            if os.getpid() != parent:
+                os._exit(3)
+            return out
+
+        def no_noise(span):
+            if between_spans and span == 0:
+                os.waitid(os.P_PID, children[0], os.WEXITED | os.WNOWAIT)
+            return np.zeros(field.samples.shape, dtype=complex)
+        monkeypatch.setattr(os, "fork", fork_and_note)
+        monkeypatch.setattr(target, name, die_in_child)
+        field = desk_composite(np.random.default_rng(33), -10.0, n_blocks=33)
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match=r"rows 16\.\.32 ended mid-span with exit code 3"):
+            propagate_link(field, FiberParams(n_spans=2), AmplifierParams(),
+                           SsfmStepConfig(steps_per_span=10), no_noise, processes=2)
+        assert_nothing_left(fds)
+
+    def test_a_process_with_threads_runs_serially(self, monkeypatch):
+        field = desk_composite(np.random.default_rng(34), -10.0, n_blocks=17)
+        link = [FiberParams(n_spans=1), AmplifierParams(noise_on=False),
+                SsfmStepConfig(steps_per_span=10)]
+        want = propagate_link(field, *link).samples
+        forks = count_forks(monkeypatch)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            got = propagate_link(field, *link, processes=2).samples
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and not forks
+        assert np.array_equal(got, want)
+
+    def test_sweep_at_full_pool_width_never_forks(self, monkeypatch):
+        # 64 blocks of 2 x 256 samples are two chunks; two cores, two points
+        def refuse(self, lo, hi):
+            raise AssertionError("forked")
+        monkeypatch.setattr(_Span, "_fork", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = ExperimentConfig(schemes=("ess",), powers_dbm=(1.0, 2.0), n_blocks=64,
+                               block_len_4d=64, dm_blocklength=64, n_spans=1, n_channels=1,
+                               sps=4, steps_per_span=10, selection_metric="wk", seed=5)
+        _, errors, _ = sweep(replace(cfg, max_workers=1))
+        assert sorted(errors.values()) == ["AssertionError: forked"] * 2
+        _, errors, _ = sweep(replace(cfg, max_workers=2))
+        assert errors == {}

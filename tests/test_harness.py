@@ -430,6 +430,12 @@ class TestCli:
         assert proc.stderr.splitlines() == ["passel: error: seed must be >= 0"]
         assert proc.stdout == "" and not os.listdir(tmp_path)
 
+    def test_zero_workers_is_a_usage_error(self, tmp_path):
+        proc = run_python("-m", "passel.cli", "run", "--workers", "0", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["passel: error: max_workers must be >= 1"]
+        assert proc.stdout == "" and not os.listdir(tmp_path)
+
     def test_malformed_config_is_a_usage_error(self, tmp_path):
         (tmp_path / "cfg.txt").write_text("# tiny\nn_blocks = 1.5\n")
         for command in ("run", "bound"):
@@ -477,6 +483,8 @@ class TestCli:
         pytest.param("n_blocks = 100\nblock_len_4d = 16\nbound_m_total = 40\nbound_eta = 1",
                      "ceil(bound_eta*bound_m_total)*block_len_4d = 40*16 4D symbols is "
                      "below the 1000 the rate estimate needs", id="bound-too-few-symbols"),
+        pytest.param("n_blocks = 100\nmax_workers = 0", "max_workers must be >= 1",
+                     id="zero-workers"),
     ])
     def test_bad_config_value_is_a_usage_error(self, tmp_path, line, message):
         # the config is checked whole, so run and bound reject it alike
