@@ -23,15 +23,12 @@ elsewhere (the nonlinear-phase and local-error step selection of Sinkin et
 al., JLT 2003). Adjacent half-steps are merged into one multiplier.
 
 The rotation exp(i*phi), phi = gnl*(|Ax|^2 + |Ay|^2), is evaluated without
-trigonometric calls: sin comes from a Horner series in phi^2 whose length
-keeps the truncation below 2^-53 for every phase up to the step bound
-max_step_phase_rad, and cos = sqrt(1 - sin^2). With the default 0.05 rad
-bound the series has four terms. Phases past 1/8 rad are halved m times
-before the series and squared back m times after it. Because the series is
-picked from the bound and not from the batch, a block's result does not
-depend on which blocks share its batch. Against np.exp(1j*phi) the rotation
-agrees within 4 ulp up to the 0.05 rad bound, and within 1e-13 absolute up
-to 10 rad. A span runs block by block in cache-sized chunks, on
+trigonometric calls: sin comes from a four-term Horner series in phi^2,
+whose truncation stays below 2^-53 for every phase up to the step bound
+MAX_STEP_PHASE_RAD, and cos = sqrt(1 - sin^2). The series is fixed, so a
+block's result does not depend on which blocks share its batch. Against
+np.exp(1j*phi) the rotation agrees within 4 ulp up to the 0.05 rad bound.
+A span runs block by block in cache-sized chunks, on
 preallocated buffers, with np.fft writing in place through out= (numpy 2.0
 or later); the caller's field is never written.
 
@@ -54,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PLANCK_J_S",
+    "MAX_STEP_PHASE_RAD",
     "FiberParams",
     "WdmConfig",
     "SsfmStepConfig",
@@ -68,7 +65,6 @@ __all__ = [
     "wdm_mux",
     "wdm_demux",
     "ssfm_span",
-    "edfa",
     "propagate_link",
     "standard_complex_noise",
 ]
@@ -76,6 +72,9 @@ __all__ = [
 PLANCK_J_S = 6.62607015e-34
 
 MANAKOV_FACTOR = 8.0 / 9.0
+
+# largest nonlinear phase one split step may rotate a block by (Sinkin et al., JLT 2003)
+MAX_STEP_PHASE_RAD = 0.05
 
 
 class ChannelError(ValueError):
@@ -209,7 +208,7 @@ class WdmConfig:
         return (channel - (self.n_channels - 1) / 2.0) * self.spacing_hz
 
 
-# share of max_step_phase_rad a phase-limited step carries at the peak allowance
+# share of MAX_STEP_PHASE_RAD a phase-limited step carries at the peak allowance
 _PHASE_FILL = 0.95
 
 
@@ -220,25 +219,22 @@ class SsfmStepConfig:
     Every step is at most span_length / steps_per_span long (default: 10
     steps per km). Where the power is high, a step is shortened further so
     that a span-input peak of peak_allowance_w rotates by no more than 0.95
-    of max_step_phase_rad over it: (8/9) gamma P integral(exp(-alpha z) dz)
+    of MAX_STEP_PHASE_RAD over it: (8/9) gamma P integral(exp(-alpha z) dz)
     over the step. Phase-limited steps run from the span input until they
     reach the length cap; the rest of the span is split into equal steps no
     longer than the cap. With no allowance (the default) the schedule is
     steps_per_span equal steps. The schedule never depends on the field, so
     a block's steps and result do not depend on its batch. Every step still
-    checks each block's peak against max_step_phase_rad and raises
+    checks each block's peak against MAX_STEP_PHASE_RAD and raises
     :class:`StepSizeError` past it.
     """
 
     steps_per_span: int | None = None
-    max_step_phase_rad: float = 0.05
     peak_allowance_w: float = 0.0
 
     def __post_init__(self):
         if self.steps_per_span is not None and self.steps_per_span < 1:
             raise ChannelError("steps_per_span must be >= 1")
-        if self.max_step_phase_rad <= 0:
-            raise ChannelError("max step phase must be positive")
         if self.peak_allowance_w < 0:
             raise ChannelError("peak allowance must be >= 0")
 
@@ -251,7 +247,7 @@ class SsfmStepConfig:
         # phase per metre at the span input under the allowance
         rate = MANAKOV_FACTOR * abs(fiber.gamma_per_w_m) \
             * max(self.peak_allowance_w, peak_power_w)
-        budget = _PHASE_FILL * self.max_step_phase_rad
+        budget = _PHASE_FILL * MAX_STEP_PHASE_RAD
         steps = []
         z = 0.0
         while rate > 0.0:
@@ -328,11 +324,6 @@ class FieldWaveform:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[-1]
-
-    def mean_power_w(self) -> np.ndarray | float:
-        """Time-averaged total (x+y) power, per leading batch element."""
-        p = (np.abs(self.samples) ** 2).sum(axis=-2).mean(axis=-1)
-        return float(p) if p.ndim == 0 else p
 
 
 def _omega(n: int, sample_rate_hz: float) -> np.ndarray:
@@ -440,15 +431,11 @@ def wdm_demux(field: FieldWaveform, wdm: WdmConfig, channel: int) -> FieldWavefo
                          symbol_scale=scale[channel])
 
 
-# Series rotation. sin(phi)/phi = sum_k (-1)^k u^k/(2k+1)!, u = phi^2. K terms
-# are enough for |phi| <= _SIN_LIMIT[K]: there the first dropped term, relative
-# to sin(phi), is x^(2K)/(2K+1)! <= 2^-53. Five terms cover _SERIES_RANGE (up to
-# 0.146 rad); larger phases are halved into it. cos(phi) = sqrt(1 - sin(phi)^2)
+# Series rotation. sin(phi)/phi = sum_k (-1)^k u^k/(2k+1)!, u = phi^2. Four terms
+# suffice up to MAX_STEP_PHASE_RAD: the first dropped term, relative to sin(phi),
+# is phi^8/9! <= 2^-53 for phi <= 0.0506 rad. cos(phi) = sqrt(1 - sin(phi)^2)
 # holds to rounding because cos > 0 on the range.
-_SERIES_RANGE = 0.125
-_SIN_COEF = [(-1) ** k / math.factorial(2 * k + 1) for k in range(5)]
-_SIN_LIMIT = {k: (math.factorial(2 * k + 1) * 2.0 ** -53) ** (1.0 / (2 * k))
-              for k in range(2, 5)}
+_SIN_COEF = [(-1) ** k / math.factorial(2 * k + 1) for k in range(4)]
 
 
 # Blocks run through a span in chunks of about this many complex samples, so
@@ -476,27 +463,21 @@ class _SplitStepWork:
         np.add(squares[:, 0], squares[:, 1], out=pol_sum)
         return np.add(pol_sum[:, 0::2], pol_sum[:, 1::2], out=power)
 
-    def rotation(self, power: np.ndarray, gnl: float, phi_range: float) -> np.ndarray:
-        """exp(i*gnl*power), shaped like power, for phases |gnl*power| <= phi_range."""
-        halvings = max(0, math.frexp(phi_range / _SERIES_RANGE)[1])
-        x = math.ldexp(phi_range, -halvings)
-        terms = next((k for k, limit in _SIN_LIMIT.items() if x <= limit), 5)
-        g = math.ldexp(gnl, -halvings)
+    def rotation(self, power: np.ndarray, gnl: float) -> np.ndarray:
+        """exp(i*gnl*power), shaped like power, for phases |gnl*power| <= MAX_STEP_PHASE_RAD."""
         n = power.size
         p, u, s, rot = power.reshape(-1), self.u[:n], self.sin[:n], self.rot[:n]
-        # Horner in u = power^2 with g folded into the coefficients: sin(g*p)/p
+        # Horner in u = power^2 with gnl folded into the coefficients: sin(gnl*p)/p
         np.multiply(p, p, out=u)
-        np.multiply(u, _SIN_COEF[terms - 1] * g ** (2 * terms - 1), out=s)
-        for k in range(terms - 2, -1, -1):
-            s += _SIN_COEF[k] * g ** (2 * k + 1)
+        np.multiply(u, _SIN_COEF[3] * gnl ** 7, out=s)
+        for k in range(2, -1, -1):
+            s += _SIN_COEF[k] * gnl ** (2 * k + 1)
             if k:
                 s *= u
         np.multiply(s, p, out=rot.imag)
         np.multiply(rot.imag, rot.imag, out=s)
         np.subtract(1.0, s, out=s)
         np.sqrt(s, out=rot.real)
-        for _ in range(halvings):
-            rot *= rot
         return rot.reshape(power.shape)
 
 
@@ -538,19 +519,18 @@ def _split_steps(buf: np.ndarray, operators, step_cfg: SsfmStepConfig,
     the first block over the bound by its row in the whole batch.
     """
     first, linear, gnls, lengths = operators
-    bound = step_cfg.max_step_phase_rad
     buf *= first
     for step, (gnl, lin) in enumerate(zip(gnls, linear)):
         np.fft.ifft(buf, axis=-1, out=buf)
         power = work.power_of(buf)
         phase = abs(gnl) * power.max(axis=1)
-        if phase.max() > bound:
-            row = int(np.argmax(phase > bound))
+        if phase.max() > MAX_STEP_PHASE_RAD:
+            row = int(np.argmax(phase > MAX_STEP_PHASE_RAD))
             raise StepSizeError(first_row + row, step, lengths[step], float(phase[row]),
-                                float(phase[row] / abs(gnl)), bound,
+                                float(phase[row] / abs(gnl)), MAX_STEP_PHASE_RAD,
                                 step_cfg.peak_allowance_w)
-        # the guard caps every phase at the bound, whatever the batch
-        buf *= work.rotation(power, gnl, bound)[:, None, :]
+        # the guard caps every phase at the series' range
+        buf *= work.rotation(power, gnl)[:, None, :]
         np.fft.fft(buf, axis=-1, out=buf)
         buf *= lin
 
@@ -664,8 +644,9 @@ class _Span:
         raise RuntimeError("the link process for rows %d..%d ended mid-span with exit code %d"
                            % (lo, hi - 1, os.waitstatus_to_exitcode(status)))
 
-    def __call__(self, field: FieldWaveform) -> FieldWaveform:
-        a = field.samples.reshape(self.shape)
+    def __call__(self, samples: np.ndarray) -> np.ndarray:
+        """The span's output for samples shaped like the field the span was built for."""
+        a = samples.reshape(self.shape)
         if self.spec is None:
             # spec is this call's own array, one row per block, so the FFTs may overwrite it
             spec = np.fft.fft(a, axis=-1)
@@ -683,14 +664,14 @@ class _Span:
             for child, lo, hi in zip(self.children, self.bounds[1:], self.bounds[2:]):
                 self._wait(child, lo, hi)
             out = np.fft.ifft(self.spec, axis=-1)  # out of the mapping
-        return FieldWaveform(out.reshape(field.samples.shape), field.sample_rate_hz,
-                             symbol_scale=field.symbol_scale)
+        return out.reshape(samples.shape)
 
 
 def ssfm_span(field: FieldWaveform, fiber: FiberParams,
               step_cfg: SsfmStepConfig | None = None) -> FieldWaveform:
     """Propagate one fiber span by the symmetric split-step Manakov method."""
-    return _Span(field, fiber, step_cfg or SsfmStepConfig())(field)
+    return FieldWaveform(_Span(field, fiber, step_cfg or SsfmStepConfig())(field.samples),
+                         field.sample_rate_hz, symbol_scale=field.symbol_scale)
 
 
 def standard_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -698,33 +679,17 @@ def standard_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
-def edfa(field: FieldWaveform, amp: AmplifierParams, gain_db: float,
-         unit_noise: np.ndarray | None = None) -> FieldWaveform:
-    """Amplify by sqrt(gain) and add white ASE on both polarizations.
-
-    With ASE on, the caller supplies ``unit_noise``: unit complex variance,
-    shaped like the samples. Drawing it outside keeps batched runs
-    independent of batch composition.
-    """
-    out = field.samples * 10.0 ** (gain_db / 20.0)
-    if amp.noise_on:
-        var = amp.ase_variance_per_sample(gain_db, field.sample_rate_hz)
-        if unit_noise is None:
-            raise ChannelError("ASE enabled but no noise source given")
-        if unit_noise.shape != out.shape:
-            raise ChannelError("unit_noise shape mismatch")
-        out = out + math.sqrt(var) * unit_noise
-    return FieldWaveform(out, field.sample_rate_hz, symbol_scale=field.symbol_scale)
-
-
 def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParams,
                    step_cfg: SsfmStepConfig | None = None,
                    unit_noise_for_span=None, processes: int = 1) -> FieldWaveform:
-    """Run n_spans of fiber, each followed by a loss-compensating EDFA.
+    """Run n_spans of fiber, each followed by an EDFA.
 
-    unit_noise_for_span: callable span_index -> unit-variance complex array
-    shaped like the samples (or None for that span). Required when ASE is on.
-    A link with zero spans returns the input unchanged.
+    The EDFA multiplies the amplitude by sqrt(gain), the gain being the span
+    loss, and with ASE on adds white ASE of ase_variance_per_sample on both
+    polarizations. unit_noise_for_span: callable span_index -> unit-variance
+    complex array shaped like the samples; required when ASE is on. Drawing
+    it outside keeps batched runs independent of batch composition. A link
+    with zero spans returns the input unchanged.
 
     processes: how many processes the split steps may use (past 1, the
     platform needs os.fork). A batch of two chunks or more runs on up to
@@ -733,20 +698,22 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     the one the lowest share of rows raises; with one loud block, that is
     the serial error.
     """
-    out = field
+    gain = 10.0 ** (fiber.span_loss_db / 20.0)
+    samples = field.samples
     with _Span(field, fiber, step_cfg or SsfmStepConfig(),
                processes if fiber.n_spans else 1) as span_fn:
         for span in range(fiber.n_spans):
             try:
-                out = span_fn(out)
+                samples = span_fn(samples) * gain
             except StepSizeError as exc:
                 exc.span = span
                 raise
-            noise = None
             if amp.noise_on:
                 if unit_noise_for_span is None:
                     raise ChannelError("ASE enabled but no per-span noise source given")
                 noise = unit_noise_for_span(span)
-            out = edfa(out, amp, gain_db=fiber.span_loss_db, unit_noise=noise)
-    return out
-
+                if noise.shape != samples.shape:
+                    raise ChannelError("unit_noise shape mismatch")
+                var = amp.ase_variance_per_sample(fiber.span_loss_db, field.sample_rate_hz)
+                samples = samples + math.sqrt(var) * noise
+    return FieldWaveform(samples, field.sample_rate_hz, symbol_scale=field.symbol_scale)

@@ -153,6 +153,11 @@ class ExperimentConfig:
                 raise HarnessError("unknown scheme %r" % (s,))
         if not self.schemes or not self.powers_dbm or not self.n_t_values:
             raise HarnessError("schemes, powers_dbm and n_t_values must be nonempty")
+        for name in ("schemes", "powers_dbm", "n_t_values"):  # else points run twice
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                v = next(v for j, v in enumerate(values) if v in values[:j])
+                raise HarnessError("%s lists %r more than once" % (name, v))
         if any(v < 1 for v in self.n_t_values):
             raise HarnessError("n_t values must be >= 1")
         if self.selection_metric not in ("nli", "wk"):
@@ -239,7 +244,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
     """key = value lines over a base config; '#' starts a comment."""
     cfg = base or ExperimentConfig()
     kinds = _field_kinds()
-    updates = {}
+    updates, lines = {}, {}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -249,6 +254,10 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in kinds:
             raise HarnessError("unknown config key %r (line %d)" % (key, ln))
+        if key in lines:
+            raise HarnessError("config key %r set twice (lines %d and %d)"
+                               % (key, lines[key], ln))
+        lines[key] = ln
         mode, typ = kinds[key]
         try:
             if mode == "list":

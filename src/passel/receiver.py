@@ -38,7 +38,6 @@ __all__ = [
     "mean_phase_comp",
     "pas_constellation",
     "constellation_priors",
-    "fit_noise_variance",
     "air_bitwise",
     "se_from_air",
 ]
@@ -105,7 +104,9 @@ def mean_phase_comp(rx_syms: np.ndarray, tx_syms: np.ndarray) -> tuple[np.ndarra
     tx = np.asarray(tx_syms, dtype=complex)
     if rx.shape != tx.shape:
         raise ReceiverError("received/reference shapes differ")
-    inner = (rx * np.conj(tx)).sum(axis=-1)
+    # np.multiply, not *: numpy may compute rx * <temporary> in place with the
+    # operands swapped once the arrays reach 256 KiB, which changes the bits
+    inner = np.multiply(rx, np.conj(tx)).sum(axis=-1)
     theta = np.angle(inner)
     return rx * np.exp(-1j * theta)[..., None], theta
 
@@ -163,15 +164,6 @@ def constellation_priors(amp_probs: np.ndarray) -> np.ndarray:
         raise ReceiverError("negative prior")
     rail = amp_probs[_RAIL_LEVEL] / 2.0  # per signed rail value
     return np.outer(rail, rail).ravel()
-
-
-def fit_noise_variance(tx_syms: np.ndarray, rx_syms: np.ndarray) -> float:
-    """Single fitted auxiliary-channel variance: mean |y - x|^2 per 2D."""
-    tx = np.asarray(tx_syms).ravel()
-    rx = np.asarray(rx_syms).ravel()
-    if tx.shape != rx.shape or tx.size == 0:
-        raise ReceiverError("mismatched or empty symbol arrays")
-    return float(np.mean(np.abs(rx - tx) ** 2))
 
 
 @dataclass(frozen=True)
@@ -261,8 +253,8 @@ def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
     priors = np.asarray(priors, dtype=float)
     if priors.shape != constellation.points.shape or abs(priors.sum() - 1.0) > 1e-6:
         raise ReceiverError("priors must be a distribution over constellation points")
-    if sigma2 is None:
-        sigma2 = fit_noise_variance(tx2, rx2)
+    if sigma2 is None:  # mean |y - x|^2 per 2D
+        sigma2 = float(np.mean(np.abs(rx2.ravel() - tx2.ravel()) ** 2))
     sigma2 = max(float(sigma2), 1e-300)
     with np.errstate(divide="ignore"):
         logp = np.log(priors)

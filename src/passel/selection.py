@@ -74,7 +74,6 @@ class SelectionResult:
     symbols: np.ndarray
     index: int
     cost: float
-    costs: np.ndarray
 
 
 def _distinct_rows(first: np.ndarray, n_t: int, seed: int, tag: int,
@@ -110,7 +109,6 @@ class ScramblerBook:
     of a larger book equal a smaller book from the same seed.
     """
 
-    seed: int
     masks: np.ndarray  # (n_t, n_bits) uint8
 
     @classmethod
@@ -121,7 +119,7 @@ class ScramblerBook:
             raise SelectionError("not enough distinct masks of %d bits" % n_bits)
         masks = _distinct_rows(np.zeros(n_bits, dtype=np.uint8), n_t, seed, TAG_SCRAMBLER,
                                lambda rng: rng.integers(0, 2, size=n_bits, dtype=np.uint8))
-        return cls(seed=seed, masks=masks)
+        return cls(masks=masks)
 
     @property
     def n_t(self) -> int:
@@ -132,7 +130,6 @@ class ScramblerBook:
 class PermutationBook:
     """Fixed position permutations, index 0 the identity, with inverses."""
 
-    seed: int
     perms: np.ndarray     # (n_t, n) int64
     inverses: np.ndarray  # (n_t, n) int64
 
@@ -147,7 +144,7 @@ class PermutationBook:
                                lambda rng: rng.permutation(n_positions).astype(np.int64))
         inv = np.argsort(perms, axis=1)
         inv.setflags(write=False)
-        return cls(seed=seed, perms=perms, inverses=inv)
+        return cls(perms=perms, inverses=inv)
 
     @property
     def n_t(self) -> int:
@@ -231,8 +228,7 @@ def bsss_encode(info_bits: np.ndarray, book: ScramblerBook, n_t: int,
     stack = np.stack(cands)
     costs = _score_candidates(metric_fn, stack)
     best = int(np.argmin(costs))
-    return SelectionResult(symbols=stack[best], index=best,
-                           cost=float(costs[best]), costs=costs)
+    return SelectionResult(symbols=stack[best], index=best, cost=float(costs[best]))
 
 
 def bsss_decode(received_bits: np.ndarray, book: ScramblerBook, n_t: int) -> np.ndarray:
@@ -271,8 +267,7 @@ def siss_encode(symbols: np.ndarray, book: PermutationBook, pilots: PilotBook,
         cands[i, :, npil:] = s[:, book.perms[i]]
     costs = _score_candidates(metric_fn, cands)
     best = int(np.argmin(costs))
-    return SelectionResult(symbols=cands[best], index=best,
-                           cost=float(costs[best]), costs=costs)
+    return SelectionResult(symbols=cands[best], index=best, cost=float(costs[best]))
 
 
 def siss_decode(received: np.ndarray, book: PermutationBook, pilots: PilotBook,

@@ -29,7 +29,6 @@ __all__ = [
     "BITS_PER_AMPLITUDE",
     "EssTrellis",
     "MbDistribution",
-    "ess_choose_emax",
     "ess_build_trellis",
     "ess_encode",
     "ess_decode",
@@ -79,32 +78,6 @@ def _suffix_step(row: np.ndarray) -> np.ndarray:
     return nxt
 
 
-def _check_block(n: int, k: int) -> None:
-    if n < 1:
-        raise ShapingError("blocklength must be >= 1")
-    if k < 1:
-        raise ShapingError("bits per block must be >= 1")
-
-
-def ess_choose_emax(n: int, k: int) -> int:
-    """Smallest energy bound admitting at least 2**k length-n sequences.
-
-    At the full slack width every sequence fits, so row 0 of the suffix
-    count recursion is the cumulative sphere count by energy; returns the
-    first total energy whose sphere holds 2**k or more sequences.
-    Raises if even the full cube of LEVELS falls short.
-    """
-    _check_block(n, k)
-    row = np.ones(n * _INCR[-1] + 1, dtype=object)
-    for _ in range(n):
-        row = _suffix_step(row)
-    need = 1 << k
-    for t, count in enumerate(row):
-        if count >= need:
-            return n * _S0 + _G * t
-    raise ShapingError("%d bits per block infeasible at blocklength %d" % (k, n))
-
-
 @dataclass(frozen=True)
 class EssTrellis:
     """Counting table for enumerative sphere shaping.
@@ -129,31 +102,29 @@ class EssTrellis:
         """Number of admissible sequences, = count at full budget."""
         return int(self.counts[0][self.slack_width - 1])
 
-    def suffix_count(self, position: int, energy_budget: float) -> int:
-        """Admissible suffixes of length N - position within an energy budget.
-
-        Defined for any real budget; off-lattice budgets floor to the next
-        reachable lattice point below.
-        """
-        n = self.blocklength
-        if not 0 <= position <= n:
-            raise ShapingError("position out of range")
-        slack = math.floor((energy_budget - (n - position) * _S0) / _G + 1e-12)
-        if slack < 0:
-            return 0
-        slack = min(slack, self.slack_width - 1)
-        return int(self.counts[position][slack])
-
 
 def ess_build_trellis(n: int, k: int, emax: int | None = None) -> EssTrellis:
     """Build the suffix-counting table of n amplitudes for k-bit blocks.
 
-    With ``emax`` omitted, the tightest feasible sphere is chosen. The table
-    satisfies counts[n][t] = 1 (one empty suffix) and counts[0][last] >= 2**k.
+    With ``emax`` omitted, the tightest feasible sphere is chosen: the
+    smallest energy bound admitting at least 2**k sequences, and raises if
+    even the full cube of LEVELS falls short. The table satisfies
+    counts[n][t] = 1 (one empty suffix) and counts[0][last] >= 2**k.
     """
-    _check_block(n, k)
+    if n < 1:
+        raise ShapingError("blocklength must be >= 1")
+    if k < 1:
+        raise ShapingError("bits per block must be >= 1")
     if emax is None:
-        emax = ess_choose_emax(n, k)
+        # at the full slack width every sequence fits, so row 0 of the recursion
+        # is the cumulative sphere count by energy; this pass keeps one row at a time
+        row = np.ones(n * _INCR[-1] + 1, dtype=object)
+        for _ in range(n):
+            row = _suffix_step(row)
+        t = next((t for t, count in enumerate(row) if count >= 1 << k), None)
+        if t is None:
+            raise ShapingError("%d bits per block infeasible at blocklength %d" % (k, n))
+        emax = n * _S0 + _G * t
     width = (emax - n * _S0) // _G + 1
     if width < 1:
         raise ShapingError("emax %d below the minimum block energy %d" % (emax, n * _S0))
@@ -270,11 +241,6 @@ class MbDistribution:
 
     lam: float
     probs: tuple[float, ...]
-
-    @property
-    def entropy_bits(self) -> float:
-        p = np.asarray(self.probs)
-        return float(-(p * np.log2(p)).sum())
 
 
 _MB_TOL_BITS = 1e-9  # mb_fit's entropy tolerance

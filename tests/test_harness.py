@@ -480,15 +480,22 @@ class TestCli:
          "ess+bsss at n_t = 16 needs 129 bits per DM block of 64, above the 128 it can carry"),
         pytest.param("n_blocks = 2", "n_blocks*block_len_4d = 2*64 4D symbols is below "
                      "the 1000 the rate estimate needs", id="run-too-few-symbols"),
-        pytest.param("n_blocks = 100\nblock_len_4d = 16\nbound_m_total = 40\nbound_eta = 1",
+        pytest.param("block_len_4d = 16\nbound_m_total = 40\nbound_eta = 1",
                      "ceil(bound_eta*bound_m_total)*block_len_4d = 40*16 4D symbols is "
                      "below the 1000 the rate estimate needs", id="bound-too-few-symbols"),
-        pytest.param("n_blocks = 100\nmax_workers = 0", "max_workers must be >= 1",
-                     id="zero-workers"),
+        pytest.param("max_workers = 0", "max_workers must be >= 1", id="zero-workers"),
+        pytest.param("n_blocks = 50\nn_blocks = 20",
+                     "config key 'n_blocks' set twice (lines 2 and 3)", id="repeated-key"),
+        pytest.param("powers_dbm = 1, 1, 2", "powers_dbm lists 1.0 more than once",
+                     id="repeated-power"),
+        pytest.param("schemes = ess, ess", "schemes lists 'ess' more than once",
+                     id="repeated-scheme"),
+        pytest.param("n_t_values = 16, 4, 16", "n_t_values lists 16 more than once",
+                     id="repeated-n_t"),
     ])
     def test_bad_config_value_is_a_usage_error(self, tmp_path, line, message):
         # the config is checked whole, so run and bound reject it alike
-        (tmp_path / "c.cfg").write_text("n_blocks = 2\nn_spans = 1\n%s\n" % line)
+        (tmp_path / "c.cfg").write_text("n_spans = 1\n%s\n" % line)
         for command in ("run", "bound"):
             proc = run_python("-m", "passel.cli", command, "--scale", "desk",
                               "--config", "c.cfg", cwd=tmp_path)
