@@ -698,6 +698,8 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     the one the lowest share of rows raises; with one loud block, that is
     the serial error.
     """
+    if amp.noise_on and fiber.n_spans and unit_noise_for_span is None:
+        raise ChannelError("ASE enabled but no per-span noise source given")
     gain = 10.0 ** (fiber.span_loss_db / 20.0)
     samples = field.samples
     with _Span(field, fiber, step_cfg or SsfmStepConfig(),
@@ -709,8 +711,6 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
                 exc.span = span
                 raise
             if amp.noise_on:
-                if unit_noise_for_span is None:
-                    raise ChannelError("ASE enabled but no per-span noise source given")
                 noise = unit_noise_for_span(span)
                 if noise.shape != samples.shape:
                     raise ChannelError("unit_noise shape mismatch")

@@ -12,6 +12,7 @@ seed, whatever --workers says.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -55,6 +56,22 @@ def _build_config(args) -> "ExperimentConfig":
     return cfg
 
 
+def _check_out(path: str) -> None:
+    """The CSV and its sidecar are written after the last point, so check the path first."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.basename(path):
+        why = "no file name"
+    elif os.path.isdir(path):
+        why = "it is a directory"
+    elif not os.path.isdir(folder):
+        why = "no directory %s" % folder
+    elif not os.access(folder, os.W_OK):
+        why = "directory %s is not writable" % folder
+    else:
+        return
+    raise HarnessError("cannot write %s: %s" % (path, why))
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value settings file")
     p.add_argument("--out", help="output CSV path")
@@ -65,7 +82,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run(args, cfg: ExperimentConfig) -> int:
-    out = args.out or "results.csv"
+    out = args.out
     print("config %s -> %s" % (config_hash(cfg), out))
     rows, errors, resolved = sweep(cfg)
     emit_csv(rows, out)
@@ -85,7 +102,7 @@ def _cmd_run(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_bound(args, cfg: ExperimentConfig) -> int:
-    out = args.out or "bound.csv"
+    out = args.out
     detail = ss_bound_estimate(cfg, power_dbm=args.power)
     emit_csv([detail.row], out)
     meta = write_meta(out, cfg, {}, [detail.resolved])
@@ -108,9 +125,9 @@ def _selftest_checks():
     from .receiver import (air_bitwise, constellation_priors, link_receive,
                            matched_filter_sample)
     from .seeding import substream
-    from .selection import (PermutationBook, PilotBook, ScramblerBook, bsss_decode,
-                            bsss_encode, bsss_pilot_bits, siss_decode, siss_encode,
-                            siss_pilot_symbols, wk_metric)
+    from .selection import (bsss_decode, bsss_encode, bsss_pilot_bits, permutations,
+                            scrambler_masks, siss_decode, siss_encode, siss_pilot_symbols,
+                            wk_metric)
     from .shaping import PasShaper, ess_decode, ess_encode, index_to_bits, trellis_for
 
     def ess_roundtrip():
@@ -141,35 +158,32 @@ def _selftest_checks():
                "noiseless rate %.9f, want 12" % res.air_bits_per_4d)
 
     def book_nesting():
-        small = ScramblerBook.generate(3, 4, 40).masks
-        large = ScramblerBook.generate(3, 16, 40).masks
+        small, large = scrambler_masks(3, 4, 40), scrambler_masks(3, 16, 40)
         _check(np.array_equal(small, large[:4]), "scrambler books do not nest")
-        ps = PermutationBook.generate(3, 4, 32).perms
-        pl = PermutationBook.generate(3, 16, 32).perms
+        ps, pl = permutations(3, 4, 32), permutations(3, 16, 32)
         _check(np.array_equal(ps, pl[:4]), "permutation books do not nest")
 
     def bsss_roundtrip():
         shaper = PasShaper(trellis_for(4, 5), 8)
         payload = shaper.bits_per_selection_block - bsss_pilot_bits(4)
-        book = ScramblerBook.generate(5, 4, payload)
+        masks = scrambler_masks(5, 4, payload)
         rng = substream(5, 1)
         bits = rng.integers(0, 2, payload, dtype=np.uint8)
-        res = bsss_encode(bits, book, 4, shaper.encode,
+        res = bsss_encode(bits, masks, 4, shaper.encode,
                           lambda s: wk_metric(s, window=8))
-        back = bsss_decode(shaper.decode(res.symbols), book, 4)
+        back = bsss_decode(shaper.decode(res.symbols), masks, 4)
         _check(np.array_equal(back, bits), "bit selection does not round-trip")
 
     def siss_roundtrip():
         shaper = PasShaper(trellis_for(4, 5), 8)
-        book = PermutationBook.generate(9, 16, 8)
-        pilots = PilotBook.build()
+        perms = permutations(9, 16, 8)
         rng = substream(9, 1)
         bits = rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8)
         payload = shaper.encode(bits)
-        res = siss_encode(payload, book, pilots, 16,
+        res = siss_encode(payload, perms, 16,
                           lambda s: wk_metric(s, window=8,
                                               payload=slice(siss_pilot_symbols(16), None)))
-        got, idx = siss_decode(res.symbols, book, pilots, 16)
+        got, idx = siss_decode(res.symbols, perms, 16)
         _check(idx == res.index and np.allclose(got, payload),
                "symbol selection does not round-trip")
 
@@ -232,7 +246,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="sweep and write one CSV row per point")
     _add_common(p_run)
-    p_run.set_defaults(fn=_cmd_run)
+    p_run.set_defaults(fn=_cmd_run, out="results.csv")
 
     p_bound = sub.add_parser("bound", help="post-selection rate bound")
     _add_common(p_bound)
@@ -240,7 +254,7 @@ def main(argv=None) -> int:
     p_bound.add_argument("--eta", type=float, help="kept fraction in (0, 1]")
     p_bound.add_argument("--m-total", type=int, dest="m_total",
                          help="population size to score")
-    p_bound.set_defaults(fn=_cmd_bound)
+    p_bound.set_defaults(fn=_cmd_bound, out="bound.csv")
 
     sub.add_parser("selftest", help="fast built-in checks")
 
@@ -249,6 +263,7 @@ def main(argv=None) -> int:
         return _cmd_selftest()
     try:
         cfg = _build_config(args)
+        _check_out(args.out)
     except HarnessError as exc:
         # a bad setting is a usage error: one line and status 2, as argparse does
         print("passel: error: %s" % exc, file=sys.stderr)

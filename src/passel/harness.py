@@ -57,11 +57,11 @@ from .receiver import (
 from .seeding import TAG_ASE, TAG_DATA, substream
 from .selection import (
     NliMetric,
-    PermutationBook,
-    PilotBook,
-    ScramblerBook,
     bsss_encode,
     bsss_pilot_bits,
+    detect_pilot_index,
+    permutations,
+    scrambler_masks,
     siss_encode,
     siss_pilot_symbols,
     wk_metric,
@@ -461,10 +461,9 @@ class _PointState:
 
         if scheme in SELECTION_SCHEMES:
             if scheme == "ess+bsss":
-                self.book = ScramblerBook.generate(cfg.seed, n_t, self.payload_bits)
+                self.book = scrambler_masks(cfg.seed, n_t, self.payload_bits)
             else:
-                self.book = PermutationBook.generate(cfg.seed, n_t, self.n)
-                self.pilots = PilotBook.build()
+                self.book = permutations(cfg.seed, n_t, self.n)
             payload = slice(self.pilot_syms, None) if self.pilot_syms else None
             if cfg.selection_metric == "wk":
                 self.metric_fn = partial(wk_metric, payload=payload)
@@ -485,8 +484,8 @@ class _PointState:
             res = bsss_encode(bits, self.book, self.n_t, self.shaper.encode,
                               self.metric_fn)
         elif self.scheme == "ess+siss":
-            res = siss_encode(self.shaper.encode(bits), self.book, self.pilots,
-                              self.n_t, self.metric_fn)
+            res = siss_encode(self.shaper.encode(bits), self.book, self.n_t,
+                              self.metric_fn)
         else:
             return self.shaper.encode(bits), math.nan, 0
         return res.symbols, res.cost, res.index
@@ -588,8 +587,7 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
     keep = np.ones(block_ids.size, dtype=bool)
     if st.pilot_syms:
         y_pil = y[..., :st.pilot_syms] * np.exp(-1j * theta)[..., None]
-        for b in range(block_ids.size):
-            keep[b] = st.pilots.detect_index(y_pil[b]) == indices[center, b]
+        keep = detect_pilot_index(y_pil) == indices[center]
     if not keep.any():
         raise HarnessError("all blocks discarded by pilot detection")
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .channel import (AmplifierParams, FieldWaveform, FiberParams, SsfmStepConfi
 from .shaping import BITS_PER_AMPLITUDE, LEVELS
 
 __all__ = [
-    "Constellation",
     "AirResult",
     "ReceiverError",
     "MIN_SYMBOLS_4D",
@@ -36,7 +34,8 @@ __all__ = [
     "cdc",
     "matched_filter_sample",
     "mean_phase_comp",
-    "pas_constellation",
+    "QAM_POINTS",
+    "QAM_LABELS",
     "constellation_priors",
     "air_bitwise",
     "se_from_air",
@@ -111,52 +110,27 @@ def mean_phase_comp(rx_syms: np.ndarray, tx_syms: np.ndarray) -> tuple[np.ndarra
     return rx * np.exp(-1j * theta)[..., None], theta
 
 
-@dataclass(frozen=True)
-class Constellation:
-    """2D constellation with a per-point binary labeling.
-
-    points: complex ndarray (M,). labels: uint8 ndarray (M, m) with MSB
-    first: [I sign, I amplitude Gray bits, Q sign, Q amplitude Gray bits].
-    The composite labeling is Gray on each rail.
-    """
-
-    points: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.labels.shape[1]
-
-
 # Rail code c (0..7) is its label, MSB first: the sign bit, then the
 # binary-reflected Gray label g of the amplitude, which for two bits names
 # level g ^ (g >> 1) of LEVELS.
 _RAIL_CODES = np.arange(2 * len(LEVELS))
 _RAIL_GRAY = _RAIL_CODES & (len(LEVELS) - 1)
 _RAIL_LEVEL = _RAIL_GRAY ^ (_RAIL_GRAY >> 1)
+_RAIL_VALUES = (1.0 - 2.0 * (_RAIL_CODES >> BITS_PER_AMPLITUDE)) * np.asarray(LEVELS)[_RAIL_LEVEL]
+_RAIL_LABELS = (_RAIL_CODES[:, None] >> np.arange(BITS_PER_AMPLITUDE, -1, -1)) & 1
 
-
-@cache
-def pas_constellation() -> Constellation:
-    """Square QAM of two signed LEVELS rails, Gray labeled per rail.
-
-    Point 8 * i + q carries rail code i on I and rail code q on Q. Built
-    once; every call returns the same read-only arrays.
-    """
-    sign = _RAIL_CODES >> BITS_PER_AMPLITUDE
-    vals = (1.0 - 2.0 * sign) * np.asarray(LEVELS)[_RAIL_LEVEL]
-    rail_labels = (_RAIL_CODES[:, None] >> np.arange(BITS_PER_AMPLITUDE, -1, -1)) & 1
-    n_rail = _RAIL_CODES.size
-    points = (vals[:, None] + 1j * vals[None, :]).ravel()
-    labels = np.hstack([np.repeat(rail_labels, n_rail, axis=0),
-                        np.tile(rail_labels, (n_rail, 1))]).astype(np.uint8)
-    points.setflags(write=False)
-    labels.setflags(write=False)
-    return Constellation(points=points, labels=labels)
+# Square QAM of two signed LEVELS rails, Gray labeled per rail: point 8 * i + q
+# carries rail code i on I and rail code q on Q. A QAM_LABELS row is MSB first
+# [I sign, I amplitude Gray bits, Q sign, Q amplitude Gray bits].
+QAM_POINTS = (_RAIL_VALUES[:, None] + 1j * _RAIL_VALUES[None, :]).ravel()
+QAM_LABELS = np.hstack([np.repeat(_RAIL_LABELS, _RAIL_CODES.size, axis=0),
+                        np.tile(_RAIL_LABELS, (_RAIL_CODES.size, 1))]).astype(np.uint8)
+QAM_POINTS.setflags(write=False)
+QAM_LABELS.setflags(write=False)
 
 
 def constellation_priors(amp_probs: np.ndarray) -> np.ndarray:
-    """Per-point priors of pas_constellation() from LEVELS probabilities and uniform signs."""
+    """Per-point priors of QAM_POINTS from LEVELS probabilities and uniform signs."""
     amp_probs = np.asarray(amp_probs, dtype=float)
     if amp_probs.shape != (len(LEVELS),) or abs(amp_probs.sum() - 1.0) > 1e-9:
         raise ReceiverError("amplitude priors must sum to 1 over the alphabet")
@@ -206,24 +180,23 @@ def _match_to_grid(tx: np.ndarray, points: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _bit_equivocations(tx_idx: np.ndarray, rx: np.ndarray, constellation: Constellation,
-                       log_priors: np.ndarray, sigma2: float) -> np.ndarray:
+def _bit_equivocations(tx_idx: np.ndarray, rx: np.ndarray, log_priors: np.ndarray,
+                       sigma2: float) -> np.ndarray:
     """Sum over bit positions of log2(1 + exp(-+LLR)), per 2D sample."""
-    labels = constellation.labels
     out = np.zeros(rx.size)
     chunk = 1 << 16
     with np.errstate(under="ignore", over="ignore"):
         for lo in range(0, rx.size, chunk):
             hi = min(lo + chunk, rx.size)
             w = log_priors[None, :] - np.abs(rx[lo:hi, None]
-                                             - constellation.points[None, :]) ** 2 / sigma2
+                                             - QAM_POINTS[None, :]) ** 2 / sigma2
             acc = np.zeros(hi - lo)
-            for j in range(constellation.bits_per_symbol):
-                ones = labels[:, j].astype(bool)
+            for j in range(QAM_LABELS.shape[1]):
+                ones = QAM_LABELS[:, j].astype(bool)
                 lse1 = _logsumexp(w[:, ones], axis=1)
                 lse0 = _logsumexp(w[:, ~ones], axis=1)
                 llr = lse0 - lse1  # natural-log units
-                sent = labels[tx_idx[lo:hi], j].astype(float)
+                sent = QAM_LABELS[tx_idx[lo:hi], j].astype(float)
                 z = (1.0 - 2.0 * sent) * llr
                 acc += np.logaddexp(0.0, -z) / _LN2
             out[lo:hi] = acc
@@ -235,12 +208,11 @@ def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
     """Bit-metric AIR over paired dual-pol symbol blocks.
 
     tx_syms/rx_syms: (..., 2, n) in constellation units; priors: per-point
-    probabilities over pas_constellation(). The AIR is the
+    probabilities over QAM_POINTS. The AIR is the
     prior entropy minus the mean per-4D bit equivocation under the fitted
     (or supplied) circular-Gaussian auxiliary channel, clipped below at zero.
     Fewer than MIN_SYMBOLS_4D symbols raise ReceiverError.
     """
-    constellation = pas_constellation()
     tx = np.asarray(tx_syms, dtype=complex)
     rx = np.asarray(rx_syms, dtype=complex)
     if tx.shape != rx.shape or tx.ndim < 2 or tx.shape[-2] != 2:
@@ -251,7 +223,7 @@ def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
     if n4 < MIN_SYMBOLS_4D:
         raise ReceiverError("need at least %d 4D symbols, got %d" % (MIN_SYMBOLS_4D, n4))
     priors = np.asarray(priors, dtype=float)
-    if priors.shape != constellation.points.shape or abs(priors.sum() - 1.0) > 1e-6:
+    if priors.shape != QAM_POINTS.shape or abs(priors.sum() - 1.0) > 1e-6:
         raise ReceiverError("priors must be a distribution over constellation points")
     if sigma2 is None:  # mean |y - x|^2 per 2D
         sigma2 = float(np.mean(np.abs(rx2.ravel() - tx2.ravel()) ** 2))
@@ -261,8 +233,8 @@ def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
     h2 = float(-(priors[priors > 0] * np.log2(priors[priors > 0])).sum())
     flat_tx = tx2.transpose(0, 2, 1).reshape(-1)  # ... pairs (x, y) stay adjacent
     flat_rx = rx2.transpose(0, 2, 1).reshape(-1)
-    idx = _match_to_grid(flat_tx, constellation.points)
-    e2 = _bit_equivocations(idx, flat_rx, constellation, logp, sigma2)
+    idx = _match_to_grid(flat_tx, QAM_POINTS)
+    e2 = _bit_equivocations(idx, flat_rx, logp, sigma2)
     e4 = e2.reshape(-1, 2).sum(axis=1)
     air = max(0.0, 2.0 * h2 - float(e4.mean()))
     ci = 1.96 * float(e4.std(ddof=1)) / math.sqrt(e4.size) if e4.size > 1 else 0.0

@@ -13,8 +13,9 @@ four index bits per pilot symbol.
 Costs: a windowed kurtosis of the per-4D-symbol energies (cheap, local), or
 the residual distortion after a noiseless single-channel emulation of the
 fiber link (expensive, direct). Lower is better; ties go to the lowest
-candidate index. Candidate families are nested by construction: the books
-for a smaller family are a prefix of those for a larger one.
+candidate index. Candidate books are read-only arrays, one row per
+candidate, nested by construction: the book for a smaller family is a
+prefix of that for a larger one.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from .shaping import LEVELS, bits_to_index, index_to_bits
 __all__ = [
     "SelectionError",
     "SelectionResult",
-    "ScramblerBook",
-    "PermutationBook",
-    "PilotBook",
+    "PILOT_POINTS",
+    "scrambler_masks",
+    "permutations",
+    "pilot_symbols",
+    "detect_pilot_index",
     "bsss_pilot_bits",
     "siss_pilot_symbols",
     "bsss_encode",
@@ -101,99 +104,63 @@ def _distinct_rows(first: np.ndarray, n_t: int, seed: int, tag: int,
     return rows
 
 
-@dataclass(frozen=True)
-class ScramblerBook:
-    """Fixed XOR masks, index 0 the all-zeros identity.
+def scrambler_masks(seed: int, n_t: int, n_bits: int) -> np.ndarray:
+    """(n_t, n_bits) uint8 XOR masks, row 0 the all-zeros identity.
 
     Masks are drawn one independent substream per index, so the first rows
     of a larger book equal a smaller book from the same seed.
     """
-
-    masks: np.ndarray  # (n_t, n_bits) uint8
-
-    @classmethod
-    def generate(cls, seed: int, n_t: int, n_bits: int) -> "ScramblerBook":
-        if n_t < 1 or n_bits < 1:
-            raise SelectionError("book needs n_t >= 1 and a positive mask length")
-        if n_t > 2 ** n_bits:
-            raise SelectionError("not enough distinct masks of %d bits" % n_bits)
-        masks = _distinct_rows(np.zeros(n_bits, dtype=np.uint8), n_t, seed, TAG_SCRAMBLER,
-                               lambda rng: rng.integers(0, 2, size=n_bits, dtype=np.uint8))
-        return cls(masks=masks)
-
-    @property
-    def n_t(self) -> int:
-        return self.masks.shape[0]
+    if n_t < 1 or n_bits < 1:
+        raise SelectionError("book needs n_t >= 1 and a positive mask length")
+    if n_t > 2 ** n_bits:
+        raise SelectionError("not enough distinct masks of %d bits" % n_bits)
+    return _distinct_rows(np.zeros(n_bits, dtype=np.uint8), n_t, seed, TAG_SCRAMBLER,
+                          lambda rng: rng.integers(0, 2, size=n_bits, dtype=np.uint8))
 
 
-@dataclass(frozen=True)
-class PermutationBook:
-    """Fixed position permutations, index 0 the identity, with inverses."""
-
-    perms: np.ndarray     # (n_t, n) int64
-    inverses: np.ndarray  # (n_t, n) int64
-
-    @classmethod
-    def generate(cls, seed: int, n_t: int, n_positions: int) -> "PermutationBook":
-        if n_t < 1 or n_positions < 1:
-            raise SelectionError("book needs n_t >= 1 and a positive length")
-        if n_t > 1 and n_positions < 2:
-            raise SelectionError("cannot permute a single position")
-        perms = _distinct_rows(np.arange(n_positions, dtype=np.int64), n_t, seed,
-                               TAG_PERMUTATION,
-                               lambda rng: rng.permutation(n_positions).astype(np.int64))
-        inv = np.argsort(perms, axis=1)
-        inv.setflags(write=False)
-        return cls(perms=perms, inverses=inv)
-
-    @property
-    def n_t(self) -> int:
-        return self.perms.shape[0]
+def permutations(seed: int, n_t: int, n: int) -> np.ndarray:
+    """(n_t, n) int64 position permutations, row 0 the identity, nested as the masks."""
+    if n_t < 1 or n < 1:
+        raise SelectionError("book needs n_t >= 1 and a positive length")
+    if n_t > 1 and n < 2:
+        raise SelectionError("cannot permute a single position")
+    return _distinct_rows(np.arange(n, dtype=np.int64), n_t, seed, TAG_PERMUTATION,
+                          lambda rng: rng.permutation(n).astype(np.int64))
 
 
-@dataclass(frozen=True)
-class PilotBook:
-    """16 dual-polarization pilot symbols on the outermost QAM corners.
+# 16 dual-polarization pilot symbols on the outermost QAM corners. Each
+# polarization carries one of the four maximum-magnitude points (+-A +- iA);
+# two corner index bits per polarization give a 4-bit label per pilot
+# symbol, x polarization in the high bits.
+_CORNERS = LEVELS[-1] * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+PILOT_POINTS = np.stack([_CORNERS[np.arange(16) >> 2], _CORNERS[np.arange(16) & 3]], axis=1)
+PILOT_POINTS.setflags(write=False)
 
-    Each polarization carries one of the four maximum-magnitude points
-    (+-A +- iA); two corner index bits per polarization give a 4-bit label
-    per pilot symbol, x polarization in the high bits.
+
+def pilot_symbols(index: int, n_pilots: int) -> np.ndarray:
+    """(2, n_pilots) pilot prefix spelling the index base-16, MSB first."""
+    if index < 0 or index >= max(16 ** n_pilots, 1):
+        raise SelectionError("index %d does not fit %d pilot symbols" % (index, n_pilots))
+    if n_pilots == 0:
+        return np.empty((2, 0), dtype=complex)
+    digits = [(index >> (4 * (n_pilots - 1 - d))) & 15 for d in range(n_pilots)]
+    return PILOT_POINTS[digits].T.copy()
+
+
+def detect_pilot_index(received: np.ndarray) -> int | np.ndarray:
+    """Minimum-distance detection of (..., 2, n_pilots) pilot prefixes.
+
+    Each pilot symbol is decided alone, by its x- plus y-polarization
+    squared distance to the PILOT_POINTS rows, and the digits read base-16,
+    MSB first. One index per block; an int for a single (2, n_pilots) block.
     """
-
-    points: np.ndarray  # (16, 2) complex
-
-    @classmethod
-    def build(cls) -> "PilotBook":
-        a = LEVELS[-1]
-        corners = np.array([a + 1j * a, a - 1j * a, -a + 1j * a, -a - 1j * a])
-        pts = np.empty((16, 2), dtype=complex)
-        for cx in range(4):
-            for cy in range(4):
-                pts[(cx << 2) | cy] = (corners[cx], corners[cy])
-        pts.setflags(write=False)
-        return cls(points=pts)
-
-    def symbols_for_index(self, index: int, n_pilots: int) -> np.ndarray:
-        """(2, n_pilots) pilot prefix spelling the index base-16, MSB first."""
-        if index < 0 or index >= max(16 ** n_pilots, 1):
-            raise SelectionError("index %d does not fit %d pilot symbols"
-                                 % (index, n_pilots))
-        if n_pilots == 0:
-            return np.empty((2, 0), dtype=complex)
-        digits = [(index >> (4 * (n_pilots - 1 - d))) & 15 for d in range(n_pilots)]
-        return self.points[digits].T.copy()
-
-    def detect_index(self, received: np.ndarray) -> int:
-        """Minimum-distance detection of the pilot prefix, digit by digit."""
-        rx = np.asarray(received, dtype=complex)
-        if rx.ndim != 2 or rx.shape[0] != 2:
-            raise SelectionError("expected a (2, n_pilots) pilot block")
-        out = 0
-        for d in range(rx.shape[1]):
-            d2 = np.abs(rx[0, d] - self.points[:, 0]) ** 2 \
-                + np.abs(rx[1, d] - self.points[:, 1]) ** 2
-            out = (out << 4) | int(np.argmin(d2))
-        return out
+    rx = np.asarray(received, dtype=complex)
+    if rx.ndim < 2 or rx.shape[-2] != 2:
+        raise SelectionError("expected (..., 2, n_pilots) pilot blocks")
+    d2 = np.abs(rx[..., 0, :, None] - PILOT_POINTS[:, 0]) ** 2 \
+        + np.abs(rx[..., 1, :, None] - PILOT_POINTS[:, 1]) ** 2
+    out = d2.argmin(axis=-1) @ 16 ** np.arange(rx.shape[-1] - 1, -1, -1)
+    return int(out) if out.ndim == 0 else out
 
 
 def _score_candidates(metric_fn: Callable, stack: np.ndarray) -> np.ndarray:
@@ -205,7 +172,7 @@ def _score_candidates(metric_fn: Callable, stack: np.ndarray) -> np.ndarray:
     return costs
 
 
-def bsss_encode(info_bits: np.ndarray, book: ScramblerBook, n_t: int,
+def bsss_encode(info_bits: np.ndarray, masks: np.ndarray, n_t: int,
                 dm_chain: Callable[[np.ndarray], np.ndarray],
                 metric_fn: Callable) -> SelectionResult:
     """Score all n_t scrambled variants of one payload and keep the cheapest.
@@ -216,14 +183,14 @@ def bsss_encode(info_bits: np.ndarray, book: ScramblerBook, n_t: int,
     """
     npil = bsss_pilot_bits(n_t)
     bits = np.asarray(info_bits, dtype=np.uint8).ravel()
-    if book.n_t < n_t:
+    if masks.shape[0] < n_t:
         raise SelectionError("book smaller than the candidate family")
-    if book.masks.shape[1] != bits.size:
+    if masks.shape[1] != bits.size:
         raise SelectionError("mask length %d != payload length %d"
-                             % (book.masks.shape[1], bits.size))
+                             % (masks.shape[1], bits.size))
     cands = []
     for i in range(n_t):
-        block = np.concatenate([index_to_bits(i, npil), book.masks[i] ^ bits])
+        block = np.concatenate([index_to_bits(i, npil), masks[i] ^ bits])
         cands.append(dm_chain(block))
     stack = np.stack(cands)
     costs = _score_candidates(metric_fn, stack)
@@ -231,20 +198,20 @@ def bsss_encode(info_bits: np.ndarray, book: ScramblerBook, n_t: int,
     return SelectionResult(symbols=stack[best], index=best, cost=float(costs[best]))
 
 
-def bsss_decode(received_bits: np.ndarray, book: ScramblerBook, n_t: int) -> np.ndarray:
+def bsss_decode(received_bits: np.ndarray, masks: np.ndarray, n_t: int) -> np.ndarray:
     """Strip the pilot index bits and undo that candidate's mask."""
     npil = bsss_pilot_bits(n_t)
     bits = np.asarray(received_bits, dtype=np.uint8).ravel()
-    if bits.size < npil + book.masks.shape[1]:
+    if bits.size < npil + masks.shape[1]:
         raise SelectionError("received block shorter than pilots plus payload")
     idx = bits_to_index(bits[:npil])
     if idx >= n_t:
         raise SelectionError("pilot index %d out of range" % idx)
-    return bits[npil:] ^ book.masks[idx]
+    return bits[npil:] ^ masks[idx]
 
 
-def siss_encode(symbols: np.ndarray, book: PermutationBook, pilots: PilotBook,
-                n_t: int, metric_fn: Callable) -> SelectionResult:
+def siss_encode(symbols: np.ndarray, perms: np.ndarray, n_t: int,
+                metric_fn: Callable) -> SelectionResult:
     """Score all n_t position-permuted variants of one shaped block.
 
     Candidate i is pilot prefix for i followed by the payload reordered by
@@ -256,22 +223,21 @@ def siss_encode(symbols: np.ndarray, book: PermutationBook, pilots: PilotBook,
     s = np.asarray(symbols, dtype=complex)
     if s.ndim != 2 or s.shape[0] != 2:
         raise SelectionError("expected a (2, n) payload block")
-    if book.n_t < n_t:
+    if perms.shape[0] < n_t:
         raise SelectionError("book smaller than the candidate family")
-    if book.perms.shape[1] != s.shape[1]:
+    if perms.shape[1] != s.shape[1]:
         raise SelectionError("permutation length %d != block length %d"
-                             % (book.perms.shape[1], s.shape[1]))
+                             % (perms.shape[1], s.shape[1]))
     cands = np.empty((n_t, 2, npil + s.shape[1]), dtype=complex)
     for i in range(n_t):
-        cands[i, :, :npil] = pilots.symbols_for_index(i, npil)
-        cands[i, :, npil:] = s[:, book.perms[i]]
+        cands[i, :, :npil] = pilot_symbols(i, npil)
+        cands[i, :, npil:] = s[:, perms[i]]
     costs = _score_candidates(metric_fn, cands)
     best = int(np.argmin(costs))
     return SelectionResult(symbols=cands[best], index=best, cost=float(costs[best]))
 
 
-def siss_decode(received: np.ndarray, book: PermutationBook, pilots: PilotBook,
-                n_t: int) -> tuple[np.ndarray, int]:
+def siss_decode(received: np.ndarray, perms: np.ndarray, n_t: int) -> tuple[np.ndarray, int]:
     """Detect the pilot prefix and un-permute the payload.
 
     Returns (payload symbols, detected index). A detected index outside the
@@ -281,11 +247,11 @@ def siss_decode(received: np.ndarray, book: PermutationBook, pilots: PilotBook,
     rx = np.asarray(received, dtype=complex)
     if rx.ndim != 2 or rx.shape[0] != 2 or rx.shape[1] <= npil:
         raise SelectionError("received block too short for pilots plus payload")
-    idx = pilots.detect_index(rx[:, :npil]) if npil else 0
+    idx = detect_pilot_index(rx[:, :npil]) if npil else 0
     if idx >= n_t:
         raise SelectionError("detected pilot index %d out of range" % idx)
     payload = rx[:, npil:]
-    return payload[:, book.inverses[idx]], idx
+    return payload[:, np.argsort(perms[idx])], idx
 
 
 def wk_metric(symbols: np.ndarray, window: int | None = None,

@@ -26,21 +26,21 @@ from passel.channel import (
 )
 from passel.harness import desk_preset, emit_csv, run_point_detailed, ss_bound_estimate, sweep
 from passel.receiver import (
+    QAM_POINTS,
     air_bitwise,
     cdc,
     constellation_priors,
     matched_filter_sample,
-    pas_constellation,
 )
 from passel.seeding import substream
 from passel.selection import (
+    PILOT_POINTS,
     NliMetric,
-    PermutationBook,
-    PilotBook,
-    ScramblerBook,
     bsss_decode,
     bsss_encode,
     bsss_pilot_bits,
+    permutations,
+    scrambler_masks,
     siss_decode,
     siss_encode,
     siss_pilot_symbols,
@@ -145,22 +145,21 @@ def test_criterion_3_air_awgn_oracle():
     # Gaussian noise (Gauss-Hermite quadrature, 48 nodes, converged to <1e-4)
     oracle_bits_2d = {6.0: 2.045810, 10.0: 3.168518, 14.0: 4.384907}
     t0 = time.perf_counter()
-    constel = pas_constellation()
     priors = constellation_priors(np.full(4, 0.25))
-    es = float((np.abs(constel.points) ** 2 * priors).sum())
+    es = float((np.abs(QAM_POINTS) ** 2 * priors).sum())
     rng = substream(31, 0)
     n4 = 50000  # 1e5 2D symbols per point
     for snr_db, truth in oracle_bits_2d.items():
         sigma2 = es / 10 ** (snr_db / 10.0)
-        pick = rng.integers(0, constel.points.size, size=(2, n4))
-        tx = constel.points[pick]
+        pick = rng.integers(0, QAM_POINTS.size, size=(2, n4))
+        tx = QAM_POINTS[pick]
         noise = (rng.normal(size=tx.shape) + 1j * rng.normal(size=tx.shape))
         res = air_bitwise(tx, tx + noise * math.sqrt(sigma2 / 2.0), priors)
         assert abs(res.air_bits_per_4d / 2.0 - truth) < 0.05, snr_db
 
     # noiseless ceiling: every bit resolved, rate = label length
-    pick = rng.integers(0, constel.points.size, size=(2, 2000))
-    tx = constel.points[pick]
+    pick = rng.integers(0, QAM_POINTS.size, size=(2, 2000))
+    tx = QAM_POINTS[pick]
     res0 = air_bitwise(tx, tx.copy(), priors, sigma2=1e-9)
     assert abs(res0.air_bits_per_4d - 12.0) < 1e-6
     elapsed = time.perf_counter() - t0
@@ -179,27 +178,25 @@ def test_criterion_4_end_to_end_decodability():
     rng = substream(41, 0)
     for n_t in (1, 2, 4, 16, 256):
         payload = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
-        book = ScramblerBook.generate(11, n_t, payload)
+        masks = scrambler_masks(11, n_t, payload)
         bits = rng.integers(0, 2, payload, dtype=np.uint8)
-        res = bsss_encode(bits, book, n_t, shaper.encode,
+        res = bsss_encode(bits, masks, n_t, shaper.encode,
                           lambda s: wk_metric(s, window=8))
-        back = bsss_decode(shaper.decode(res.symbols), book, n_t)
+        back = bsss_decode(shaper.decode(res.symbols), masks, n_t)
         assert np.array_equal(back, bits), "bit selection n_t=%d" % n_t
 
-        pbook = PermutationBook.generate(12, n_t, 8)
-        pilots = PilotBook.build()
+        perms = permutations(12, n_t, 8)
         payload_syms = shaper.encode(
             rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8))
-        res_s = siss_encode(payload_syms, pbook, pilots, n_t,
+        res_s = siss_encode(payload_syms, perms, n_t,
                             lambda s: wk_metric(
                                 s, window=8,
                                 payload=slice(siss_pilot_symbols(n_t), None)))
-        got, idx = siss_decode(res_s.symbols, pbook, pilots, n_t)
+        got, idx = siss_decode(res_s.symbols, perms, n_t)
         assert idx == res_s.index
         assert np.array_equal(got, payload_syms), "symbol selection n_t=%d" % n_t
 
     # pilot index detection under additive noise, >= 1e6 pilot symbols
-    pilots = PilotBook.build()
     e4 = 196.0  # corner points carry |7+7j|^2 per polarization
     snr_4d = 10 ** (12.0 / 10.0)
     sigma2_2d = e4 / (2.0 * snr_4d)  # per-2D noise variance at 12 dB 4D-SNR
@@ -207,10 +204,10 @@ def test_criterion_4_end_to_end_decodability():
     n_trials, chunk, errors = 1_000_000, 100_000, 0
     for _ in range(n_trials // chunk):
         true_idx = rng.integers(0, 16, size=chunk)
-        sent = pilots.points[true_idx]  # (chunk, 2)
+        sent = PILOT_POINTS[true_idx]  # (chunk, 2)
         noisy = sent + (rng.normal(size=sent.shape)
                         + 1j * rng.normal(size=sent.shape)) * math.sqrt(sigma2_2d / 2)
-        d2 = np.abs(noisy[:, None, :] - pilots.points[None, :, :]) ** 2
+        d2 = np.abs(noisy[:, None, :] - PILOT_POINTS[None, :, :]) ** 2
         det = d2.sum(axis=2).argmin(axis=1)
         errors += int((det != true_idx).sum())
     rate = errors / n_trials
@@ -243,11 +240,11 @@ def test_criterion_5_selection_monotonicity():
         shaper = PasShaper(trellis_for(cfg.dm_blocklength,
                                        k + math.ceil(pil / n_dm)), n)
         payload = shaper.bits_per_selection_block - pil
-        book = ScramblerBook.generate(cfg.seed, n_t, payload)
+        masks = scrambler_masks(cfg.seed, n_t, payload)
         for b in range(n_blocks):
             rng = substream(cfg.seed, 5, b)  # same payload stream per block
             bits = rng.integers(0, 2, payload, dtype=np.uint8)
-            costs[j, b] = bsss_encode(bits, book, n_t, shaper.encode,
+            costs[j, b] = bsss_encode(bits, masks, n_t, shaper.encode,
                                       metric).cost
 
     means = costs.mean(axis=1)

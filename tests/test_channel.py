@@ -541,6 +541,21 @@ class TestEdfa:
             propagate_link(field, self.fiber, AmplifierParams(), self.step,
                            lambda span: np.zeros((2, 4), dtype=complex))
 
+    def test_missing_source_raises_before_any_split_step(self, monkeypatch):
+        from passel import channel
+
+        def no_steps(*args, **kwargs):
+            raise AssertionError("a split step ran")
+        monkeypatch.setattr(channel, "_split_steps", no_steps)
+        field = FieldWaveform(np.ones((2, 8), dtype=complex), 1e9)
+        with pytest.raises(ChannelError, match="no per-span noise source"):
+            propagate_link(field, FiberParams(n_spans=3), AmplifierParams(), self.step)
+        # a link with no spans needs no source and returns its input
+        out = propagate_link(field, FiberParams(n_spans=0), AmplifierParams(), self.step)
+        assert np.array_equal(out.samples, field.samples)
+        with pytest.raises(AssertionError, match="a split step ran"):
+            propagate_link(field, self.fiber, AmplifierParams(noise_on=False), self.step)
+
     def test_quantum_limit_validated(self):
         with pytest.raises(ChannelError):
             AmplifierParams(noise_figure_db=2.0)

@@ -468,6 +468,32 @@ class TestCli:
                 "passel: error: cannot read config absent.txt: No such file or directory"]
             assert proc.stdout == "" and not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("out, message", [
+        ("missing_dir/x.csv", "cannot write missing_dir/x.csv: no directory missing_dir"),
+        ("sub", "cannot write sub: it is a directory"),
+        ("sub/", "cannot write sub/: no file name"),
+    ])
+    def test_unwritable_out_is_a_usage_error_before_any_point(self, tmp_path, monkeypatch,
+                                                             capsys, out, message):
+        # the CSV is written after the last point: a bad path must fail first
+        import passel.cli
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point ran")
+        monkeypatch.setattr(passel.cli, "sweep", no_points)
+        monkeypatch.setattr(passel.cli, "ss_bound_estimate", no_points)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for command in ("run", "bound"):
+            assert passel.cli.main([command, "--scale", "desk", "--out", out]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == ["passel: error: " + message]
+            assert captured.out == ""
+        assert os.listdir(tmp_path) == ["sub"] and not os.listdir(tmp_path / "sub")
+        # a writable path gets past the check, to the patched sweep
+        with pytest.raises(AssertionError, match="a point ran"):
+            passel.cli.main(["run", "--scale", "desk", "--out", "ok.csv"])
+
     @pytest.mark.parametrize("line, message", [
         ("dm_rate_bits_per_amp = 2.5", "dm_rate_bits_per_amp must be in (0, 2]"),
         ("dm_blocklength = 0", "dm_blocklength must be >= 1 and divide 4*block_len_4d = 256"),

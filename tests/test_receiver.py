@@ -21,15 +21,15 @@ from passel.channel import (
 )
 from passel.receiver import (
     MIN_SYMBOLS_4D,
+    QAM_LABELS,
+    QAM_POINTS,
     AirResult,
-    Constellation,
     ReceiverError,
     air_bitwise,
     cdc,
     constellation_priors,
     matched_filter_sample,
     mean_phase_comp,
-    pas_constellation,
     se_from_air,
 )
 from passel.receiver import _logsumexp
@@ -43,7 +43,7 @@ def symbolwise_mi(tx_syms, rx_syms, priors):
     """Symbol-metric mutual information (bits/2D) under the same fitted Gaussian
     auxiliary channel as air_bitwise: a reference the bit-metric rate never exceeds."""
     from scipy.special import logsumexp
-    points = pas_constellation().points
+    points = QAM_POINTS
     tx = np.asarray(tx_syms, dtype=complex).ravel()
     rx = np.asarray(rx_syms, dtype=complex).ravel()
     sigma2 = np.mean(np.abs(rx - tx) ** 2)
@@ -63,32 +63,28 @@ def random_symbols(rng, n, blocks=None):
 
 class TestConstellation:
     def test_point_set(self):
-        c = pas_constellation()
-        assert c.points.shape == (64,)
-        assert c.labels.shape == (64, 6)
-        got = sorted((p.real, p.imag) for p in c.points)
+        assert QAM_POINTS.shape == (64,)
+        assert QAM_LABELS.shape == (64, 6)
+        got = sorted((p.real, p.imag) for p in QAM_POINTS)
         want = sorted((a, b) for a in RAILS for b in RAILS)
         assert np.allclose(got, want)
 
     def test_labels_unique(self):
-        c = pas_constellation()
-        codes = {tuple(row) for row in c.labels}
+        codes = {tuple(row) for row in QAM_LABELS}
         assert len(codes) == 64
 
     def test_rail_gray_property(self):
         # walking the rail in value order flips exactly one label bit
-        c = pas_constellation()
-        on_axis = [(c.points[k].real, tuple(c.labels[k][:3]))
-                   for k in range(64) if c.points[k].imag == 1.0]
+        on_axis = [(QAM_POINTS[k].real, tuple(QAM_LABELS[k][:3]))
+                   for k in range(64) if QAM_POINTS[k].imag == 1.0]
         on_axis.sort()
         for (_, a), (_, b) in zip(on_axis, on_axis[1:]):
             assert sum(x != y for x, y in zip(a, b)) == 1
 
     def test_sign_bit_is_msb(self):
-        c = pas_constellation()
         for k in range(64):
-            assert c.labels[k, 0] == (1 if c.points[k].real < 0 else 0)
-            assert c.labels[k, 3] == (1 if c.points[k].imag < 0 else 0)
+            assert QAM_LABELS[k, 0] == (1 if QAM_POINTS[k].real < 0 else 0)
+            assert QAM_LABELS[k, 3] == (1 if QAM_POINTS[k].imag < 0 else 0)
 
     def test_matches_loop_reference(self):
         # rail code = sign bit, then the Gray label of the level index
@@ -97,14 +93,13 @@ class TestConstellation:
             sign, gray = code >> 2, code & 3
             level = next(j for j in range(4) if j ^ (j >> 1) == gray)
             rails.append(((1 - 2 * sign) * LEVELS[level], [sign, gray >> 1, gray & 1]))
-        c = pas_constellation()
-        assert not c.points.flags.writeable and not c.labels.flags.writeable
+        assert not QAM_POINTS.flags.writeable and not QAM_LABELS.flags.writeable
         amp = np.array([0.4, 0.3, 0.2, 0.1])
         pri = constellation_priors(amp)
         for i, (vi, li) in enumerate(rails):
             for q, (vq, lq) in enumerate(rails):
-                assert c.points[8 * i + q] == complex(vi, vq)
-                assert list(c.labels[8 * i + q]) == li + lq
+                assert QAM_POINTS[8 * i + q] == complex(vi, vq)
+                assert list(QAM_LABELS[8 * i + q]) == li + lq
                 assert pri[8 * i + q] == (amp[LEVELS.index(abs(vi))] / 2.0) \
                     * (amp[LEVELS.index(abs(vq))] / 2.0)
 
@@ -113,13 +108,12 @@ class TestConstellation:
         assert np.allclose(pri, 1.0 / 64)
 
     def test_shaped_priors_product_form(self):
-        c = pas_constellation()
         amp = np.array([0.4, 0.3, 0.2, 0.1])
         pri = constellation_priors(amp)
         assert abs(pri.sum() - 1.0) < 1e-12
-        k = np.argmin(np.abs(c.points - (1 + 1j)))
+        k = np.argmin(np.abs(QAM_POINTS - (1 + 1j)))
         assert abs(pri[k] - (0.4 / 2) * (0.4 / 2)) < 1e-12
-        k = np.argmin(np.abs(c.points - (-7 + 3j)))
+        k = np.argmin(np.abs(QAM_POINTS - (-7 + 3j)))
         assert abs(pri[k] - (0.1 / 2) * (0.3 / 2)) < 1e-12
 
     def test_prior_validation(self):
@@ -345,27 +339,26 @@ class TestLogsumexp:
     @staticmethod
     def receiver_weights(rng, sigma2):
         # w as _bit_equivocations builds it, with the 7-level amplitude unused
-        constellation = pas_constellation()
         with np.errstate(divide="ignore"):
             logp = np.log(constellation_priors([0.4, 0.35, 0.25, 0.0]))
-        tx = rng.choice(constellation.points[np.isfinite(logp)], size=3000)
+        tx = rng.choice(QAM_POINTS[np.isfinite(logp)], size=3000)
         rx = tx + math.sqrt(sigma2 / 2) * (rng.standard_normal(3000)
                                            + 1j * rng.standard_normal(3000))
         # rows on an axis: the points at +-1 on the other rail tie exactly
         rx[:200] = rng.choice([-5.0, -3.0, -1.0, 0.0, 1.0, 3.0, 5.0], size=200) \
             * rng.choice([1.0, 1j], size=200)
-        w = logp[None, :] - np.abs(rx[:, None] - constellation.points[None, :]) ** 2 / sigma2
+        w = logp[None, :] - np.abs(rx[:, None] - QAM_POINTS[None, :]) ** 2 / sigma2
         w[200:220] = -np.inf
         w[220:240, ::3] = -np.inf
         w[240:260] = 0.0
-        return constellation, w
+        return w
 
     @pytest.mark.parametrize("sigma2", [0.05, 1.0, 20.0])
     def test_matches_scipy_on_receiver_slices(self, sigma2):
         from scipy.special import logsumexp
-        constellation, w = self.receiver_weights(substream(23, 0), sigma2)
-        for j in range(constellation.bits_per_symbol):
-            ones = constellation.labels[:, j].astype(bool)
+        w = self.receiver_weights(substream(23, 0), sigma2)
+        for j in range(QAM_LABELS.shape[1]):
+            ones = QAM_LABELS[:, j].astype(bool)
             for part in (w[:, ones], w[:, ~ones]):
                 got, want = _logsumexp(part, axis=1), logsumexp(part, axis=1)
                 assert got.dtype == want.dtype and got.shape == want.shape

@@ -24,15 +24,17 @@ from passel.channel import (
 from passel.receiver import cdc, matched_filter_sample, mean_phase_comp
 from passel.seeding import substream
 from passel.selection import (
+    PILOT_POINTS,
     NliMetric,
-    PermutationBook,
-    PilotBook,
-    ScramblerBook,
     SelectionError,
     SelectionResult,
     bsss_decode,
     bsss_encode,
     bsss_pilot_bits,
+    detect_pilot_index,
+    permutations,
+    pilot_symbols,
+    scrambler_masks,
     siss_decode,
     siss_encode,
     siss_pilot_symbols,
@@ -76,80 +78,115 @@ class TestPilotArithmetic:
 
 class TestBooks:
     def test_scrambler_identity_row(self):
-        book = ScramblerBook.generate(11, 8, 40)
-        assert not book.masks[0].any()
+        masks = scrambler_masks(11, 8, 40)
+        assert masks.shape == (8, 40) and masks.dtype == np.uint8
+        assert not masks[0].any()
 
     def test_scrambler_distinct_and_deterministic(self):
-        a = ScramblerBook.generate(11, 16, 40)
-        b = ScramblerBook.generate(11, 16, 40)
-        assert np.array_equal(a.masks, b.masks)
-        assert len({m.tobytes() for m in a.masks}) == 16
-        c = ScramblerBook.generate(12, 16, 40)
-        assert not np.array_equal(a.masks, c.masks)
+        a = scrambler_masks(11, 16, 40)
+        b = scrambler_masks(11, 16, 40)
+        assert np.array_equal(a, b)
+        assert len({m.tobytes() for m in a}) == 16
+        c = scrambler_masks(12, 16, 40)
+        assert not np.array_equal(a, c)
 
     def test_scrambler_nesting(self):
-        small = ScramblerBook.generate(11, 4, 40)
-        large = ScramblerBook.generate(11, 16, 40)
-        assert np.array_equal(large.masks[:4], small.masks)
+        small = scrambler_masks(11, 4, 40)
+        large = scrambler_masks(11, 16, 40)
+        assert np.array_equal(large[:4], small)
 
     def test_scrambler_exhaustion(self):
-        full = ScramblerBook.generate(5, 4, 2)
-        assert len({m.tobytes() for m in full.masks}) == 4
+        full = scrambler_masks(5, 4, 2)
+        assert len({m.tobytes() for m in full}) == 4
         with pytest.raises(SelectionError):
-            ScramblerBook.generate(5, 5, 2)
+            scrambler_masks(5, 5, 2)
 
     def test_permutation_identity_row(self):
-        book = PermutationBook.generate(11, 8, 32)
-        assert np.array_equal(book.perms[0], np.arange(32))
+        perms = permutations(11, 8, 32)
+        assert perms.shape == (8, 32) and perms.dtype == np.int64
+        assert np.array_equal(perms[0], np.arange(32))
 
     def test_permutations_valid_distinct_nested(self):
-        big = PermutationBook.generate(11, 16, 32)
-        for p in big.perms:
+        big = permutations(11, 16, 32)
+        for p in big:
             assert np.array_equal(np.sort(p), np.arange(32))
-        assert len({p.tobytes() for p in big.perms}) == 16
-        small = PermutationBook.generate(11, 4, 32)
-        assert np.array_equal(big.perms[:4], small.perms)
+        assert len({p.tobytes() for p in big}) == 16
+        small = permutations(11, 4, 32)
+        assert np.array_equal(big[:4], small)
 
-    def test_permutation_inverses(self):
-        book = PermutationBook.generate(3, 8, 20)
-        for p, q in zip(book.perms, book.inverses):
-            assert np.array_equal(p[q], np.arange(20))
+    def test_books_are_read_only(self):
+        for book in (scrambler_masks(11, 4, 40), permutations(11, 4, 32)):
+            assert not book.flags.writeable
+            with pytest.raises(ValueError):
+                book[0, 0] = 1
 
     def test_permutation_too_short(self):
         with pytest.raises(SelectionError):
-            PermutationBook.generate(3, 2, 1)
+            permutations(3, 2, 1)
 
 
-class TestPilotBook:
+def loop_detect(block):
+    """Digit-by-digit minimum-distance detection of one (2, n_pilots) prefix."""
+    out = 0
+    for d in range(block.shape[1]):
+        d2 = np.abs(block[0, d] - PILOT_POINTS[:, 0]) ** 2 \
+            + np.abs(block[1, d] - PILOT_POINTS[:, 1]) ** 2
+        out = (out << 4) | int(np.argmin(d2))
+    return out
+
+
+class TestPilots:
     def test_sixteen_corner_points(self):
-        book = PilotBook.build()
-        assert book.points.shape == (16, 2)
-        assert len({(p[0], p[1]) for p in book.points}) == 16
-        for p in book.points.ravel():
+        assert PILOT_POINTS.shape == (16, 2)
+        assert not PILOT_POINTS.flags.writeable
+        assert len({(p[0], p[1]) for p in PILOT_POINTS}) == 16
+        for p in PILOT_POINTS.ravel():
             assert abs(p.real) == 7.0 and abs(p.imag) == 7.0
 
+    def test_corner_labels_x_in_high_bits(self):
+        # label (cx << 2) | cy: the x polarization's corner in the high bits
+        corners = [7 + 7j, 7 - 7j, -7 + 7j, -7 - 7j]
+        for cx in range(4):
+            for cy in range(4):
+                assert tuple(PILOT_POINTS[(cx << 2) | cy]) == (corners[cx], corners[cy])
+
     def test_index_roundtrip_all_two_pilot(self):
-        book = PilotBook.build()
         for idx in range(256):
-            sym = book.symbols_for_index(idx, 2)
+            sym = pilot_symbols(idx, 2)
             assert sym.shape == (2, 2)
-            assert book.detect_index(sym) == idx
+            got = detect_pilot_index(sym)
+            assert isinstance(got, int) and got == idx
 
     def test_zero_distance_detection(self):
-        book = PilotBook.build()
-        assert book.detect_index(book.points[5][:, None]) == 5
+        assert detect_pilot_index(PILOT_POINTS[5][:, None]) == 5
 
     def test_empty_prefix(self):
-        book = PilotBook.build()
-        assert book.symbols_for_index(0, 0).shape == (2, 0)
+        assert pilot_symbols(0, 0).shape == (2, 0)
+        assert detect_pilot_index(pilot_symbols(0, 0)) == 0
         with pytest.raises(SelectionError):
-            book.symbols_for_index(1, 0)
+            pilot_symbols(1, 0)
         with pytest.raises(SelectionError):
-            book.symbols_for_index(16, 1)
+            pilot_symbols(16, 1)
+        with pytest.raises(SelectionError):
+            detect_pilot_index(np.zeros((3, 1), complex))
+
+    @pytest.mark.parametrize("n_pilots", [1, 2])
+    def test_stack_detection_equals_per_block_calls(self, n_pilots):
+        rng = substream(31, 2, n_pilots)
+        n_blocks = 400
+        sent = rng.integers(0, 16 ** n_pilots, size=n_blocks)
+        rx = np.stack([pilot_symbols(int(i), n_pilots) for i in sent])
+        rx = rx + 3.0 * (rng.standard_normal(rx.shape) + 1j * rng.standard_normal(rx.shape))
+        got = detect_pilot_index(rx)
+        assert got.shape == (n_blocks,)
+        assert list(got) == [detect_pilot_index(r) for r in rx] == [loop_detect(r) for r in rx]
+        # noisy enough that some blocks are misdetected, as in the link
+        assert 0 < int((got != sent).sum()) < n_blocks // 2
+        assert np.array_equal(detect_pilot_index(rx.reshape(20, 20, 2, n_pilots)),
+                              got.reshape(20, 20))
 
     def test_detection_error_rate_12db_awgn(self):
         # MC oracle: at 12 dB SNR per 4D pilot, wrong-corner rate < 1e-3
-        book = PilotBook.build()
         rng = substream(31, 1)
         total, errors = 0, 0
         e4 = 4.0 * 49.0  # pilot symbol energy over both polarizations
@@ -158,11 +195,11 @@ class TestPilotBook:
         for _ in range(10):
             m = 100_000
             true_idx = rng.integers(0, 16, size=m)
-            tx = book.points[true_idx]  # (m, 2)
+            tx = PILOT_POINTS[true_idx]  # (m, 2)
             noise = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
             rx = tx + noise * math.sqrt(sigma2 / 2.0)
-            d2 = (np.abs(rx[:, None, 0] - book.points[None, :, 0]) ** 2
-                  + np.abs(rx[:, None, 1] - book.points[None, :, 1]) ** 2)
+            d2 = (np.abs(rx[:, None, 0] - PILOT_POINTS[None, :, 0]) ** 2
+                  + np.abs(rx[:, None, 1] - PILOT_POINTS[None, :, 1]) ** 2)
             got = d2.argmin(axis=1)
             errors += int((got != true_idx).sum())
             total += m
@@ -171,7 +208,7 @@ class TestPilotBook:
         assert total >= 1_000_000
         assert errors / total < 1e-3
         for r, g in zip(spot_rx, spot_true):
-            assert book.detect_index(r[:, None]) == g
+            assert detect_pilot_index(r[:, None]) == g
 
 
 def naive_wk(symbols, window, stride):
@@ -357,13 +394,12 @@ def desk_candidates(cfg, scheme, n_t):
         shaper = PasShaper(trellis_for(cfg.dm_blocklength, k), n)
         n_bits = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
         bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        bsss_encode(bits, ScramblerBook.generate(cfg.seed, n_t, n_bits), n_t,
+        bsss_encode(bits, scrambler_masks(cfg.seed, n_t, n_bits), n_t,
                     shaper.encode, keep_stack)
         return stacks[0], None
     shaper = PasShaper(trellis_for(cfg.dm_blocklength, harness.dm_bits_per_block(cfg)), n)
     bits = rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8)
-    siss_encode(shaper.encode(bits), PermutationBook.generate(cfg.seed, n_t, n),
-                PilotBook.build(), n_t, keep_stack)
+    siss_encode(shaper.encode(bits), permutations(cfg.seed, n_t, n), n_t, keep_stack)
     return stacks[0], slice(siss_pilot_symbols(n_t), None)
 
 
@@ -384,20 +420,20 @@ class TestBsss:
         metric = partial(wk_metric, window=8, stride=8)
         for n_t in (1, 2, 4, 8):
             payload = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
-            book = ScramblerBook.generate(77, n_t, payload)
+            masks = scrambler_masks(77, n_t, payload)
             bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-            res = bsss_encode(bits, book, n_t, shaper.encode, metric)
+            res = bsss_encode(bits, masks, n_t, shaper.encode, metric)
             assert isinstance(res, SelectionResult)
             assert res.symbols.shape == (2, 8)
-            back = bsss_decode(shaper.decode(res.symbols), book, n_t)
+            back = bsss_decode(shaper.decode(res.symbols), masks, n_t)
             assert np.array_equal(back, bits)
 
     def test_degenerate_single_candidate(self):
         rng = substream(31, 12)
         shaper = small_shaper(8)
-        book = ScramblerBook.generate(77, 1, shaper.bits_per_selection_block)
+        masks = scrambler_masks(77, 1, shaper.bits_per_selection_block)
         bits = rng.integers(0, 2, size=shaper.bits_per_selection_block, dtype=np.uint8)
-        res = bsss_encode(bits, book, 1, shaper.encode, wk_metric)
+        res = bsss_encode(bits, masks, 1, shaper.encode, wk_metric)
         assert res.index == 0
         assert np.array_equal(res.symbols, shaper.encode(bits))
 
@@ -405,11 +441,11 @@ class TestBsss:
         rng = substream(31, 13)
         shaper = small_shaper(8)
         payload = shaper.bits_per_selection_block - 1
-        book = ScramblerBook.generate(78, 2, payload)
+        masks = scrambler_masks(78, 2, payload)
         bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-        res = bsss_encode(bits, book, 2, shaper.encode, wk_metric)
+        res = bsss_encode(bits, masks, 2, shaper.encode, wk_metric)
         plain = shaper.encode(np.concatenate([[0], bits]))
-        masked = shaper.encode(np.concatenate([[1], book.masks[1] ^ bits]))
+        masked = shaper.encode(np.concatenate([[1], masks[1] ^ bits]))
         expect = plain if res.index == 0 else masked
         assert np.array_equal(res.symbols, expect)
 
@@ -417,14 +453,14 @@ class TestBsss:
         rng = substream(31, 14)
         shaper = small_shaper(8)
         payload = shaper.bits_per_selection_block - 2
-        book = ScramblerBook.generate(79, 4, payload)
+        masks = scrambler_masks(79, 4, payload)
         metric = partial(wk_metric, window=8, stride=8)
         for _ in range(10):
             bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-            res = bsss_encode(bits, book, 4, shaper.encode, metric)
+            res = bsss_encode(bits, masks, 4, shaper.encode, metric)
             rescored = []
             for i in range(4):
-                blk = np.concatenate([index_to_bits(i, 2), book.masks[i] ^ bits])
+                blk = np.concatenate([index_to_bits(i, 2), masks[i] ^ bits])
                 rescored.append(wk_metric(shaper.encode(blk), window=8, stride=8))
             assert res.index == int(np.argmin(rescored))
             assert abs(res.cost - min(rescored)) < 1e-12
@@ -433,9 +469,9 @@ class TestBsss:
         rng = substream(31, 15)
         shaper = small_shaper(8)
         payload = shaper.bits_per_selection_block - 2
-        book = ScramblerBook.generate(79, 4, payload)
+        masks = scrambler_masks(79, 4, payload)
         bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-        res = bsss_encode(bits, book, 4, shaper.encode, lambda s: np.ones(len(s)))
+        res = bsss_encode(bits, masks, 4, shaper.encode, lambda s: np.ones(len(s)))
         assert res.index == 0
 
     def test_wrong_cost_shape_raises(self):
@@ -443,30 +479,30 @@ class TestBsss:
         rng = substream(31, 16)
         shaper = small_shaper(8)
         payload = shaper.bits_per_selection_block - 2
-        book = ScramblerBook.generate(79, 4, payload)
+        masks = scrambler_masks(79, 4, payload)
         bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
         for metric in (lambda s: 1.0, lambda s: np.ones((len(s), 1))):
             with pytest.raises(SelectionError):
-                bsss_encode(bits, book, 4, shaper.encode, metric)
+                bsss_encode(bits, masks, 4, shaper.encode, metric)
 
     def test_identity_pilot_leaves_bits(self):
-        book = ScramblerBook.generate(79, 4, 10)
+        masks = scrambler_masks(79, 4, 10)
         rx = np.concatenate([np.zeros(2, np.uint8),
                              np.arange(10, dtype=np.uint8) % 2])
-        out = bsss_decode(rx, book, 4)
+        out = bsss_decode(rx, masks, 4)
         assert np.array_equal(out, rx[2:])
 
     def test_decode_pilot_out_of_range(self):
-        book = ScramblerBook.generate(79, 3, 10)
+        masks = scrambler_masks(79, 3, 10)
         rx = np.concatenate([np.array([1, 1], np.uint8), np.zeros(10, np.uint8)])
         with pytest.raises(SelectionError):
-            bsss_decode(rx, book, 3)
+            bsss_decode(rx, masks, 3)
 
     def test_length_validation(self):
         shaper = small_shaper(8)
-        book = ScramblerBook.generate(79, 2, 20)
+        masks = scrambler_masks(79, 2, 20)
         with pytest.raises(SelectionError):
-            bsss_encode(np.zeros(19, np.uint8), book, 2, shaper.encode,
+            bsss_encode(np.zeros(19, np.uint8), masks, 2, shaper.encode,
                         wk_metric)
 
     def test_monotone_selected_cost_in_family_size(self):
@@ -479,7 +515,7 @@ class TestBsss:
         # same payload length everywhere so candidate sets nest: use the
         # largest family's pilot width for all runs
         width = payloads[16]
-        book = ScramblerBook.generate(80, 16, width)
+        masks = scrambler_masks(80, 16, width)
         metric = partial(wk_metric, window=8, stride=8)
         bits = [rng.integers(0, 2, size=width, dtype=np.uint8) for _ in range(30)]
         prev = None
@@ -490,7 +526,7 @@ class TestBsss:
                 per_cand = []
                 for i in range(n_t):
                     blk = np.concatenate([index_to_bits(i, bsss_pilot_bits(16)),
-                                          book.masks[i] ^ b])
+                                          masks[i] ^ b])
                     per_cand.append(metric(shaper.encode(blk)))
                 costs.append(min(per_cand))
             mean_cost = float(np.mean(costs))
@@ -502,56 +538,51 @@ class TestBsss:
 class TestSiss:
     def test_roundtrip(self):
         rng = substream(31, 18)
-        pilots = PilotBook.build()
         for n_t, n in ((1, 16), (2, 16), (16, 16), (256, 16)):
-            book = PermutationBook.generate(91, n_t, n)
+            perms = permutations(91, n_t, n)
             payload = random_block(rng, n)
             npil = siss_pilot_symbols(n_t)
             metric = partial(wk_metric, window=8, stride=8, payload=slice(npil, None))
-            res = siss_encode(payload, book, pilots, n_t, metric)
+            res = siss_encode(payload, perms, n_t, metric)
             assert res.symbols.shape == (2, npil + n)
-            back, idx = siss_decode(res.symbols, book, pilots, n_t)
+            back, idx = siss_decode(res.symbols, perms, n_t)
             assert idx == res.index
             assert np.array_equal(back, payload)
 
     def test_pilot_symbol_counts(self):
         rng = substream(31, 19)
-        pilots = PilotBook.build()
         payload = random_block(rng, 16)
         for n_t, want in ((2, 1), (16, 1), (256, 2)):
-            book = PermutationBook.generate(91, n_t, 16)
+            perms = permutations(91, n_t, 16)
             metric = partial(wk_metric, window=8, stride=8, payload=slice(want, None))
-            res = siss_encode(payload, book, pilots, n_t, metric)
+            res = siss_encode(payload, perms, n_t, metric)
             assert res.symbols.shape[1] == 16 + want
 
     def test_single_candidate_prepends_identity(self):
         rng = substream(31, 20)
-        pilots = PilotBook.build()
-        book = PermutationBook.generate(91, 1, 16)
+        perms = permutations(91, 1, 16)
         payload = random_block(rng, 16)
-        res = siss_encode(payload, book, pilots, 1, wk_metric)
+        res = siss_encode(payload, perms, 1, wk_metric)
         assert res.index == 0
         assert np.array_equal(res.symbols, payload)
 
     def test_two_candidates_identity_and_permuted(self):
         rng = substream(31, 21)
-        pilots = PilotBook.build()
-        book = PermutationBook.generate(91, 2, 16)
+        perms = permutations(91, 2, 16)
         payload = random_block(rng, 16)
         metric = partial(wk_metric, window=8, stride=8, payload=slice(1, None))
-        res = siss_encode(payload, book, pilots, 2, metric)
-        want_payload = payload[:, book.perms[res.index]]
+        res = siss_encode(payload, perms, 2, metric)
+        want_payload = payload[:, perms[res.index]]
         assert np.array_equal(res.symbols[:, 1:], want_payload)
         assert np.array_equal(res.symbols[:, :1],
-                              pilots.symbols_for_index(res.index, 1))
+                              pilot_symbols(res.index, 1))
 
     def test_payload_multiset_preserved(self):
         rng = substream(31, 22)
-        pilots = PilotBook.build()
-        book = PermutationBook.generate(91, 16, 64)
+        perms = permutations(91, 16, 64)
         payload = random_block(rng, 64)
         metric = partial(wk_metric, window=16, stride=8, payload=slice(1, None))
-        res = siss_encode(payload, book, pilots, 16, metric)
+        res = siss_encode(payload, perms, 16, metric)
         got = res.symbols[:, 1:]
         for pol in range(2):
             assert np.array_equal(np.sort_complex(got[pol]),
@@ -559,48 +590,44 @@ class TestSiss:
 
     def test_argmin_matches_exhaustive_rescore(self):
         rng = substream(31, 23)
-        pilots = PilotBook.build()
-        book = PermutationBook.generate(91, 8, 32)
+        perms = permutations(91, 8, 32)
         metric = partial(wk_metric, window=8, stride=4, payload=slice(1, None))
         for _ in range(5):
             payload = random_block(rng, 32)
-            res = siss_encode(payload, book, pilots, 8, metric)
+            res = siss_encode(payload, perms, 8, metric)
             rescored = []
             for i in range(8):
-                cand = np.concatenate([pilots.symbols_for_index(i, 1),
-                                       payload[:, book.perms[i]]], axis=1)
+                cand = np.concatenate([pilot_symbols(i, 1),
+                                       payload[:, perms[i]]], axis=1)
                 rescored.append(metric(cand))
             assert res.index == int(np.argmin(rescored))
             assert abs(res.cost - min(rescored)) < 1e-12
 
     def test_monotone_selected_cost_in_family_size(self):
         rng = substream(31, 24)
-        pilots = PilotBook.build()
-        book = PermutationBook.generate(92, 16, 64)
+        perms = permutations(92, 16, 64)
         blocks = [random_block(rng, 64) for _ in range(200)]
         prev = None
         for n_t in (1, 2, 4, 8, 16):
             npil = siss_pilot_symbols(n_t)
             metric = partial(wk_metric, window=32, stride=16, payload=slice(npil, None))
             mean_cost = float(np.mean([
-                siss_encode(b, book, pilots, n_t, metric).cost for b in blocks]))
+                siss_encode(b, perms, n_t, metric).cost for b in blocks]))
             if prev is not None:
                 assert mean_cost <= prev + 1e-12
             prev = mean_cost
 
     def test_decode_rejects_out_of_family_pilot(self):
         rng = substream(31, 25)
-        pilots = PilotBook.build()
-        book = PermutationBook.generate(91, 4, 16)
+        perms = permutations(91, 4, 16)
         payload = random_block(rng, 16)
-        bad = np.concatenate([pilots.symbols_for_index(9, 1), payload], axis=1)
+        bad = np.concatenate([pilot_symbols(9, 1), payload], axis=1)
         with pytest.raises(SelectionError):
-            siss_decode(bad, book, pilots, 4)
+            siss_decode(bad, perms, 4)
 
     def test_shape_validation(self):
-        pilots = PilotBook.build()
-        book = PermutationBook.generate(91, 2, 16)
+        perms = permutations(91, 2, 16)
         with pytest.raises(SelectionError):
-            siss_encode(np.zeros((2, 8), complex), book, pilots, 2, wk_metric)
+            siss_encode(np.zeros((2, 8), complex), perms, 2, wk_metric)
         with pytest.raises(SelectionError):
-            siss_decode(np.zeros((2, 1), complex), book, pilots, 2)
+            siss_decode(np.zeros((2, 1), complex), perms, 2)
