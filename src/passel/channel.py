@@ -1,10 +1,10 @@
 """WDM fiber channel: pulse shaping, multiplexing, split-step propagation, EDFAs.
 
 The simulation currency is :class:`FieldWaveform`: complex baseband samples of
-shape (..., 2, T) with row -2 indexing polarization (x then y). Leading axes
-batch independent blocks through the same vectorized operations. All blocks
-are processed with periodic boundary conditions (circular filtering and FFT
-propagation), so each block is self-contained.
+shape (..., 2, T), row -2 indexing polarization (x then y), and their sample
+rate, nothing more. Leading axes batch independent blocks through the same
+vectorized operations. All blocks are processed with periodic boundary
+conditions (circular filtering and FFT propagation), so each is self-contained.
 
 Internally everything runs in SI units (seconds, Hz, W, m); configuration
 dataclasses accept the usual engineering units and convert on access.
@@ -64,7 +64,6 @@ __all__ = [
     "rrc_modulate",
     "wdm_mux",
     "wdm_demux",
-    "ssfm_span",
     "propagate_link",
     "standard_complex_noise",
 ]
@@ -301,18 +300,10 @@ class AmplifierParams:
 
 @dataclass
 class FieldWaveform:
-    """Sampled dual-polarization optical field.
-
-    samples: complex ndarray, shape (..., 2, T).
-    symbol_scale: constellation-to-waveform amplitude factor recorded at
-    modulation (scalar, or an array broadcastable over the leading axes) so
-    the receiver can return symbols in constellation units. A multiplexed
-    waveform carries one scale per channel along a leading axis of its own.
-    """
+    """Sampled dual-polarization optical field: complex samples, shape (..., 2, T)."""
 
     samples: np.ndarray
     sample_rate_hz: float
-    symbol_scale: np.ndarray | float = 1.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -356,12 +347,13 @@ def pulse_spectrum(wdm: WdmConfig, n_samples: int) -> np.ndarray:
 
 
 def rrc_modulate(symbols: np.ndarray, wdm: WdmConfig,
-                 launch_power_dbm: float) -> FieldWaveform:
+                 launch_power_dbm: float) -> tuple[FieldWaveform, np.ndarray]:
     """Pulse-shape symbol blocks and scale each block to the launch power.
 
-    symbols: (..., 2, n) complex in constellation units. The returned
-    waveform has T = n * sps samples per block; the per-block amplitude
-    factor applied to reach the launch power is stored in symbol_scale.
+    symbols: (..., 2, n) complex in constellation units. Returns the
+    waveform, T = n * sps samples per block, and the (...) per-block
+    amplitude factors that took each block to the launch power: dividing
+    them out of the matched filter's samples gives constellation units.
     """
     sym = np.asarray(symbols, dtype=complex)
     if sym.ndim < 2 or sym.shape[-2] != 2:
@@ -377,7 +369,7 @@ def rrc_modulate(symbols: np.ndarray, wdm: WdmConfig,
         raise ChannelError("cannot scale an all-zero block to the launch power")
     scale = np.sqrt(dbm_to_watts(launch_power_dbm) / power)
     wave *= scale[..., None, None]
-    return FieldWaveform(wave, wdm.sample_rate_hz, symbol_scale=scale)
+    return FieldWaveform(wave, wdm.sample_rate_hz), scale
 
 
 def _carrier_bin(wdm: WdmConfig, channel: int, n_samples: int) -> int:
@@ -391,15 +383,12 @@ def wdm_mux(channels: list[FieldWaveform], wdm: WdmConfig) -> FieldWaveform:
 
     Carriers are snapped to FFT bins of the block (sub-bin error is below
     half the block line spacing) so the composite stays exactly cyclic.
-    Channel symbol scales are stacked along a new leading axis of
-    symbol_scale, in channel order.
     """
     if len(channels) != wdm.n_channels:
         raise ChannelError("expected %d channel waveforms" % wdm.n_channels)
     t_len = channels[0].n_samples
     shape = channels[0].samples.shape
     total = np.zeros(shape, dtype=complex)
-    scales = []
     for k, ch in enumerate(channels):
         if ch.samples.shape != shape:
             raise ChannelError("channel waveform shapes differ")
@@ -407,28 +396,17 @@ def wdm_mux(channels: list[FieldWaveform], wdm: WdmConfig) -> FieldWaveform:
             raise ChannelError("channel sample rates differ")
         spec = np.fft.fft(ch.samples, axis=-1)
         total += np.fft.ifft(np.roll(spec, _carrier_bin(wdm, k, t_len), axis=-1), axis=-1)
-        scales.append(np.broadcast_to(np.asarray(ch.symbol_scale), shape[:-2]).copy())
-    return FieldWaveform(total, channels[0].sample_rate_hz,
-                         symbol_scale=np.stack(scales, axis=0))
+    return FieldWaveform(total, channels[0].sample_rate_hz)
 
 
 def wdm_demux(field: FieldWaveform, wdm: WdmConfig, channel: int) -> FieldWaveform:
-    """Shift one channel to baseband and brick-wall filter to half the spacing.
-
-    The field must come from wdm_mux: one symbol scale per channel and block.
-    """
-    scale = np.asarray(field.symbol_scale)
-    want = (wdm.n_channels,) + field.samples.shape[:-2]
-    if scale.shape != want:
-        raise ChannelError("symbol scale shaped %s, not %s: demux needs a field from wdm_mux"
-                           % (scale.shape, want))
+    """Shift one channel to baseband and brick-wall filter to half the spacing."""
     t_len = field.n_samples
     spec = np.roll(np.fft.fft(field.samples, axis=-1),
                    -_carrier_bin(wdm, channel, t_len), axis=-1)
     f = np.fft.fftfreq(t_len, d=1.0 / field.sample_rate_hz)
     spec *= np.abs(f) <= wdm.spacing_hz / 2.0 + 1e-6
-    return FieldWaveform(np.fft.ifft(spec, axis=-1), field.sample_rate_hz,
-                         symbol_scale=scale[channel])
+    return FieldWaveform(np.fft.ifft(spec, axis=-1), field.sample_rate_hz)
 
 
 # Series rotation. sin(phi)/phi = sum_k (-1)^k u^k/(2k+1)!, u = phi^2. Four terms
@@ -547,16 +525,18 @@ class _Span:
     They depend on the fiber, the step schedule and the field's shape and
     sample rate alone, so a link builds them once and runs every span on them.
 
-    With processes > 1, a batch of two chunks or more is cut into
-    min(processes, chunks) contiguous shares of near-equal rows, and entering
-    the span as a context manager forks one process per share past the
-    first; the parent keeps the lowest rows. A process with more than one
-    thread runs every share itself. Every span, the parent writes
-    the spectrum into an anonymous shared mapping, wakes the children over
-    their pipes, steps its own share and then waits for each child's reply.
-    The children inherit the operators and work buffers through the fork and
-    leave through os._exit; leaving the context reaps them, and kills them
-    first when the link is raising.
+    Entering the span as a context manager allocates the link's spectrum
+    buffer once. With processes > 1, a batch of two chunks or more is cut
+    into min(processes, chunks) contiguous shares of near-equal rows; the
+    buffer is then an anonymous shared mapping, and one process is forked
+    per share past the first, the parent keeping the lowest rows. Otherwise,
+    and in a process with more than one thread, the buffer is a plain array
+    and the parent's one share is every row. Every span, the parent writes
+    the spectrum into the buffer, wakes the children over their pipes, steps
+    its own share, waits for each child's reply and inverse-transforms the
+    buffer in place. The children inherit the operators and work buffers
+    through the fork and leave through os._exit; leaving the context reaps
+    them, and kills them first when the link is raising.
     """
 
     def __init__(self, field: FieldWaveform, fiber: FiberParams, step_cfg: SsfmStepConfig,
@@ -570,7 +550,7 @@ class _Span:
         self.work = _SplitStepWork(self.rows, t_len)
         shares = max(1, min(processes, -(-n // self.rows)))
         self.bounds = [n * k // shares for k in range(shares + 1)]
-        self.spec = None    # the shared spectrum, while children run
+        self.spec = None    # the spectrum buffer, inside the context
         self.children = []  # [pid, wake fd, reply fd] per share past the first
 
     def __enter__(self):
@@ -585,6 +565,9 @@ class _Span:
             except BaseException:
                 self.__exit__(True)
                 raise
+        else:
+            self.spec = np.empty(self.shape, dtype=complex)
+            self.bounds = [0, self.shape[0]]  # one share: every row is the parent's
         return self
 
     def __exit__(self, raising, *_):
@@ -645,33 +628,21 @@ class _Span:
                            % (lo, hi - 1, os.waitstatus_to_exitcode(status)))
 
     def __call__(self, samples: np.ndarray) -> np.ndarray:
-        """The span's output for samples shaped like the field the span was built for."""
-        a = samples.reshape(self.shape)
-        if self.spec is None:
-            # spec is this call's own array, one row per block, so the FFTs may overwrite it
-            spec = np.fft.fft(a, axis=-1)
-            self._steps(spec, 0, self.shape[0])
-            out = np.fft.ifft(spec, axis=-1, out=spec)
-        else:
-            np.fft.fft(a, axis=-1, out=self.spec)
-            for child in self.children:
-                try:
-                    os.write(child[1], b"\1")
-                except BrokenPipeError:  # the child is gone; _wait names it below
-                    pass
-            self._steps(self.spec, *self.bounds[:2])
-            # the serial order's error: the parent's rows first, then the lowest child's
-            for child, lo, hi in zip(self.children, self.bounds[1:], self.bounds[2:]):
-                self._wait(child, lo, hi)
-            out = np.fft.ifft(self.spec, axis=-1)  # out of the mapping
-        return out.reshape(samples.shape)
+        """The span's output for samples shaped like the field the span was built for.
 
-
-def ssfm_span(field: FieldWaveform, fiber: FiberParams,
-              step_cfg: SsfmStepConfig | None = None) -> FieldWaveform:
-    """Propagate one fiber span by the symmetric split-step Manakov method."""
-    return FieldWaveform(_Span(field, fiber, step_cfg or SsfmStepConfig())(field.samples),
-                         field.sample_rate_hz, symbol_scale=field.symbol_scale)
+        The output is a view of the buffer, which the next span overwrites.
+        """
+        np.fft.fft(samples.reshape(self.shape), axis=-1, out=self.spec)
+        for child in self.children:
+            try:
+                os.write(child[1], b"\1")
+            except BrokenPipeError:  # the child is gone; _wait names it below
+                pass
+        self._steps(self.spec, *self.bounds[:2])
+        # the serial order's error: the parent's rows first, then the lowest child's
+        for child, lo, hi in zip(self.children, self.bounds[1:], self.bounds[2:]):
+            self._wait(child, lo, hi)
+        return np.fft.ifft(self.spec, axis=-1, out=self.spec).reshape(samples.shape)
 
 
 def standard_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -705,7 +676,7 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     with _Span(field, fiber, step_cfg or SsfmStepConfig(),
                processes if fiber.n_spans else 1) as span_fn:
         for span in range(fiber.n_spans):
-            try:
+            try:  # a new array: the span's output is its buffer
                 samples = span_fn(samples) * gain
             except StepSizeError as exc:
                 exc.span = span
@@ -716,4 +687,4 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
                     raise ChannelError("unit_noise shape mismatch")
                 var = amp.ase_variance_per_sample(fiber.span_loss_db, field.sample_rate_hz)
                 samples = samples + math.sqrt(var) * noise
-    return FieldWaveform(samples, field.sample_rate_hz, symbol_scale=field.symbol_scale)
+    return FieldWaveform(samples, field.sample_rate_hz)

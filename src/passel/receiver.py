@@ -2,9 +2,10 @@
 
 The chain undoes the link deterministically: frequency-domain chromatic
 dispersion compensation, the matched root-raised-cosine filter with symbol
-sampling, and data-aided mean phase compensation per polarization. The
-noiseless back-to-back loop returns transmitted symbols exactly (in
-constellation units).
+sampling, and data-aided mean phase compensation per polarization.
+link_receive divides the modulation scale out of the sampled center channel,
+so a noiseless linear link returns the transmitted symbols (in constellation
+units).
 
 Rates are estimated with a bit-metric decoder over a circular-Gaussian
 auxiliary channel whose variance is fitted to the data: per-bit LLRs with
@@ -58,23 +59,20 @@ def cdc(field: FieldWaveform, fiber: FiberParams) -> FieldWaveform:
     w = 2.0 * np.pi * np.fft.fftfreq(field.n_samples, d=1.0 / field.sample_rate_hz)
     spec = np.fft.fft(field.samples, axis=-1)
     spec *= np.exp(0.5j * dispersion_s2 * w * w)
-    return FieldWaveform(np.fft.ifft(spec, axis=-1), field.sample_rate_hz,
-                         symbol_scale=field.symbol_scale)
+    return FieldWaveform(np.fft.ifft(spec, axis=-1), field.sample_rate_hz)
 
 
 def matched_filter_sample(field: FieldWaveform, wdm: WdmConfig) -> np.ndarray:
-    """Matched filter, symbol-rate sampling, and constellation rescaling.
+    """Matched filter and symbol-rate sampling: the (..., 2, n) samples at the symbol instants.
 
-    Returns (..., 2, n) symbols; the stored modulation scale is divided out
-    so a noiseless back-to-back loop reproduces the transmitted symbols.
+    Back to back, they are the sent symbols times rrc_modulate's scale.
     """
     sps = wdm.sps
     if field.n_samples % sps:
         raise ReceiverError("waveform length is not a whole number of symbols")
     h = pulse_spectrum(wdm, field.n_samples)
     filtered = np.fft.ifft(np.fft.fft(field.samples, axis=-1) * h, axis=-1)
-    # the scale is per block, as wdm_demux or rrc_modulate left it
-    return filtered[..., ::sps] / np.asarray(field.symbol_scale)[..., None, None]
+    return filtered[..., ::sps]
 
 
 def link_receive(tx: np.ndarray, wdm: WdmConfig, fiber: FiberParams, amp: AmplifierParams,
@@ -85,12 +83,17 @@ def link_receive(tx: np.ndarray, wdm: WdmConfig, fiber: FiberParams, amp: Amplif
     Modulates each channel at launch_power_dbm, multiplexes, propagates
     (unit_noise_for_span and processes as in propagate_link), then
     demultiplexes, compensates dispersion and matched-filters the center
-    channel. Sweep points, the bound and the NLI metric all run this one chain.
+    channel, and divides out its modulation scale. Sweep points, the bound
+    and the NLI metric all run this one chain.
     """
-    composite = wdm_mux([rrc_modulate(ch, wdm, launch_power_dbm) for ch in tx], wdm)
-    out = propagate_link(composite, fiber, amp, step_cfg,
-                         unit_noise_for_span=unit_noise_for_span, processes=processes)
-    return matched_filter_sample(cdc(wdm_demux(out, wdm, wdm.center_channel), fiber), wdm)
+    # channel by channel: one call on all of them would hold n_channels times the temporaries
+    field = [rrc_modulate(ch, wdm, launch_power_dbm) for ch in tx]
+    scale = field[wdm.center_channel][1]
+    field = wdm_mux([f for f, _ in field], wdm)  # the per-channel waveforms go before the link
+    field = propagate_link(field, fiber, amp, step_cfg,
+                           unit_noise_for_span=unit_noise_for_span, processes=processes)
+    field = cdc(wdm_demux(field, wdm, wdm.center_channel), fiber)
+    return matched_filter_sample(field, wdm) / scale[..., None, None]
 
 
 def mean_phase_comp(rx_syms: np.ndarray, tx_syms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

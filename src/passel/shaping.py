@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "LEVELS",
     "BITS_PER_AMPLITUDE",
+    "ShapingError",
     "EssTrellis",
     "MbDistribution",
     "ess_build_trellis",

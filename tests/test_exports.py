@@ -1,5 +1,5 @@
-"""Every name a passel module lists in __all__ resolves on that module, and every
-array it lists is read-only."""
+"""Every name a passel module lists in __all__ resolves on that module, every
+array it lists is read-only, and every error class it defines is listed."""
 
 import importlib
 import pkgutil
@@ -27,6 +27,17 @@ def test_exported_arrays_are_read_only(module):
     writable = [name for name, value in values.items()
                 if isinstance(value, np.ndarray) and value.flags.writeable]
     assert not writable, "passel.%s exports writable arrays: %s" % (module, writable)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_error_classes_are_exported(module):
+    # callers catch a module's errors by the names it exports
+    mod = importlib.import_module("passel." + module)
+    errors = [name for name, value in vars(mod).items()
+              if isinstance(value, type) and issubclass(value, Exception)
+              and value.__module__ == mod.__name__]
+    missing = [name for name in errors if name not in getattr(mod, "__all__", ())]
+    assert not missing, "passel.%s defines errors missing from __all__: %s" % (module, missing)
 
 
 def test_fixed_alphabets_are_exported():

@@ -6,6 +6,7 @@ efficiency conversion.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from passel.receiver import (
     air_bitwise,
     cdc,
     constellation_priors,
+    link_receive,
     matched_filter_sample,
     mean_phase_comp,
     se_from_air,
 )
+from passel.harness import desk_preset, fiber_for, link_wdm
 from passel.receiver import _logsumexp
 from passel.seeding import substream
 from passel.shaping import LEVELS, mb_fit
@@ -128,8 +131,8 @@ class TestChainBackToBack:
         rng = substream(7, 9)
         wdm = WdmConfig(n_channels=1, sps=8)
         x = random_symbols(rng, 512)
-        field = rrc_modulate(x, wdm, launch_power_dbm=0.0)
-        y = matched_filter_sample(field, wdm)
+        field, scale = rrc_modulate(x, wdm, launch_power_dbm=0.0)
+        y = matched_filter_sample(field, wdm) / scale
         assert y.shape == x.shape
         assert np.abs(y - x).max() < 1e-9
 
@@ -139,20 +142,34 @@ class TestChainBackToBack:
         fiber = FiberParams(gamma_per_w_km=0.0, n_spans=4)
         amp = AmplifierParams(noise_on=False)
         x = random_symbols(rng, 1024)
-        field = rrc_modulate(x, wdm, launch_power_dbm=0.0)
+        field, scale = rrc_modulate(x, wdm, launch_power_dbm=0.0)
         out = propagate_link(field, fiber, amp, SsfmStepConfig(steps_per_span=4))
-        y = matched_filter_sample(cdc(out, fiber), wdm)
+        y = matched_filter_sample(cdc(out, fiber), wdm) / scale
         assert np.abs(y - x).max() < 1e-6
+
+    def test_link_receive_returns_the_center_channel_on_three_channels(self):
+        # a linear noiseless desk link: every block and channel has its own scale,
+        # and only the center channel's returns the center channel's symbols
+        cfg = desk_preset()
+        wdm = link_wdm(cfg)
+        fiber = replace(fiber_for(cfg), gamma_per_w_km=0.0, n_spans=2)
+        rng = substream(7, 15)
+        tx = np.stack([random_symbols(rng, cfg.block_len_4d, blocks=8) for _ in range(3)])
+        y = link_receive(tx, wdm, fiber, AmplifierParams(noise_on=False),
+                         SsfmStepConfig(steps_per_span=4), launch_power_dbm=2.0)
+        want = tx[wdm.center_channel]
+        assert y.shape == want.shape == (8, 2, cfg.block_len_4d)
+        assert np.abs(y - want).max() < 1e-9 * np.abs(want).max()
 
     def test_batched_matches_single(self):
         rng = substream(7, 11)
         wdm = WdmConfig(n_channels=1, sps=4)
         xs = random_symbols(rng, 256, blocks=3)
-        field = rrc_modulate(xs, wdm, launch_power_dbm=-1.0)
-        y = matched_filter_sample(field, wdm)
+        field, scale = rrc_modulate(xs, wdm, launch_power_dbm=-1.0)
+        y = matched_filter_sample(field, wdm) / scale[:, None, None]
         for b in range(3):
-            single = rrc_modulate(xs[b], wdm, launch_power_dbm=-1.0)
-            yb = matched_filter_sample(single, wdm)
+            single, scale_b = rrc_modulate(xs[b], wdm, launch_power_dbm=-1.0)
+            yb = matched_filter_sample(single, wdm) / scale_b
             assert np.abs(y[b] - yb).max() < 1e-12
 
     def test_processing_gain_identity(self):
@@ -160,14 +177,14 @@ class TestChainBackToBack:
         rng = substream(7, 12)
         wdm = WdmConfig(n_channels=1, sps=8)
         x = random_symbols(rng, 4096)
-        field = rrc_modulate(x, wdm, launch_power_dbm=0.0)
+        field, scale = rrc_modulate(x, wdm, launch_power_dbm=0.0)
         sig_p = float((np.abs(field.samples) ** 2).sum(axis=0).mean())
         noise = (rng.standard_normal(field.samples.shape)
                  + 1j * rng.standard_normal(field.samples.shape))
         sigma_w2 = sig_p / 100.0  # 20 dB waveform SNR
         noisy = FieldWaveform(field.samples + noise * math.sqrt(sigma_w2 / 2.0),
-                              field.sample_rate_hz, symbol_scale=field.symbol_scale)
-        y = matched_filter_sample(noisy, wdm)
+                              field.sample_rate_hz)
+        y = matched_filter_sample(noisy, wdm) / scale
         snr_sym = np.mean(np.abs(x) ** 2) / np.mean(np.abs(y - x) ** 2)
         snr_wave = (sig_p / 2.0) / sigma_w2  # per polarization
         gain_db = 10 * math.log10(snr_sym / snr_wave)

@@ -405,9 +405,9 @@ def desk_candidates(cfg, scheme, n_t):
 
 def reference_nli_costs(x, fiber, wdm, step_cfg, power_dbm, payload):
     """The NLI cost by its own single-channel chain: modulate, link, cdc, matched filter."""
-    out = propagate_link(rrc_modulate(x, wdm, power_dbm), fiber,
-                         AmplifierParams(noise_on=False), step_cfg)
-    y = matched_filter_sample(cdc(out, fiber), wdm)
+    field, scale = rrc_modulate(x, wdm, power_dbm)
+    out = propagate_link(field, fiber, AmplifierParams(noise_on=False), step_cfg)
+    y = matched_filter_sample(cdc(out, fiber), wdm) / scale[..., None, None]
     pay = payload or slice(None)
     yp, _ = mean_phase_comp(y[..., pay], x[..., pay])
     return np.sqrt((np.abs(yp - x[..., pay]) ** 2).sum(axis=(-2, -1)))
