@@ -234,8 +234,8 @@ class SsfmStepConfig:
     def __post_init__(self):
         if self.steps_per_span is not None and self.steps_per_span < 1:
             raise ChannelError("steps_per_span must be >= 1")
-        if self.peak_allowance_w < 0:
-            raise ChannelError("peak allowance must be >= 0")
+        if not 0.0 <= self.peak_allowance_w < math.inf:  # inf would step forever
+            raise ChannelError("peak allowance must be finite and >= 0")
 
     def step_lengths(self, fiber: FiberParams, peak_power_w: float = 0.0) -> list[float]:
         """Step lengths in m, in order, for an allowance of at least peak_power_w."""

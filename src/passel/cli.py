@@ -12,6 +12,7 @@ seed, whatever --workers says.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -63,6 +64,8 @@ def _check_out(path: str) -> None:
         why = "no file name"
     elif os.path.isdir(path):
         why = "it is a directory"
+    elif os.path.exists(path) and not os.access(path, os.W_OK):
+        why = "it is not writable"
     elif not os.path.isdir(folder):
         why = "no directory %s" % folder
     elif not os.access(folder, os.W_OK):
@@ -169,9 +172,8 @@ def _selftest_checks():
         masks = scrambler_masks(5, 4, payload)
         rng = substream(5, 1)
         bits = rng.integers(0, 2, payload, dtype=np.uint8)
-        res = bsss_encode(bits, masks, 4, shaper.encode,
-                          lambda s: wk_metric(s, window=8))
-        back = bsss_decode(shaper.decode(res.symbols), masks, 4)
+        res = bsss_encode(bits, masks, shaper.encode, lambda s: wk_metric(s, window=8))
+        back = bsss_decode(shaper.decode(res.symbols), masks)
         _check(np.array_equal(back, bits), "bit selection does not round-trip")
 
     def siss_roundtrip():
@@ -180,10 +182,10 @@ def _selftest_checks():
         rng = substream(9, 1)
         bits = rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8)
         payload = shaper.encode(bits)
-        res = siss_encode(payload, perms, 16,
+        res = siss_encode(payload, perms,
                           lambda s: wk_metric(s, window=8,
                                               payload=slice(siss_pilot_symbols(16), None)))
-        got, idx = siss_decode(res.symbols, perms, 16)
+        got, idx = siss_decode(res.symbols, perms)
         _check(idx == res.index and np.allclose(got, payload),
                "symbol selection does not round-trip")
 
@@ -266,6 +268,9 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args)
         _check_out(args.out)
+        power = getattr(args, "power", None)
+        if power is not None and not math.isfinite(power):
+            raise HarnessError("--power must be finite, got %s" % power)
     except HarnessError as exc:
         # a bad setting is a usage error: one line and status 2, as argparse does
         print("passel: error: %s" % exc, file=sys.stderr)

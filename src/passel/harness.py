@@ -112,9 +112,9 @@ class HarnessError(ValueError):
 class ExperimentConfig:
     """Flat experiment description; units live in the field names."""
 
-    schemes: tuple = ("ess",)
-    powers_dbm: tuple = (1.0,)
-    n_t_values: tuple = (1,)
+    schemes: tuple[str, ...] = ("ess",)
+    powers_dbm: tuple[float, ...] = (1.0,)
+    n_t_values: tuple[int, ...] = (1,)
     selection_metric: str = "nli"
     n_blocks: int = 200
     seed: int = 1234
@@ -148,6 +148,10 @@ class ExperimentConfig:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         object.__setattr__(self, "powers_dbm", tuple(float(p) for p in self.powers_dbm))
         object.__setattr__(self, "n_t_values", tuple(int(v) for v in self.n_t_values))
+        for f in fields(self):  # nan passes the range checks below; inf hangs the link
+            value = getattr(self, f.name)
+            if f.type in ("float", "tuple[float, ...]") and not np.isfinite(value).all():
+                raise HarnessError("%s must be finite, got %s" % (f.name, _fmt_value(value)))
         for s in self.schemes:
             if s not in KNOWN_SCHEMES:
                 raise HarnessError("unknown scheme %r" % (s,))
@@ -189,11 +193,11 @@ class ExperimentConfig:
         if "ess+bsss" in self.schemes:
             # n amplitudes index at most BITS_PER_AMPLITUDE * n bits
             n_t = max(self.n_t_values)
-            k_adj = bsss_bits_per_block(self, n_t)
-            if k_adj > BITS_PER_AMPLITUDE * self.dm_blocklength:
+            needed = bsss_bits_per_block(self, n_t)
+            if needed > BITS_PER_AMPLITUDE * self.dm_blocklength:
                 raise HarnessError("ess+bsss at n_t = %d needs %d bits per DM block of %d, "
                                    "above the %d it can carry"
-                                   % (n_t, k_adj, self.dm_blocklength,
+                                   % (n_t, needed, self.dm_blocklength,
                                       BITS_PER_AMPLITUDE * self.dm_blocklength))
         try:
             for build in (fiber_for, link_wdm, metric_wdm, amp_for):
@@ -212,20 +216,11 @@ class ExperimentConfig:
             raise HarnessError("max_workers must be >= 1")
 
 
-_LIST_ELEM = {"schemes": str, "powers_dbm": float, "n_t_values": int}
-
-
-def _field_kinds():
-    kinds = {}
-    for f in fields(ExperimentConfig):
-        if f.name in _LIST_ELEM:
-            kinds[f.name] = ("list", _LIST_ELEM[f.name])
-        else:
-            kinds[f.name] = ("scalar", f.type)
-    return kinds
-
-
-def _parse_scalar(name: str, typ: str, raw: str):
+def _parse_value(name: str, typ: str, raw: str):
+    """One value of the ExperimentConfig field annotated typ; tuples are comma-separated."""
+    if typ.startswith("tuple["):
+        elem = typ[len("tuple["):].split(",", 1)[0]
+        return tuple(_parse_value(name, elem, p) for p in raw.split(",") if p.strip())
     raw = raw.strip()
     if typ == "bool":
         if raw.lower() in ("true", "1", "yes", "on"):
@@ -243,7 +238,7 @@ def _parse_scalar(name: str, typ: str, raw: str):
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """key = value lines over a base config; '#' starts a comment."""
     cfg = base or ExperimentConfig()
-    kinds = _field_kinds()
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     updates, lines = {}, {}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -252,19 +247,14 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         if "=" not in line:
             raise HarnessError("line %d is not key = value" % ln)
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in kinds:
+        if key not in types:
             raise HarnessError("unknown config key %r (line %d)" % (key, ln))
         if key in lines:
             raise HarnessError("config key %r set twice (lines %d and %d)"
                                % (key, lines[key], ln))
         lines[key] = ln
-        mode, typ = kinds[key]
         try:
-            if mode == "list":
-                items = [p.strip() for p in raw.split(",") if p.strip()]
-                updates[key] = tuple(typ(p) for p in items)
-            else:
-                updates[key] = _parse_scalar(key, typ, raw)
+            updates[key] = _parse_value(key, types[key], raw)
         except ValueError as exc:
             raise HarnessError("bad value for %s (line %d): %s" % (key, ln, exc)) from None
     return replace(cfg, **updates)
@@ -422,9 +412,10 @@ class _PointState:
 
     mb samples amplitudes directly; every other scheme shapes payload_bits
     per block through one sphere shaper. ess+bsss carries its index as pilot
-    bits absorbed by a higher matcher rate k_adj; ess+siss carries it as
-    pilot symbols in extra time slots. The point runs its link and NLI
-    metric on its share of the cores, pool_width points being in flight.
+    bits absorbed by a higher matcher rate; ess+siss carries it as pilot
+    symbols in extra time slots. The point runs its link and NLI metric on
+    its share of the cores, pool_width points being in flight. resolved is
+    the point's sidecar record.
     """
 
     def __init__(self, cfg: ExperimentConfig, scheme: str, power_dbm: float, n_t: int,
@@ -436,11 +427,10 @@ class _PointState:
         self.cfg = cfg
         self.scheme = scheme
         self.power_dbm = float(power_dbm)
-        self.n_t = int(n_t)
         self.processes = _core_share(pool_width)
         self.n = cfg.block_len_4d
-        self.k_base = self.k_adj = dm_bits_per_block(cfg)
-        self.pilot_bits = 0
+        dm_bits = matcher_bits = dm_bits_per_block(cfg)
+        pilot_bits = 0
         self.pilot_syms = 0
         self.dist = None
         self.shaper = None
@@ -450,13 +440,13 @@ class _PointState:
             self.realized_bits_4d = None  # ideal matcher: no rate loss
         else:
             if scheme == "ess+bsss":
-                self.pilot_bits = bsss_pilot_bits(n_t)
-                self.k_adj = bsss_bits_per_block(cfg, n_t)
+                pilot_bits = bsss_pilot_bits(n_t)
+                matcher_bits = bsss_bits_per_block(cfg, n_t)
             elif scheme == "ess+siss":
                 self.pilot_syms = siss_pilot_symbols(n_t)
             self.shaper = PasShaper(
-                trellis_for(cfg.dm_blocklength, self.k_adj), self.n)
-            self.payload_bits = self.shaper.bits_per_selection_block - self.pilot_bits
+                trellis_for(cfg.dm_blocklength, matcher_bits), self.n)
+            self.payload_bits = self.shaper.bits_per_selection_block - pilot_bits
             self.realized_bits_4d = self.payload_bits / self.n
 
         if scheme in SELECTION_SCHEMES:
@@ -472,6 +462,22 @@ class _PointState:
 
         self.block_len_tx = self.n + self.pilot_syms
         self.time_fraction = self.n / self.block_len_tx
+        self.resolved = {
+            "scheme": scheme,
+            "power_dbm": self.power_dbm,
+            "n_t": int(n_t),
+            "dm_bits_per_block": dm_bits,
+            "dm_bits_per_block_adjusted": matcher_bits,
+            "pilot_bits": pilot_bits,
+            "pilot_symbols": self.pilot_syms,
+            "realized_bits_per_4d": self.realized_bits_4d,
+            "time_fraction": self.time_fraction,
+        }
+        if self.shaper is not None:
+            self.resolved["ess_max_energy"] = self.shaper.trellis.emax
+        if self.dist is not None:
+            self.resolved["mb_lambda"] = self.dist.lam
+            self.resolved["mb_probs"] = list(self.dist.probs)
 
     def encode_block(self, rng: np.random.Generator):
         """One transmit block: (symbols (2, block_len_tx), cost, index)."""
@@ -481,11 +487,9 @@ class _PointState:
             return pas_map(amps, signs), math.nan, 0
         bits = rng.integers(0, 2, size=self.payload_bits, dtype=np.uint8)
         if self.scheme == "ess+bsss":
-            res = bsss_encode(bits, self.book, self.n_t, self.shaper.encode,
-                              self.metric_fn)
+            res = bsss_encode(bits, self.book, self.shaper.encode, self.metric_fn)
         elif self.scheme == "ess+siss":
-            res = siss_encode(self.shaper.encode(bits), self.book, self.n_t,
-                              self.metric_fn)
+            res = siss_encode(self.shaper.encode(bits), self.book, self.metric_fn)
         else:
             return self.shaper.encode(bits), math.nan, 0
         return res.symbols, res.cost, res.index
@@ -565,7 +569,7 @@ def _metric_label(cfg: ExperimentConfig, scheme: str) -> str:
 
 def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
                   block_ids: np.ndarray, rate_penalty: float, row: dict,
-                  sel_costs: np.ndarray, resolved: dict) -> PointDetail:
+                  sel_costs: np.ndarray) -> PointDetail:
     """Propagate drawn blocks over the WDM link and rate the center channel.
 
     tx/indices: (channels, blocks, ...) from _PointState.draw for the block
@@ -612,44 +616,22 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
                            -1, st.n),
                        sel_costs=sel_costs, kept_blocks=block_ids[keep],
                        n_discarded=int(block_ids.size - keep.sum()),
-                       resolved=resolved)
+                       resolved=st.resolved)
 
 
 def run_point_detailed(cfg: ExperimentConfig, scheme: str, power_dbm: float,
                        n_t: int = 1, pool_width: int = 1) -> PointDetail:
     """One sweep point; pool_width is how many points run at once (see _core_share)."""
     st = _PointState(cfg, scheme, power_dbm, n_t, pool_width)
-    resolved = _resolved_point(st)
     try:
         tx, costs, indices = st.draw(cfg.n_blocks)
         sel_mean = float(np.nanmean(costs)) if scheme in SELECTION_SCHEMES else math.nan
         row = dict(scheme=scheme, metric=_metric_label(cfg, scheme), n_t=int(n_t),
                    sel_metric_mean=sel_mean)
-        return _point_detail(st, tx, indices, np.arange(cfg.n_blocks), 0.0, row, costs,
-                             resolved)
+        return _point_detail(st, tx, indices, np.arange(cfg.n_blocks), 0.0, row, costs)
     except Exception as exc:
-        exc.point_resolved = resolved  # for the sweep's failure record
+        exc.point_resolved = st.resolved  # for the sweep's failure record
         raise
-
-
-def _resolved_point(st: _PointState) -> dict:
-    out = {
-        "scheme": st.scheme,
-        "power_dbm": st.power_dbm,
-        "n_t": st.n_t,
-        "dm_bits_per_block": st.k_base,
-        "dm_bits_per_block_adjusted": st.k_adj,
-        "pilot_bits": st.pilot_bits,
-        "pilot_symbols": st.pilot_syms,
-        "realized_bits_per_4d": st.realized_bits_4d,
-        "time_fraction": st.time_fraction,
-    }
-    if st.shaper is not None:
-        out["ess_max_energy"] = st.shaper.trellis.emax
-    if st.dist is not None:
-        out["mb_lambda"] = st.dist.lam
-        out["mb_probs"] = list(st.dist.probs)
-    return out
 
 
 def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
@@ -680,14 +662,13 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     penalty = math.log2(eta) / st.n
     row = dict(scheme="bound", metric="nli", n_t=int(round(1.0 / eta)),
                sel_metric_mean=float(costs[kept].mean()))
-    resolved = _resolved_point(st)
-    resolved.update({"scheme": "bound", "eta": eta, "m_total": m_total,
-                     "rate_penalty_bits_per_4d": penalty,
-                     "rate_penalty_formula": "log2(eta)/block_len_4d",
-                     # above the sweep's powers the schedule differs from resolve_defaults
-                     "link_steps_per_span": link_steps(cfg, power).resolve(fiber_for(cfg))})
+    st.resolved.update({"scheme": "bound", "eta": eta, "m_total": m_total,
+                        "rate_penalty_bits_per_4d": penalty,
+                        "rate_penalty_formula": "log2(eta)/block_len_4d",
+                        # above the sweep's powers the schedule differs from resolve_defaults
+                        "link_steps_per_span": link_steps(cfg, power).resolve(fiber_for(cfg))})
     return _point_detail(st, tx[:, kept], indices[:, kept], kept, penalty, row,
-                         costs[None, :], resolved)
+                         costs[None, :])
 
 
 _TRACE_FRAMES = 6
@@ -751,16 +732,13 @@ def sweep(cfg: ExperimentConfig):
         resolved.append(res)
     rows.sort(key=lambda r: (r.scheme, r.power_dbm, r.n_t))
 
-    summaries = []
-    for scheme in sorted(set(r.scheme for r in rows)):
-        for n_t in sorted(set(r.n_t for r in rows if r.scheme == scheme)):
-            group = [r for r in rows if r.scheme == scheme and r.n_t == n_t
-                     and not math.isnan(r.se_bits_s_hz)]
-            if not group:
-                continue
-            best = max(group, key=lambda r: r.se_bits_s_hz)
-            summaries.append(replace(best, scheme="best:" + scheme))
-    summaries.sort(key=lambda r: (r.scheme, r.power_dbm, r.n_t))
+    best = {}  # (scheme, n_t) -> its first row, by power, at the highest SE
+    for r in rows:
+        top = best.get((r.scheme, r.n_t))
+        if not math.isnan(r.se_bits_s_hz) and (top is None or r.se_bits_s_hz > top.se_bits_s_hz):
+            best[r.scheme, r.n_t] = r
+    summaries = sorted((replace(r, scheme="best:" + r.scheme) for r in best.values()),
+                       key=lambda r: (r.scheme, r.power_dbm, r.n_t))
     return rows + summaries, errors, resolved
 
 

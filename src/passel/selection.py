@@ -14,8 +14,10 @@ Costs: a windowed kurtosis of the per-4D-symbol energies (cheap, local), or
 the residual distortion after a noiseless single-channel emulation of the
 fiber link (expensive, direct). Lower is better; ties go to the lowest
 candidate index. Candidate books are read-only arrays, one row per
-candidate, nested by construction: the book for a smaller family is a
-prefix of that for a larger one.
+candidate, and the encoders and decoders take the family size from the
+book's row count. Books nest by construction: the book for a smaller family
+is a prefix of that for a larger one, so a caller holding a larger book
+passes book[:n_t].
 """
 
 from __future__ import annotations
@@ -163,28 +165,31 @@ def detect_pilot_index(received: np.ndarray) -> int | np.ndarray:
     return int(out) if out.ndim == 0 else out
 
 
-def _score_candidates(metric_fn: Callable, stack: np.ndarray) -> np.ndarray:
-    """One batched metric call over (n_t, 2, T) candidates: one cost each."""
+def _pick(metric_fn: Callable, stack: np.ndarray) -> SelectionResult:
+    """Score (n_t, 2, T) candidates in one metric call and keep the cheapest.
+
+    Ties break to the lowest index.
+    """
     costs = np.asarray(metric_fn(stack), dtype=float)
     if costs.shape != stack.shape[:1]:
         raise SelectionError("metric returned costs of shape %s for %d candidates"
                              % (costs.shape, stack.shape[0]))
-    return costs
+    best = int(np.argmin(costs))
+    return SelectionResult(symbols=stack[best], index=best, cost=float(costs[best]))
 
 
-def bsss_encode(info_bits: np.ndarray, masks: np.ndarray, n_t: int,
+def bsss_encode(info_bits: np.ndarray, masks: np.ndarray,
                 dm_chain: Callable[[np.ndarray], np.ndarray],
                 metric_fn: Callable) -> SelectionResult:
-    """Score all n_t scrambled variants of one payload and keep the cheapest.
+    """Score one payload under every mask of the book and keep the cheapest.
 
-    Candidate i shapes pilot_bits(i) followed by mask_i XOR payload through
-    dm_chain (distribution matcher plus mapper for a whole block). Ties
-    break to the lowest index.
+    The book's rows are the candidate family. Candidate i shapes
+    pilot_bits(i) followed by masks[i] XOR payload through dm_chain
+    (distribution matcher plus mapper for a whole block).
     """
+    n_t = masks.shape[0]
     npil = bsss_pilot_bits(n_t)
     bits = np.asarray(info_bits, dtype=np.uint8).ravel()
-    if masks.shape[0] < n_t:
-        raise SelectionError("book smaller than the candidate family")
     if masks.shape[1] != bits.size:
         raise SelectionError("mask length %d != payload length %d"
                              % (masks.shape[1], bits.size))
@@ -192,14 +197,12 @@ def bsss_encode(info_bits: np.ndarray, masks: np.ndarray, n_t: int,
     for i in range(n_t):
         block = np.concatenate([index_to_bits(i, npil), masks[i] ^ bits])
         cands.append(dm_chain(block))
-    stack = np.stack(cands)
-    costs = _score_candidates(metric_fn, stack)
-    best = int(np.argmin(costs))
-    return SelectionResult(symbols=stack[best], index=best, cost=float(costs[best]))
+    return _pick(metric_fn, np.stack(cands))
 
 
-def bsss_decode(received_bits: np.ndarray, masks: np.ndarray, n_t: int) -> np.ndarray:
+def bsss_decode(received_bits: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Strip the pilot index bits and undo that candidate's mask."""
+    n_t = masks.shape[0]
     npil = bsss_pilot_bits(n_t)
     bits = np.asarray(received_bits, dtype=np.uint8).ravel()
     if bits.size < npil + masks.shape[1]:
@@ -210,21 +213,21 @@ def bsss_decode(received_bits: np.ndarray, masks: np.ndarray, n_t: int) -> np.nd
     return bits[npil:] ^ masks[idx]
 
 
-def siss_encode(symbols: np.ndarray, perms: np.ndarray, n_t: int,
+def siss_encode(symbols: np.ndarray, perms: np.ndarray,
                 metric_fn: Callable) -> SelectionResult:
-    """Score all n_t position-permuted variants of one shaped block.
+    """Score one shaped block under every permutation of the book.
 
-    Candidate i is pilot prefix for i followed by the payload reordered by
-    permutation i; permutation 0 is the identity. The pilot prefix rides
-    along in each candidate so channel-emulation costs see it, but cost
-    functions are expected to restrict themselves to the payload span.
+    The book's rows are the candidate family. Candidate i is the pilot
+    prefix for i followed by the payload reordered by perms[i]; permutation
+    0 is the identity. The pilot prefix rides along in each candidate so
+    channel-emulation costs see it, but cost functions are expected to
+    restrict themselves to the payload span.
     """
+    n_t = perms.shape[0]
     npil = siss_pilot_symbols(n_t)
     s = np.asarray(symbols, dtype=complex)
     if s.ndim != 2 or s.shape[0] != 2:
         raise SelectionError("expected a (2, n) payload block")
-    if perms.shape[0] < n_t:
-        raise SelectionError("book smaller than the candidate family")
     if perms.shape[1] != s.shape[1]:
         raise SelectionError("permutation length %d != block length %d"
                              % (perms.shape[1], s.shape[1]))
@@ -232,17 +235,16 @@ def siss_encode(symbols: np.ndarray, perms: np.ndarray, n_t: int,
     for i in range(n_t):
         cands[i, :, :npil] = pilot_symbols(i, npil)
         cands[i, :, npil:] = s[:, perms[i]]
-    costs = _score_candidates(metric_fn, cands)
-    best = int(np.argmin(costs))
-    return SelectionResult(symbols=cands[best], index=best, cost=float(costs[best]))
+    return _pick(metric_fn, cands)
 
 
-def siss_decode(received: np.ndarray, perms: np.ndarray, n_t: int) -> tuple[np.ndarray, int]:
+def siss_decode(received: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, int]:
     """Detect the pilot prefix and un-permute the payload.
 
     Returns (payload symbols, detected index). A detected index outside the
     candidate family raises; callers drop such blocks from statistics.
     """
+    n_t = perms.shape[0]
     npil = siss_pilot_symbols(n_t)
     rx = np.asarray(received, dtype=complex)
     if rx.ndim != 2 or rx.shape[0] != 2 or rx.shape[1] <= npil:

@@ -178,19 +178,19 @@ def test_criterion_4_end_to_end_decodability():
         payload = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
         masks = scrambler_masks(11, n_t, payload)
         bits = rng.integers(0, 2, payload, dtype=np.uint8)
-        res = bsss_encode(bits, masks, n_t, shaper.encode,
+        res = bsss_encode(bits, masks, shaper.encode,
                           lambda s: wk_metric(s, window=8))
-        back = bsss_decode(shaper.decode(res.symbols), masks, n_t)
+        back = bsss_decode(shaper.decode(res.symbols), masks)
         assert np.array_equal(back, bits), "bit selection n_t=%d" % n_t
 
         perms = permutations(12, n_t, 8)
         payload_syms = shaper.encode(
             rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8))
-        res_s = siss_encode(payload_syms, perms, n_t,
+        res_s = siss_encode(payload_syms, perms,
                             lambda s: wk_metric(
                                 s, window=8,
                                 payload=slice(siss_pilot_symbols(n_t), None)))
-        got, idx = siss_decode(res_s.symbols, perms, n_t)
+        got, idx = siss_decode(res_s.symbols, perms)
         assert idx == res_s.index
         assert np.array_equal(got, payload_syms), "symbol selection n_t=%d" % n_t
 
@@ -242,7 +242,7 @@ def test_criterion_5_selection_monotonicity():
         for b in range(n_blocks):
             rng = substream(cfg.seed, 5, b)  # same payload stream per block
             bits = rng.integers(0, 2, payload, dtype=np.uint8)
-            costs[j, b] = bsss_encode(bits, masks, n_t, shaper.encode,
+            costs[j, b] = bsss_encode(bits, masks, shaper.encode,
                                       metric).cost
 
     means = costs.mean(axis=1)

@@ -279,6 +279,12 @@ class TestStepSchedule:
             (8.0 / 9.0) * fiber.gamma_per_w_m * fiber.span_length_m / 0.0475)
         assert abs(sum(lengths) - fiber.span_length_m) <= 1e-9 * fiber.span_length_m
 
+    @pytest.mark.parametrize("allowance_w", [math.inf, math.nan])
+    def test_non_finite_allowance_is_refused(self, allowance_w):
+        # an infinite allowance would append zero-length steps forever
+        with pytest.raises(ChannelError, match="peak allowance must be finite"):
+            SsfmStepConfig(peak_allowance_w=allowance_w)
+
     def test_resolve_is_the_schedule_length_and_the_resolved_default(self):
         cfg = desk_preset()
         fiber = fiber_for(cfg)

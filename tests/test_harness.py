@@ -8,6 +8,7 @@ covered by the channel and receiver suites.
 import math
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -314,6 +315,29 @@ class TestSweepDeterminism:
             else:
                 assert r.metric == "wk" and not math.isnan(r.sel_metric_mean)
 
+    def test_best_row_is_the_first_at_the_top_se(self, monkeypatch):
+        # fixed rows in place of the link: a tie, a failed point, a failed group
+        import passel.harness
+        se = {("ess", 1.0, 1): 5.0, ("ess", 2.0, 1): 6.0, ("ess", 3.0, 1): 6.0,
+              ("ess+bsss", 2.0, 2): 4.0, ("ess+bsss", 3.0, 2): 3.0}
+
+        def fixed_point(cfg, scheme, power_dbm, n_t, pool_width):
+            if (scheme, power_dbm, n_t) not in se:
+                raise HarnessError("no row")
+            row = ResultRow(scheme=scheme, metric="none", power_dbm=power_dbm, n_t=n_t,
+                            air_bits_4d=1.0, se_bits_s_hz=se[scheme, power_dbm, n_t],
+                            ci95=0.0, sel_metric_mean=math.nan)
+            return SimpleNamespace(row=row, resolved={})
+        monkeypatch.setattr(passel.harness, "run_point_detailed", fixed_point)
+        cfg = tiny_config(schemes=("ess", "ess+bsss"), powers_dbm=(1.0, 2.0, 3.0),
+                          n_t_values=(2, 4))
+        rows, errors, _ = sweep(cfg)
+        assert len(errors) == 4  # ess+bsss at 1 dBm, and at n_t 4 everywhere
+        best = [(r.scheme, r.power_dbm, r.n_t, r.se_bits_s_hz) for r in rows
+                if r.scheme.startswith("best:")]
+        # the tie at 6.0 keeps 2 dBm, the NaN row at 1 dBm is skipped, n_t 4 has none
+        assert best == [("best:ess", 2.0, 1, 6.0), ("best:ess+bsss", 2.0, 2, 4.0)]
+
     def test_failed_point_becomes_nan_row(self, tmp_path):
         # a 40 dB noise figure trips the step guard in span 1 -> that point fails
         cfg = tiny_config(schemes=("ess",), powers_dbm=(1.0,), noise_figure_db=40.0)
@@ -452,7 +476,9 @@ class TestCli:
                 (["--eta", "0"], "bound_eta must be in (0, 1]"),
                 (["--eta", "1.5"], "bound_eta must be in (0, 1]"),
                 (["--m-total", "20"],
-                 "need bound_m_total*bound_eta >= 30 kept blocks, got 20")):
+                 "need bound_m_total*bound_eta >= 30 kept blocks, got 20"),
+                (["--power", "nan"], "--power must be finite, got nan"),
+                (["--power", "inf"], "--power must be finite, got inf")):
             proc = run_python("-m", "passel.cli", "bound", "--scale", "desk", *flags,
                               cwd=tmp_path)
             assert proc.returncode == 2, proc.stderr
@@ -467,6 +493,28 @@ class TestCli:
             assert proc.stderr.splitlines() == [
                 "passel: error: cannot read config absent.txt: No such file or directory"]
             assert proc.stdout == "" and not os.listdir(tmp_path)
+
+    def test_read_only_out_file_is_a_usage_error_before_any_point(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        # root passes permission bits, so os.access stands in for a read-only file
+        import passel.cli
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point ran")
+        monkeypatch.setattr(passel.cli, "sweep", no_points)
+        monkeypatch.setattr(passel.cli, "ss_bound_estimate", no_points)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "old.csv").write_text(CSV_HEADER + "\n")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode)
+                            and not (path == "old.csv" and mode == os.W_OK))
+        for command in ("run", "bound"):
+            assert passel.cli.main([command, "--scale", "desk", "--out", "old.csv"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "passel: error: cannot write old.csv: it is not writable"]
+            assert captured.out == ""
+        assert os.listdir(tmp_path) == ["old.csv"]
 
     @pytest.mark.parametrize("out, message", [
         ("missing_dir/x.csv", "cannot write missing_dir/x.csv: no directory missing_dir"),
@@ -518,6 +566,12 @@ class TestCli:
                      id="repeated-scheme"),
         pytest.param("n_t_values = 16, 4, 16", "n_t_values lists 16 more than once",
                      id="repeated-n_t"),
+        pytest.param("powers_dbm = nan", "powers_dbm must be finite, got nan",
+                     id="nan-power"),
+        pytest.param("powers_dbm = 1, inf", "powers_dbm must be finite, got 1.0,inf",
+                     id="inf-power"),
+        pytest.param("gamma_per_w_km = nan", "gamma_per_w_km must be finite, got nan",
+                     id="nan-gamma"),
     ])
     def test_bad_config_value_is_a_usage_error(self, tmp_path, line, message):
         # the config is checked whole, so run and bound reject it alike

@@ -394,12 +394,11 @@ def desk_candidates(cfg, scheme, n_t):
         shaper = PasShaper(trellis_for(cfg.dm_blocklength, k), n)
         n_bits = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
         bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        bsss_encode(bits, scrambler_masks(cfg.seed, n_t, n_bits), n_t,
-                    shaper.encode, keep_stack)
+        bsss_encode(bits, scrambler_masks(cfg.seed, n_t, n_bits), shaper.encode, keep_stack)
         return stacks[0], None
     shaper = PasShaper(trellis_for(cfg.dm_blocklength, harness.dm_bits_per_block(cfg)), n)
     bits = rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8)
-    siss_encode(shaper.encode(bits), permutations(cfg.seed, n_t, n), n_t, keep_stack)
+    siss_encode(shaper.encode(bits), permutations(cfg.seed, n_t, n), keep_stack)
     return stacks[0], slice(siss_pilot_symbols(n_t), None)
 
 
@@ -422,10 +421,10 @@ class TestBsss:
             payload = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
             masks = scrambler_masks(77, n_t, payload)
             bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-            res = bsss_encode(bits, masks, n_t, shaper.encode, metric)
+            res = bsss_encode(bits, masks, shaper.encode, metric)
             assert isinstance(res, SelectionResult)
             assert res.symbols.shape == (2, 8)
-            back = bsss_decode(shaper.decode(res.symbols), masks, n_t)
+            back = bsss_decode(shaper.decode(res.symbols), masks)
             assert np.array_equal(back, bits)
 
     def test_degenerate_single_candidate(self):
@@ -433,7 +432,7 @@ class TestBsss:
         shaper = small_shaper(8)
         masks = scrambler_masks(77, 1, shaper.bits_per_selection_block)
         bits = rng.integers(0, 2, size=shaper.bits_per_selection_block, dtype=np.uint8)
-        res = bsss_encode(bits, masks, 1, shaper.encode, wk_metric)
+        res = bsss_encode(bits, masks, shaper.encode, wk_metric)
         assert res.index == 0
         assert np.array_equal(res.symbols, shaper.encode(bits))
 
@@ -443,7 +442,7 @@ class TestBsss:
         payload = shaper.bits_per_selection_block - 1
         masks = scrambler_masks(78, 2, payload)
         bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-        res = bsss_encode(bits, masks, 2, shaper.encode, wk_metric)
+        res = bsss_encode(bits, masks, shaper.encode, wk_metric)
         plain = shaper.encode(np.concatenate([[0], bits]))
         masked = shaper.encode(np.concatenate([[1], masks[1] ^ bits]))
         expect = plain if res.index == 0 else masked
@@ -457,7 +456,7 @@ class TestBsss:
         metric = partial(wk_metric, window=8, stride=8)
         for _ in range(10):
             bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-            res = bsss_encode(bits, masks, 4, shaper.encode, metric)
+            res = bsss_encode(bits, masks, shaper.encode, metric)
             rescored = []
             for i in range(4):
                 blk = np.concatenate([index_to_bits(i, 2), masks[i] ^ bits])
@@ -471,7 +470,7 @@ class TestBsss:
         payload = shaper.bits_per_selection_block - 2
         masks = scrambler_masks(79, 4, payload)
         bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-        res = bsss_encode(bits, masks, 4, shaper.encode, lambda s: np.ones(len(s)))
+        res = bsss_encode(bits, masks, shaper.encode, lambda s: np.ones(len(s)))
         assert res.index == 0
 
     def test_wrong_cost_shape_raises(self):
@@ -483,27 +482,26 @@ class TestBsss:
         bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
         for metric in (lambda s: 1.0, lambda s: np.ones((len(s), 1))):
             with pytest.raises(SelectionError):
-                bsss_encode(bits, masks, 4, shaper.encode, metric)
+                bsss_encode(bits, masks, shaper.encode, metric)
 
     def test_identity_pilot_leaves_bits(self):
         masks = scrambler_masks(79, 4, 10)
         rx = np.concatenate([np.zeros(2, np.uint8),
                              np.arange(10, dtype=np.uint8) % 2])
-        out = bsss_decode(rx, masks, 4)
+        out = bsss_decode(rx, masks)
         assert np.array_equal(out, rx[2:])
 
     def test_decode_pilot_out_of_range(self):
         masks = scrambler_masks(79, 3, 10)
         rx = np.concatenate([np.array([1, 1], np.uint8), np.zeros(10, np.uint8)])
         with pytest.raises(SelectionError):
-            bsss_decode(rx, masks, 3)
+            bsss_decode(rx, masks)
 
     def test_length_validation(self):
         shaper = small_shaper(8)
         masks = scrambler_masks(79, 2, 20)
         with pytest.raises(SelectionError):
-            bsss_encode(np.zeros(19, np.uint8), masks, 2, shaper.encode,
-                        wk_metric)
+            bsss_encode(np.zeros(19, np.uint8), masks, shaper.encode, wk_metric)
 
     def test_monotone_selected_cost_in_family_size(self):
         rng = substream(31, 17)
@@ -543,9 +541,9 @@ class TestSiss:
             payload = random_block(rng, n)
             npil = siss_pilot_symbols(n_t)
             metric = partial(wk_metric, window=8, stride=8, payload=slice(npil, None))
-            res = siss_encode(payload, perms, n_t, metric)
+            res = siss_encode(payload, perms, metric)
             assert res.symbols.shape == (2, npil + n)
-            back, idx = siss_decode(res.symbols, perms, n_t)
+            back, idx = siss_decode(res.symbols, perms)
             assert idx == res.index
             assert np.array_equal(back, payload)
 
@@ -555,14 +553,14 @@ class TestSiss:
         for n_t, want in ((2, 1), (16, 1), (256, 2)):
             perms = permutations(91, n_t, 16)
             metric = partial(wk_metric, window=8, stride=8, payload=slice(want, None))
-            res = siss_encode(payload, perms, n_t, metric)
+            res = siss_encode(payload, perms, metric)
             assert res.symbols.shape[1] == 16 + want
 
     def test_single_candidate_prepends_identity(self):
         rng = substream(31, 20)
         perms = permutations(91, 1, 16)
         payload = random_block(rng, 16)
-        res = siss_encode(payload, perms, 1, wk_metric)
+        res = siss_encode(payload, perms, wk_metric)
         assert res.index == 0
         assert np.array_equal(res.symbols, payload)
 
@@ -571,7 +569,7 @@ class TestSiss:
         perms = permutations(91, 2, 16)
         payload = random_block(rng, 16)
         metric = partial(wk_metric, window=8, stride=8, payload=slice(1, None))
-        res = siss_encode(payload, perms, 2, metric)
+        res = siss_encode(payload, perms, metric)
         want_payload = payload[:, perms[res.index]]
         assert np.array_equal(res.symbols[:, 1:], want_payload)
         assert np.array_equal(res.symbols[:, :1],
@@ -582,7 +580,7 @@ class TestSiss:
         perms = permutations(91, 16, 64)
         payload = random_block(rng, 64)
         metric = partial(wk_metric, window=16, stride=8, payload=slice(1, None))
-        res = siss_encode(payload, perms, 16, metric)
+        res = siss_encode(payload, perms, metric)
         got = res.symbols[:, 1:]
         for pol in range(2):
             assert np.array_equal(np.sort_complex(got[pol]),
@@ -594,7 +592,7 @@ class TestSiss:
         metric = partial(wk_metric, window=8, stride=4, payload=slice(1, None))
         for _ in range(5):
             payload = random_block(rng, 32)
-            res = siss_encode(payload, perms, 8, metric)
+            res = siss_encode(payload, perms, metric)
             rescored = []
             for i in range(8):
                 cand = np.concatenate([pilot_symbols(i, 1),
@@ -612,7 +610,7 @@ class TestSiss:
             npil = siss_pilot_symbols(n_t)
             metric = partial(wk_metric, window=32, stride=16, payload=slice(npil, None))
             mean_cost = float(np.mean([
-                siss_encode(b, perms, n_t, metric).cost for b in blocks]))
+                siss_encode(b, perms[:n_t], metric).cost for b in blocks]))
             if prev is not None:
                 assert mean_cost <= prev + 1e-12
             prev = mean_cost
@@ -623,11 +621,11 @@ class TestSiss:
         payload = random_block(rng, 16)
         bad = np.concatenate([pilot_symbols(9, 1), payload], axis=1)
         with pytest.raises(SelectionError):
-            siss_decode(bad, perms, 4)
+            siss_decode(bad, perms)
 
     def test_shape_validation(self):
         perms = permutations(91, 2, 16)
         with pytest.raises(SelectionError):
-            siss_encode(np.zeros((2, 8), complex), perms, 2, wk_metric)
+            siss_encode(np.zeros((2, 8), complex), perms, wk_metric)
         with pytest.raises(SelectionError):
-            siss_decode(np.zeros((2, 1), complex), perms, 2)
+            siss_decode(np.zeros((2, 1), complex), perms)
