@@ -651,8 +651,8 @@ def standard_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray
 
 
 def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParams,
-                   step_cfg: SsfmStepConfig | None = None,
-                   unit_noise_for_span=None, processes: int = 1) -> FieldWaveform:
+                   step_cfg: SsfmStepConfig, unit_noise_for_span=None,
+                   processes: int = 1) -> FieldWaveform:
     """Run n_spans of fiber, each followed by an EDFA.
 
     The EDFA multiplies the amplitude by sqrt(gain), the gain being the span
@@ -672,19 +672,19 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     if amp.noise_on and fiber.n_spans and unit_noise_for_span is None:
         raise ChannelError("ASE enabled but no per-span noise source given")
     gain = 10.0 ** (fiber.span_loss_db / 20.0)
+    sigma = math.sqrt(amp.ase_variance_per_sample(fiber.span_loss_db, field.sample_rate_hz))
     samples = field.samples
-    with _Span(field, fiber, step_cfg or SsfmStepConfig(),
-               processes if fiber.n_spans else 1) as span_fn:
+    with _Span(field, fiber, step_cfg, processes if fiber.n_spans else 1) as span_fn:
         for span in range(fiber.n_spans):
+            if amp.noise_on:  # drawn before the steps, so a bad source fails before them
+                noise = unit_noise_for_span(span)
+                if noise.shape != samples.shape:
+                    raise ChannelError("unit_noise shape mismatch")
             try:  # a new array: the span's output is its buffer
                 samples = span_fn(samples) * gain
             except StepSizeError as exc:
                 exc.span = span
                 raise
             if amp.noise_on:
-                noise = unit_noise_for_span(span)
-                if noise.shape != samples.shape:
-                    raise ChannelError("unit_noise shape mismatch")
-                var = amp.ase_variance_per_sample(fiber.span_loss_db, field.sample_rate_hz)
-                samples = samples + math.sqrt(var) * noise
+                samples = samples + sigma * noise
     return FieldWaveform(samples, field.sample_rate_hz)

@@ -58,21 +58,22 @@ def _build_config(args) -> "ExperimentConfig":
 
 
 def _check_out(path: str) -> None:
-    """The CSV and its sidecar are written after the last point, so check the path first."""
+    """The CSV and its sidecar are written after the last point, so check both paths first."""
     folder = os.path.dirname(path) or "."
-    if not os.path.basename(path):
-        why = "no file name"
-    elif os.path.isdir(path):
-        why = "it is a directory"
-    elif os.path.exists(path) and not os.access(path, os.W_OK):
-        why = "it is not writable"
-    elif not os.path.isdir(folder):
-        why = "no directory %s" % folder
-    elif not os.access(folder, os.W_OK):
-        why = "directory %s is not writable" % folder
-    else:
-        return
-    raise HarnessError("cannot write %s: %s" % (path, why))
+    for target in (path, path + ".meta.json"):
+        if not os.path.basename(path):
+            why = "no file name"
+        elif os.path.isdir(target):
+            why = "it is a directory"
+        elif os.path.exists(target) and not os.access(target, os.W_OK):
+            why = "it is not writable"
+        elif not os.path.isdir(folder):
+            why = "no directory %s" % folder
+        elif not os.access(folder, os.W_OK):
+            why = "directory %s is not writable" % folder
+        else:
+            continue
+        raise HarnessError("cannot write %s: %s" % (target, why))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

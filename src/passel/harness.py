@@ -98,8 +98,6 @@ __all__ = [
     "SELECTION_SCHEMES",
 ]
 
-CSV_HEADER = ("scheme,metric,power_dbm,n_t,air_bits_4d,se_bits_s_hz,"
-              "ci95,sel_metric_mean")
 KNOWN_SCHEMES = ("mb", "ess", "ess+bsss", "ess+siss")
 SELECTION_SCHEMES = ("ess+bsss", "ess+siss")
 
@@ -327,8 +325,7 @@ def link_wdm(cfg: ExperimentConfig) -> WdmConfig:
 
 
 def metric_wdm(cfg: ExperimentConfig) -> WdmConfig:
-    return WdmConfig(n_channels=1, symbol_rate_gbd=cfg.symbol_rate_gbd,
-                     spacing_ghz=cfg.spacing_ghz, rolloff=cfg.rolloff, sps=cfg.metric_sps)
+    return replace(link_wdm(cfg), n_channels=1, sps=cfg.metric_sps)
 
 
 def fiber_for(cfg: ExperimentConfig) -> FiberParams:
@@ -343,39 +340,30 @@ def amp_for(cfg: ExperimentConfig) -> AmplifierParams:
                            center_frequency_thz=cfg.center_frequency_thz)
 
 
-def peak_allowance_w(cfg: ExperimentConfig, power_dbm: float) -> float:
-    """Span-input peak power the link step schedule is built for.
+def step_schedule(cfg: ExperimentConfig, power_dbm: float, wdm: WdmConfig,
+                  steps_per_span: int) -> SsfmStepConfig:
+    """Split-step schedule of a point at power_dbm on grid wdm, steps_per_span its cap.
 
-    n_channels fields, each at the highest of power_dbm and the sweep's
-    launch powers and each at a constellation corner, add in phase to
-    n_channels^2 times one channel's corner power. A channel's corner power
-    is its mean power times the corner-to-mean energy ratio
-    max_level^2 / E[a^2]. The ratio is taken
-    at the Maxwell-Boltzmann distribution of the matcher rate, which has the
-    least mean energy of any amplitude distribution at that rate, so it is
-    the largest ratio of every scheme: mb draws from it, sphere shaping and
-    the raised bsss matcher rate cost more energy, and siss pilots sit on
-    the corner itself. The allowance is not a bound on the field: pulse
-    overshoot and ASE are left to the per-step guard.
+    The link and the NLI metric both step by it. The peak allowance is
+    built for wdm's channels, each at the highest of power_dbm and the
+    sweep's launch powers and each at a constellation corner, adding in
+    phase to n_channels^2 times one channel's corner power. A channel's
+    corner power is its mean power times the corner-to-mean energy ratio
+    max_level^2 / E[a^2]. The ratio is taken at the Maxwell-Boltzmann
+    distribution of the matcher rate, which has the least mean energy of
+    any amplitude distribution at that rate, so it is the largest ratio of
+    every scheme: mb draws from it, sphere shaping and the raised bsss
+    matcher rate cost more energy, and siss pilots sit on the corner itself.
+    The allowance is not a bound on the field: pulse overshoot and ASE are
+    left to the per-step guard. A power inside the sweep gets the schedule
+    of the whole sweep, so the bound at eta = 1 reproduces the plain ess
+    point.
     """
     mean_energy = float(mb_fit(cfg.dm_rate_bits_per_amp).probs @ np.asarray(LEVELS) ** 2)
     corner_to_mean = LEVELS[-1] ** 2 / mean_energy
     power_w = dbm_to_watts(max(power_dbm, *cfg.powers_dbm))
-    return cfg.n_channels ** 2 * power_w * corner_to_mean
-
-
-def link_steps(cfg: ExperimentConfig, power_dbm: float) -> SsfmStepConfig:
-    """The link's step schedule for a point at power_dbm.
-
-    A power inside the sweep gets the schedule of the whole sweep, so the
-    bound at eta = 1 reproduces the plain ess point.
-    """
-    return SsfmStepConfig(steps_per_span=cfg.steps_per_span or None,
-                          peak_allowance_w=peak_allowance_w(cfg, power_dbm))
-
-
-def metric_steps(cfg: ExperimentConfig) -> SsfmStepConfig:
-    return SsfmStepConfig(steps_per_span=cfg.metric_steps_per_span or None)
+    return SsfmStepConfig(steps_per_span=steps_per_span or None,
+                          peak_allowance_w=wdm.n_channels ** 2 * power_w * corner_to_mean)
 
 
 def _core_share(pool_width: int) -> int:
@@ -392,9 +380,11 @@ def _core_share(pool_width: int) -> int:
 
 def _nli_metric(cfg: ExperimentConfig, power_dbm: float, payload: slice | None,
                 processes: int) -> NliMetric:
-    """The NLI cost of selection points and the bound: the link's fiber on the metric grid."""
-    return NliMetric(fiber_for(cfg), metric_wdm(cfg), metric_steps(cfg),
-                     launch_power_dbm=power_dbm, payload=payload, processes=processes)
+    """NLI cost of selection points and the bound: the link's fiber and step rule, one channel."""
+    wdm = metric_wdm(cfg)
+    return NliMetric(fiber_for(cfg), wdm,
+                     step_schedule(cfg, power_dbm, wdm, cfg.metric_steps_per_span),
+                     power_dbm, payload=payload, processes=processes)
 
 
 def dm_bits_per_block(cfg: ExperimentConfig) -> int:
@@ -535,6 +525,9 @@ class ResultRow:
     sel_metric_mean: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
 @dataclass
 class PointDetail:
     """Per-point diagnostics behind a ResultRow."""
@@ -582,7 +575,8 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
     cfg, wdm = st.cfg, link_wdm(st.cfg)
     noise = _ase_noise_source(cfg.seed, block_ids, (2, tx.shape[-1] * wdm.sps)) \
         if cfg.noise_on else None
-    y = link_receive(tx, wdm, fiber_for(cfg), amp_for(cfg), link_steps(cfg, st.power_dbm),
+    y = link_receive(tx, wdm, fiber_for(cfg), amp_for(cfg),
+                     step_schedule(cfg, st.power_dbm, wdm, cfg.steps_per_span),
                      st.power_dbm, noise, st.processes)
     center = wdm.center_channel
     pay = slice(st.pilot_syms, None)
@@ -653,7 +647,8 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     st = _PointState(cfg, "ess", power, 1)
     tx, _, indices = st.draw(m_total)
 
-    center = link_wdm(cfg).center_channel
+    wdm = link_wdm(cfg)
+    center = wdm.center_channel
     scorer = _nli_metric(cfg, power, None, st.processes)
     costs = np.concatenate([scorer(tx[center, lo:lo + 64]) for lo in range(0, m_total, 64)])
 
@@ -666,7 +661,8 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
                         "rate_penalty_bits_per_4d": penalty,
                         "rate_penalty_formula": "log2(eta)/block_len_4d",
                         # above the sweep's powers the schedule differs from resolve_defaults
-                        "link_steps_per_span": link_steps(cfg, power).resolve(fiber_for(cfg))})
+                        "link_steps_per_span": step_schedule(
+                            cfg, power, wdm, cfg.steps_per_span).resolve(fiber_for(cfg))})
     return _point_detail(st, tx[:, kept], indices[:, kept], kept, penalty, row,
                          costs[None, :])
 
@@ -691,12 +687,11 @@ def _point_worker(args):
         detail = run_point_detailed(cfg, scheme, power, n_t, pool_width)
         return detail.row, None, detail.resolved
     except Exception as exc:  # a failed point becomes a NaN row and a sidecar record
-        row = ResultRow(scheme=scheme, metric=_metric_label(cfg, scheme),
-                        power_dbm=float(power), n_t=int(n_t),
-                        air_bits_4d=math.nan, se_bits_s_hz=math.nan,
-                        ci95=math.nan, sel_metric_mean=math.nan)
+        row = dict.fromkeys([f.name for f in fields(ResultRow)], math.nan)
+        row.update(scheme=scheme, metric=_metric_label(cfg, scheme), power_dbm=float(power),
+                   n_t=int(n_t))
         error = "%s: %s" % (type(exc).__name__, exc)
-        return row, error, _failure_record(scheme, power, n_t, error, exc)
+        return ResultRow(**row), error, _failure_record(scheme, power, n_t, error, exc)
 
 
 def sweep(cfg: ExperimentConfig):
@@ -742,14 +737,9 @@ def sweep(cfg: ExperimentConfig):
     return rows + summaries, errors, resolved
 
 
-def _fmt_float(x: float) -> str:
-    return "%.12g" % x
-
-
 def _row_line(r: ResultRow) -> str:
-    return ",".join([r.scheme, r.metric, _fmt_float(r.power_dbm), str(int(r.n_t)),
-                     _fmt_float(r.air_bits_4d), _fmt_float(r.se_bits_s_hz),
-                     _fmt_float(r.ci95), _fmt_float(r.sel_metric_mean)])
+    return ",".join(("%.12g" if f.type == "float" else "%s") % getattr(r, f.name)
+                    for f in fields(ResultRow))
 
 
 def emit_csv(rows: Iterable[ResultRow], path: str) -> None:
@@ -766,26 +756,23 @@ def parse_csv(path: str) -> list[ResultRow]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise HarnessError("missing or wrong CSV header")
-    out = []
+    columns, out = fields(ResultRow), []
     for line in lines[1:]:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 8:
+        if len(parts) != len(columns):
             raise HarnessError("bad CSV row: %r" % line)
-        out.append(ResultRow(scheme=parts[0], metric=parts[1],
-                             power_dbm=float(parts[2]), n_t=int(parts[3]),
-                             air_bits_4d=float(parts[4]),
-                             se_bits_s_hz=float(parts[5]), ci95=float(parts[6]),
-                             sel_metric_mean=float(parts[7])))
+        out.append(ResultRow(**{f.name: _parse_value(f.name, f.type, raw)
+                                for f, raw in zip(columns, parts)}))
     return out
 
 
 def resolve_defaults(cfg: ExperimentConfig) -> dict:
     """Values filled in for everything the config leaves implicit."""
-    fiber = fiber_for(cfg)
-    steps = link_steps(cfg, max(cfg.powers_dbm)).resolve(fiber)
-    msteps = metric_steps(cfg).resolve(fiber)
+    fiber, top = fiber_for(cfg), max(cfg.powers_dbm)
+    steps = step_schedule(cfg, top, link_wdm(cfg), cfg.steps_per_span).resolve(fiber)
+    msteps = step_schedule(cfg, top, metric_wdm(cfg), cfg.metric_steps_per_span).resolve(fiber)
     k = dm_bits_per_block(cfg)
     n = cfg.block_len_4d
     wk_w = min(128, n)  # wk_metric's default window and stride

@@ -305,16 +305,14 @@ class NliMetric:
     batch of candidates may use that many processes, with the same costs.
     """
 
-    def __init__(self, fiber: FiberParams, wdm: WdmConfig,
-                 step_cfg: SsfmStepConfig | None = None,
-                 launch_power_dbm: float = 0.0,
-                 payload: slice | None = None,
+    def __init__(self, fiber: FiberParams, wdm: WdmConfig, step_cfg: SsfmStepConfig,
+                 launch_power_dbm: float, payload: slice | None = None,
                  processes: int = 1):
         if wdm.n_channels != 1:
             raise SelectionError("metric emulation is single-channel")
         self.fiber = fiber
         self.wdm = wdm
-        self.step_cfg = step_cfg or SsfmStepConfig()
+        self.step_cfg = step_cfg
         self.launch_power_dbm = launch_power_dbm
         self.payload = payload if payload is not None else slice(None)
         self.amp = AmplifierParams(noise_on=False)

@@ -31,11 +31,10 @@ from passel.harness import (
     ExperimentConfig,
     desk_preset,
     fiber_for,
-    link_steps,
     link_wdm,
-    metric_steps,
     metric_wdm,
     resolve_defaults,
+    step_schedule,
     sweep,
 )
 from passel.seeding import substream
@@ -288,7 +287,7 @@ class TestStepSchedule:
     def test_resolve_is_the_schedule_length_and_the_resolved_default(self):
         cfg = desk_preset()
         fiber = fiber_for(cfg)
-        step = link_steps(cfg, max(cfg.powers_dbm))
+        step = step_schedule(cfg, max(cfg.powers_dbm), link_wdm(cfg), cfg.steps_per_span)
         n = len(step.step_lengths(fiber))
         assert step.resolve(fiber, 0.0) == n == resolve_defaults(cfg)["link_steps_per_span"]
         assert cfg.steps_per_span < n < 2 * cfg.steps_per_span
@@ -376,7 +375,8 @@ class TestSsfmKernel:
         assert np.array_equal(got.samples, want)
         batch = modulate(random_symbols(np.random.default_rng(22), 64, batch=(16,)),
                          metric_wdm(cfg), 2.0)
-        got = propagate_link(batch, fiber, quiet, metric_steps(cfg))
+        step = step_schedule(cfg, 2.0, metric_wdm(cfg), cfg.metric_steps_per_span)
+        got = propagate_link(batch, fiber, quiet, step)
         want = uniform_span_before_schedules(batch, fiber, cfg.metric_steps_per_span)
         assert np.array_equal(got.samples, want * span_gain(fiber))
 
@@ -392,7 +392,7 @@ class TestSsfmKernel:
     def test_nonuniform_schedule_matches_reference_over_its_step_lengths(self):
         cfg = desk_preset()
         fiber = fiber_for(cfg)
-        step = link_steps(cfg, 4.0)
+        step = step_schedule(cfg, 4.0, link_wdm(cfg), cfg.steps_per_span)
         lengths = step.step_lengths(fiber)
         assert len(set(lengths)) > 10  # phase-limited steps, then the capped tail
         field = desk_composite(np.random.default_rng(21), 4.0, n_blocks=18)
@@ -404,8 +404,9 @@ class TestSsfmKernel:
         cfg = desk_preset()
         field = modulate(random_symbols(np.random.default_rng(22), 64, batch=(16,)),
                          metric_wdm(cfg), 2.0)
-        got = one_span(field, fiber_for(cfg), metric_steps(cfg))
-        want = reference_span(field, fiber_for(cfg), metric_steps(cfg))
+        step = step_schedule(cfg, 2.0, metric_wdm(cfg), cfg.metric_steps_per_span)
+        got = one_span(field, fiber_for(cfg), step)
+        want = reference_span(field, fiber_for(cfg), step)
         assert relative_error(got, want) <= 1e-12
 
     def test_block_result_independent_of_its_batch(self):
@@ -413,7 +414,7 @@ class TestSsfmKernel:
         field = desk_composite(np.random.default_rng(28), 2.0, n_blocks=18)
         field.samples[17] *= 1.5
         cfg = desk_preset()
-        step = link_steps(cfg, 2.0)
+        step = step_schedule(cfg, 2.0, link_wdm(cfg), cfg.steps_per_span)
         batch = one_span(field, fiber_for(cfg), step)
         for b in (0, 16, 17):
             one = FieldWaveform(field.samples[b], field.sample_rate_hz)
@@ -557,6 +558,24 @@ class TestEdfa:
         with pytest.raises(AssertionError, match="a split step ran"):
             propagate_link(field, self.fiber, AmplifierParams(noise_on=False), self.step)
 
+    def test_wrong_noise_shape_raises_before_any_split_step(self, monkeypatch):
+        # each span's noise is drawn before its steps, so the loud field, which would
+        # fail its first step, never reaches one
+        from passel import channel
+        calls = []
+        split_steps = channel._split_steps
+
+        def counted(*args):
+            calls.append(args)
+            split_steps(*args)
+        monkeypatch.setattr(channel, "_split_steps", counted)
+        field = FieldWaveform(np.ones((2, 8), dtype=complex), 1e9)
+        with pytest.raises(ChannelError, match="unit_noise shape mismatch"):
+            propagate_link(field, FiberParams(n_spans=2), AmplifierParams(),
+                           SsfmStepConfig(steps_per_span=1),
+                           lambda span: np.zeros((2, 4), dtype=complex))
+        assert calls == []
+
     def test_quantum_limit_validated(self):
         with pytest.raises(ChannelError):
             AmplifierParams(noise_figure_db=2.0)
@@ -566,7 +585,8 @@ class TestEdfa:
 class TestLink:
     def test_zero_spans_identity(self):
         field = FieldWaveform(np.ones((2, 32), dtype=complex), 1e9)
-        out = propagate_link(field, FiberParams(n_spans=0), AmplifierParams())
+        out = propagate_link(field, FiberParams(n_spans=0), AmplifierParams(),
+                             SsfmStepConfig())
         assert np.array_equal(out.samples, field.samples)
 
     def test_gain_exactly_compensates_loss(self):
@@ -654,7 +674,8 @@ class TestForkedLink:
         def noise(span):
             return standard_complex_noise(substream(7, 2, 0, span), field.samples.shape)
 
-        links = [propagate_link(field, fiber, AmplifierParams(), link_steps(cfg, 4.0),
+        step = step_schedule(cfg, 4.0, link_wdm(cfg), cfg.steps_per_span)
+        links = [propagate_link(field, fiber, AmplifierParams(), step,
                                 noise, processes=p).samples for p in (1, 2)]
         assert np.array_equal(links[0], links[1])
 
@@ -679,7 +700,8 @@ class TestForkedLink:
     @pytest.mark.parametrize("between_spans", [False, True])
     def test_dead_child_makes_the_link_raise(self, monkeypatch, between_spans):
         # the child dies in its first span, or right after replying to it; then the
-        # parent waits for the death before its next wake-up finds the pipe broken
+        # parent waits for the death, when it draws the second span's noise, before its
+        # next wake-up finds the pipe broken
         parent, children, fork = os.getpid(), [], os.fork
         target, name = (os, "write") if between_spans else (_Span, "_steps")
         real = getattr(target, name)
@@ -697,7 +719,7 @@ class TestForkedLink:
             return out
 
         def no_noise(span):
-            if between_spans and span == 0:
+            if between_spans and span == 1:
                 os.waitid(os.P_PID, children[0], os.WEXITED | os.WNOWAIT)
             return np.zeros(field.samples.shape, dtype=complex)
         monkeypatch.setattr(os, "fork", fork_and_note)

@@ -24,14 +24,15 @@ from passel.harness import (
     emit_csv,
     empirical_amp_probs,
     fiber_for,
-    link_steps,
+    link_wdm,
+    metric_wdm,
     paper_preset,
     parse_config,
     parse_csv,
-    peak_allowance_w,
     resolve_defaults,
     run_point_detailed,
     ss_bound_estimate,
+    step_schedule,
     sweep,
     write_meta,
 )
@@ -278,6 +279,15 @@ class TestDegenerate:
         with pytest.raises(HarnessError):
             ss_bound_estimate(tiny_config(bound_m_total=20, bound_eta=1.0))
 
+    def test_bound_above_the_metric_steps_completes(self):
+        # 6 dBm is more than 25 equal metric steps per span carry: the metric steps by
+        # its allowance there, as the link does
+        cfg = tiny_config()
+        step = step_schedule(cfg, 6.0, metric_wdm(cfg), cfg.metric_steps_per_span)
+        assert step.resolve(fiber_for(cfg)) == 31
+        det = ss_bound_estimate(cfg, power_dbm=6.0)
+        assert det.row.scheme == "bound" and math.isfinite(det.row.se_bits_s_hz)
+
 
 class TestSweepDeterminism:
     def sweep_bytes(self, cfg, tmp_path, name):
@@ -391,20 +401,32 @@ class TestResolveDefaults:
     def test_link_schedule_at_the_top_sweep_power(self, preset, allowance_w, steps):
         # the allowance rests on LEVELS and the MB fit at the matcher rate
         cfg = preset()
-        assert peak_allowance_w(cfg, max(cfg.powers_dbm)) == pytest.approx(
-            allowance_w, rel=1e-12)
+        step = step_schedule(cfg, max(cfg.powers_dbm), link_wdm(cfg), cfg.steps_per_span)
+        assert step.peak_allowance_w == pytest.approx(allowance_w, rel=1e-12)
         assert resolve_defaults(cfg)["link_steps_per_span"] == steps
 
     def test_fields_present(self):
         cfg = tiny_config()
         res = resolve_defaults(cfg)
         assert res["dm_bits_per_block"] == 42
-        steps = link_steps(cfg, 1.0).step_lengths(fiber_for(cfg))
+        steps = step_schedule(cfg, 1.0, link_wdm(cfg), cfg.steps_per_span).step_lengths(
+            fiber_for(cfg))
         assert res["link_steps_per_span"] == len(steps) > 20
         assert res["metric_steps_per_span"] == 25
         assert res["wk_window"] == 16
         assert res["wk_stride"] == 8
 
+    @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
+    def test_metric_takes_equal_steps_at_the_presets(self, preset):
+        # the metric's one-channel allowance stays below what its equal steps carry, so
+        # the metric steps of every preset point, and of a bound 2 dB above them, are equal
+        cfg = preset()
+        fiber, count = fiber_for(cfg), cfg.metric_steps_per_span
+        for power in cfg.powers_dbm + (max(cfg.powers_dbm) + 2.0,):
+            step = step_schedule(cfg, power, metric_wdm(cfg), count)
+            assert step.peak_allowance_w > 0.0
+            assert step.step_lengths(fiber) == [fiber.span_length_m / count] * count
+        assert resolve_defaults(cfg)["metric_steps_per_span"] == count
 
 class TestCli:
     def test_run_and_parse(self, tmp_path, capsys):
@@ -541,6 +563,36 @@ class TestCli:
         # a writable path gets past the check, to the patched sweep
         with pytest.raises(AssertionError, match="a point ran"):
             passel.cli.main(["run", "--scale", "desk", "--out", "ok.csv"])
+
+    @pytest.mark.parametrize("read_only", [False, True], ids=["directory", "read-only"])
+    def test_unwritable_sidecar_is_a_usage_error_before_any_point(self, tmp_path, monkeypatch,
+                                                                 capsys, read_only):
+        # the sidecar <out>.meta.json is written after the last point as well
+        import passel.cli
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point ran")
+        monkeypatch.setattr(passel.cli, "sweep", no_points)
+        monkeypatch.setattr(passel.cli, "ss_bound_estimate", no_points)
+        monkeypatch.chdir(tmp_path)
+        sidecar = "out.csv.meta.json"
+        if read_only:
+            # root passes permission bits, so os.access stands in for a read-only file
+            (tmp_path / sidecar).write_text("{}\n")
+            access = os.access
+            monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode)
+                                and not (path == sidecar and mode == os.W_OK))
+            why = "it is not writable"
+        else:
+            (tmp_path / sidecar).mkdir()
+            why = "it is a directory"
+        for command in ("run", "bound"):
+            assert passel.cli.main([command, "--scale", "desk", "--out", "out.csv"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "passel: error: cannot write %s: %s" % (sidecar, why)]
+            assert captured.out == ""
+        assert os.listdir(tmp_path) == [sidecar]
 
     @pytest.mark.parametrize("line, message", [
         ("dm_rate_bits_per_amp = 2.5", "dm_rate_bits_per_amp must be in (0, 2]"),

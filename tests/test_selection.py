@@ -362,7 +362,7 @@ class TestNliMetric:
 
     def test_requires_single_channel(self):
         with pytest.raises(SelectionError):
-            NliMetric(FiberParams(), WdmConfig(n_channels=3))
+            NliMetric(FiberParams(), WdmConfig(n_channels=3), SsfmStepConfig(), 0.0)
 
     @pytest.mark.parametrize("scheme, power_dbm", [
         ("ess+bsss", 2.0), ("ess+bsss", 4.0), ("ess+siss", 2.0)])
@@ -371,8 +371,8 @@ class TestNliMetric:
         # round trip each; the demux's brick wall lies outside the RRC passband
         cfg = harness.desk_preset()
         cands, payload = desk_candidates(cfg, scheme, 16)
-        fiber, wdm, steps = harness.fiber_for(cfg), harness.metric_wdm(cfg), \
-            harness.metric_steps(cfg)
+        fiber, wdm = harness.fiber_for(cfg), harness.metric_wdm(cfg)
+        steps = harness.step_schedule(cfg, power_dbm, wdm, cfg.metric_steps_per_span)
         got = NliMetric(fiber, wdm, steps, launch_power_dbm=power_dbm, payload=payload)(cands)
         want = reference_nli_costs(cands, fiber, wdm, steps, power_dbm, payload)
         assert np.abs(got - want).max() <= 1e-12 * want.min()
