@@ -757,14 +757,20 @@ def parse_csv(path: str) -> list[ResultRow]:
     if not lines or lines[0] != CSV_HEADER:
         raise HarnessError("missing or wrong CSV header")
     columns, out = fields(ResultRow), []
-    for line in lines[1:]:
+    for ln, line in enumerate(lines[1:], 2):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != len(columns):
-            raise HarnessError("bad CSV row: %r" % line)
-        out.append(ResultRow(**{f.name: _parse_value(f.name, f.type, raw)
-                                for f, raw in zip(columns, parts)}))
+            raise HarnessError("bad CSV row (line %d): %r" % (ln, line))
+        values = {}
+        for f, raw in zip(columns, parts):
+            try:
+                values[f.name] = _parse_value(f.name, f.type, raw)
+            except ValueError as exc:
+                raise HarnessError("bad CSV row (line %d, column %s): %r: %s"
+                                   % (ln, f.name, line, exc)) from None
+        out.append(ResultRow(**values))
     return out
 
 

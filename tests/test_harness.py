@@ -172,6 +172,13 @@ class TestCsv:
         with pytest.raises(HarnessError):
             parse_csv(path)
 
+    def test_bad_cell_named(self, tmp_path):
+        path = str(tmp_path / "r.csv")
+        with open(path, "w") as fh:
+            fh.write(CSV_HEADER + "\ness,none,1,1,1,1,1,nan\ness,none,abc,1,1,1,1,nan\n")
+        with pytest.raises(HarnessError, match=r"bad CSV row \(line 3, column power_dbm\)"):
+            parse_csv(path)
+
 
 class TestAmpProbs:
     def test_known_composition(self):

@@ -6,6 +6,7 @@ efficiency conversion.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,8 +35,9 @@ from passel.receiver import (
     mean_phase_comp,
     se_from_air,
 )
+from passel import receiver
 from passel.harness import desk_preset, fiber_for, link_wdm
-from passel.receiver import _logsumexp
+from passel.receiver import _bit_equivocations, _logsumexp, _match_to_grid
 from passel.seeding import substream
 from passel.shaping import LEVELS, mb_fit
 
@@ -334,10 +336,16 @@ class TestAir:
         assert isinstance(air_bitwise(x, x, pri), AirResult)
 
     def test_off_grid_tx_rejected(self):
-        x = np.full((2, 600), 1.5 + 0.5j)
         pri = constellation_priors(np.full(4, 0.25))
-        with pytest.raises(ReceiverError):
-            air_bitwise(x, x, pri)
+        on_grid = random_symbols(substream(7, 27), MIN_SYMBOLS_4D)
+        for off in (1.5 + 0.5j, 2.0 + 1.0j, 1.0 + 1e-4j):  # a rail tie, a gap, a near miss
+            x = np.full((2, MIN_SYMBOLS_4D), off)
+            y = on_grid.copy()
+            y[1, 300] = off
+            for tx in (x, y):
+                with pytest.raises(ReceiverError, match="^transmitted symbols are not on "
+                                                        "the constellation grid$"):
+                    air_bitwise(tx, tx, pri)
 
     def test_batched_equals_flat(self):
         rng = substream(7, 23)
@@ -348,6 +356,47 @@ class TestAir:
         a = air_bitwise(x, y, pri)
         b = air_bitwise(x.reshape(1, 8, 2, 250), y.reshape(1, 8, 2, 250), pri)
         assert a.air_bits_per_4d == b.air_bits_per_4d
+
+
+class TestBoundedMemory:
+    """air_bitwise's per-rail grid match and chunked rating keep its bits."""
+
+    def test_rail_match_equals_brute_force(self):
+        rng = substream(7, 24)
+        draws = rng.choice(QAM_POINTS, size=10_000)
+        draws += 1e-8 * (rng.standard_normal(draws.size) + 1j * rng.standard_normal(draws.size))
+        tx = np.concatenate([QAM_POINTS, draws])
+        brute = np.abs(tx[:, None] - QAM_POINTS[None, :]).argmin(axis=1)
+        assert np.array_equal(_match_to_grid(tx), brute)
+
+    @pytest.mark.parametrize("n", [1000, 2048, 2049])
+    def test_equivocations_do_not_depend_on_chunk(self, n, monkeypatch):
+        rng = substream(7, 25)
+        with np.errstate(divide="ignore"):
+            logp = np.log(constellation_priors([0.4, 0.35, 0.25, 0.0]))
+        tx = rng.choice(QAM_POINTS[np.isfinite(logp)], size=n)
+        rx = tx + 0.7 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        rx[:50] = rng.choice([-3.0, -1.0, 0.0, 1.0, 3.0], size=50)  # on an axis: exact ties
+        idx = _match_to_grid(tx)
+        small = _bit_equivocations(idx, rx, logp, 1.3)
+        monkeypatch.setattr(receiver, "_EQUIVOCATION_CHUNK", 1 << 16)
+        whole = _bit_equivocations(idx, rx, logp, 1.3)
+        assert np.array_equal(small.view(np.int64), whole.view(np.int64))
+
+    def test_paper_point_memory_is_bounded(self):
+        # a paper point, 200 blocks of 256 4D symbols: one N x 64 match and
+        # 65,536-sample chunks peaked at 153 MiB
+        rng = substream(7, 26)
+        x = random_symbols(rng, 256, blocks=200)
+        y = x + 0.8 * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+        pri = constellation_priors(np.full(4, 0.25))
+        tracemalloc.start()
+        try:
+            air_bitwise(x, y, pri)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
 
 class TestLogsumexp:

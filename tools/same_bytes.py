@@ -15,11 +15,13 @@ nothing when all are equal). It writes:
 - hashes.txt: the config_hash of the desk and paper presets.
 
 Each .pkl is the pickled PointDetail. The desk points take a few minutes
-on one core, mostly in the two selection points.
+on one core, mostly in the two selection points. Its last printed line
+is the process's peak RSS in MiB (ru_maxrss, which Linux reports in KiB).
 """
 
 import os
 import pickle
+import resource
 import sys
 
 from passel.harness import (
@@ -67,6 +69,7 @@ def main(out_dir: str) -> None:
     for name, scheme, power_dbm, n_t in DESK_POINTS:
         write_detail(out_dir, name, run_point_detailed(desk, scheme, power_dbm, n_t))
         print("wrote", name)
+    print("peak RSS %.1f MiB" % (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024))
 
 
 if __name__ == "__main__":
