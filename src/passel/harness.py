@@ -49,7 +49,6 @@ from .channel import (
 from .receiver import (
     MIN_SYMBOLS_4D,
     air_bitwise,
-    constellation_priors,
     link_receive,
     mean_phase_comp,
     se_from_air,
@@ -500,19 +499,6 @@ class _PointState:
         return tx, costs, indices
 
 
-def empirical_amp_probs(symbols: np.ndarray) -> np.ndarray:
-    """Relative frequency of each of LEVELS over both rails."""
-    s = np.asarray(symbols)
-    vals = np.concatenate([np.abs(s.real).ravel(), np.abs(s.imag).ravel()])
-    levels = np.asarray(LEVELS)
-    mids = (levels[1:] + levels[:-1]) / 2.0
-    idx = np.searchsorted(mids, vals)
-    counts = np.bincount(idx, minlength=levels.size).astype(float)
-    if counts.sum() == 0:
-        raise HarnessError("no symbols to estimate amplitude frequencies from")
-    return counts / counts.sum()
-
-
 @dataclass(frozen=True)
 class ResultRow:
     scheme: str
@@ -590,8 +576,8 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
         raise HarnessError("all blocks discarded by pilot detection")
 
     tx_kept = tx[center][keep][..., pay]
-    amp_probs = st.dist.probs if st.dist is not None else empirical_amp_probs(tx_kept)
-    air = air_bitwise(tx_kept, y_pay[keep], constellation_priors(amp_probs))
+    # mb rates with its target priors, the other schemes with the sent levels' frequencies
+    air = air_bitwise(tx_kept, y_pay[keep], st.dist.probs if st.dist is not None else None)
     air_net = max(0.0, air.air_bits_per_4d + rate_penalty)
     prior4 = air.prior_entropy_bits_per_4d
     # the ideal mb matcher (realized_bits_4d None) has no rate loss

@@ -11,9 +11,10 @@ Rates are estimated with a bit-metric decoder over a circular-Gaussian
 auxiliary channel whose variance is fitted to the data: per-bit LLRs with
 shaped priors give the achievable information rate (AIR) in bits per 4D
 symbol, and spectral efficiency follows after subtracting shaping/selection
-rate losses and applying any pilot time fraction. The log-sum-exp behind
-the LLRs is a numpy copy of scipy.special.logsumexp's method for real
-input, with the same bits, so that the receiver needs numpy alone.
+rate losses and applying any pilot time fraction. The auxiliary channel is
+circular and each prior is a product of rails with uniform signs, so a bit's
+LLR depends on its own rail alone: a 4D symbol is rated as its four
+Gray-labeled 8-level rails, whose equivocations add.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ __all__ = [
     "cdc",
     "matched_filter_sample",
     "mean_phase_comp",
-    "QAM_POINTS",
-    "QAM_LABELS",
-    "constellation_priors",
     "air_bitwise",
     "se_from_air",
 ]
@@ -115,32 +113,18 @@ def mean_phase_comp(rx_syms: np.ndarray, tx_syms: np.ndarray) -> tuple[np.ndarra
 
 # Rail code c (0..7) is its label, MSB first: the sign bit, then the
 # binary-reflected Gray label g of the amplitude, which for two bits names
-# level g ^ (g >> 1) of LEVELS.
+# level g ^ (g >> 1) of LEVELS. A 4D symbol is four rails (x re, x im, y re,
+# y im), each labeled by its own code.
 _RAIL_CODES = np.arange(2 * len(LEVELS))
 _RAIL_GRAY = _RAIL_CODES & (len(LEVELS) - 1)
 _RAIL_LEVEL = _RAIL_GRAY ^ (_RAIL_GRAY >> 1)
 _RAIL_VALUES = (1.0 - 2.0 * (_RAIL_CODES >> BITS_PER_AMPLITUDE)) * np.asarray(LEVELS)[_RAIL_LEVEL]
 _RAIL_LABELS = (_RAIL_CODES[:, None] >> np.arange(BITS_PER_AMPLITUDE, -1, -1)) & 1
-
-# Square QAM of two signed LEVELS rails, Gray labeled per rail: point 8 * i + q
-# carries rail code i on I and rail code q on Q. A QAM_LABELS row is MSB first
-# [I sign, I amplitude Gray bits, Q sign, Q amplitude Gray bits].
-QAM_POINTS = (_RAIL_VALUES[:, None] + 1j * _RAIL_VALUES[None, :]).ravel()
-QAM_LABELS = np.hstack([np.repeat(_RAIL_LABELS, _RAIL_CODES.size, axis=0),
-                        np.tile(_RAIL_LABELS, (_RAIL_CODES.size, 1))]).astype(np.uint8)
-QAM_POINTS.setflags(write=False)
-QAM_LABELS.setflags(write=False)
-
-
-def constellation_priors(amp_probs: np.ndarray) -> np.ndarray:
-    """Per-point priors of QAM_POINTS from LEVELS probabilities and uniform signs."""
-    amp_probs = np.asarray(amp_probs, dtype=float)
-    if amp_probs.shape != (len(LEVELS),) or abs(amp_probs.sum() - 1.0) > 1e-9:
-        raise ReceiverError("amplitude priors must sum to 1 over the alphabet")
-    if np.any(amp_probs < 0):
-        raise ReceiverError("negative prior")
-    rail = amp_probs[_RAIL_LEVEL] / 2.0  # per signed rail value
-    return np.outer(rail, rail).ravel()
+_RAIL_VALUES.setflags(write=False)
+_RAIL_LABELS.setflags(write=False)
+_LEVEL_MIDS = (np.asarray(LEVELS[1:]) + LEVELS[:-1]) / 2.0
+# a sent 2D sample further than this from its nearest grid point is off the grid
+_GRID_TOL = 1e-6 * math.hypot(LEVELS[-1], LEVELS[-1])
 
 
 @dataclass(frozen=True)
@@ -155,74 +139,51 @@ class AirResult:
     equivocation_per_4d: np.ndarray
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along axis for real a, by scipy.special.logsumexp's method.
-
-    The row maxima are taken out of the sum: with m tied maxima and the rest
-    summing to s, the result is log1p(s/m) + log(m) + max. Rows where that is
-    not finite, such as all -inf rows, take log(sum(exp(a))) instead.
-    """
-    a_max = a.max(axis=axis, keepdims=True)
-    mask = a == a_max
-    m = mask.sum(axis=axis, keepdims=True, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(mask, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
-    return out.squeeze(axis)
+def _flagged(flags: np.ndarray, n: int) -> tuple[int, int, str]:
+    """Count of flagged flat (block, symbol, polarization) samples, and the first one's
+    flat index and position, for blocks of n symbols."""
+    bad = np.flatnonzero(flags)
+    block, symbol = divmod(int(bad[0]) // 2, n)
+    return bad.size, bad[0], "(block %d, symbol %d, polarization %d)" % (block, symbol, bad[0] % 2)
 
 
-def _match_to_grid(tx: np.ndarray) -> np.ndarray:
-    """Index in QAM_POINTS of each symbol's nearest point: the nearest rail value on each axis."""
-    i = np.abs(tx.real[:, None] - _RAIL_VALUES[None, :]).argmin(axis=1)
-    q = np.abs(tx.imag[:, None] - _RAIL_VALUES[None, :]).argmin(axis=1)
-    idx = _RAIL_CODES.size * i + q
-    err = np.abs(tx - QAM_POINTS[idx]).max() if tx.size else 0.0
-    if err > 1e-6 * max(1.0, np.abs(QAM_POINTS).max()):
-        raise ReceiverError("transmitted symbols are not on the constellation grid")
-    return idx
-
-
-# Samples rated per chunk. At 1024 a chunk's complex distances (1 MiB) and its
-# weights w (512 KiB) stay in a core's L2 cache, and memory no longer grows with
-# the block count. Every result is per sample, so the bits do not depend on it.
+# Rails rated per chunk. At 1024 a chunk's weights (64 KiB) stay in a core's
+# cache, and memory no longer grows with the block count. Every result is per
+# rail, so the bits do not depend on it.
 _EQUIVOCATION_CHUNK = 1 << 10
 
 
-def _bit_equivocations(tx_idx: np.ndarray, rx: np.ndarray, log_priors: np.ndarray,
+def _bit_equivocations(codes: np.ndarray, rx: np.ndarray, log_priors: np.ndarray,
                        sigma2: float) -> np.ndarray:
-    """Sum over bit positions of log2(1 + exp(-+LLR)), per 2D sample."""
+    """Sum over bit positions of log2(1 + exp(-+LLR)), per rail of sent code codes."""
     out = np.zeros(rx.size)
     with np.errstate(under="ignore", over="ignore"):
         for lo in range(0, rx.size, _EQUIVOCATION_CHUNK):
             hi = min(lo + _EQUIVOCATION_CHUNK, rx.size)
-            w = log_priors[None, :] - np.abs(rx[lo:hi, None]
-                                             - QAM_POINTS[None, :]) ** 2 / sigma2
+            w = log_priors[None, :] - (rx[lo:hi, None] - _RAIL_VALUES[None, :]) ** 2 / sigma2
             acc = np.zeros(hi - lo)
-            for j in range(QAM_LABELS.shape[1]):
-                ones = QAM_LABELS[:, j].astype(bool)
-                lse1 = _logsumexp(w[:, ones], axis=1)
-                lse0 = _logsumexp(w[:, ~ones], axis=1)
-                llr = lse0 - lse1  # natural-log units
-                sent = QAM_LABELS[tx_idx[lo:hi], j].astype(float)
-                z = (1.0 - 2.0 * sent) * llr
+            for j in range(_RAIL_LABELS.shape[1]):
+                ones = _RAIL_LABELS[:, j].astype(bool)
+                llr = (np.logaddexp.reduce(w[:, ~ones], axis=1)
+                       - np.logaddexp.reduce(w[:, ones], axis=1))  # natural-log units
+                z = (1.0 - 2.0 * _RAIL_LABELS[codes[lo:hi], j]) * llr
                 acc += np.logaddexp(0.0, -z) / _LN2
             out[lo:hi] = acc
     return out
 
 
-def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
-                sigma2: float | None = None) -> AirResult:
+def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray,
+                amp_probs: np.ndarray | None) -> AirResult:
     """Bit-metric AIR over paired dual-pol symbol blocks.
 
-    tx_syms/rx_syms: (..., 2, n) in constellation units; priors: per-point
-    probabilities over QAM_POINTS. The AIR is the
-    prior entropy minus the mean per-4D bit equivocation under the fitted
-    (or supplied) circular-Gaussian auxiliary channel, clipped below at zero.
-    Fewer than MIN_SYMBOLS_4D symbols raise ReceiverError.
+    tx_syms/rx_syms: (..., 2, n) in constellation units; amp_probs: the
+    probabilities of LEVELS, each sign equally likely, or None for the
+    frequencies of the sent rails' levels. Each rail's three bits are rated
+    on that rail alone, and a 4D symbol's equivocation is its four rails'
+    sum. The AIR is the prior entropy minus the mean per-4D bit equivocation
+    under the fitted circular-Gaussian auxiliary channel, clipped below at
+    zero. Fewer than MIN_SYMBOLS_4D symbols, non-finite samples and sent
+    samples off the grid raise ReceiverError.
     """
     tx = np.asarray(tx_syms, dtype=complex)
     rx = np.asarray(rx_syms, dtype=complex)
@@ -230,27 +191,44 @@ def air_bitwise(tx_syms: np.ndarray, rx_syms: np.ndarray, priors: np.ndarray,
         raise ReceiverError("expected matching (..., 2, n) symbol arrays")
     tx2 = tx.reshape(-1, 2, tx.shape[-1])
     rx2 = rx.reshape(-1, 2, rx.shape[-1])
-    n4 = tx2.shape[0] * tx2.shape[2]
+    n, n4 = tx2.shape[2], tx2.shape[0] * tx2.shape[2]
     if n4 < MIN_SYMBOLS_4D:
         raise ReceiverError("need at least %d 4D symbols, got %d" % (MIN_SYMBOLS_4D, n4))
-    priors = np.asarray(priors, dtype=float)
-    if priors.shape != QAM_POINTS.shape or abs(priors.sum() - 1.0) > 1e-6:
-        raise ReceiverError("priors must be a distribution over constellation points")
-    if sigma2 is None:  # mean |y - x|^2 per 2D
-        sigma2 = float(np.mean(np.abs(rx2.ravel() - tx2.ravel()) ** 2))
-    sigma2 = max(float(sigma2), 1e-300)
+    # (block, symbol, polarization) order, so a 4D symbol's four rails are adjacent
+    tx_c = np.ascontiguousarray(tx2.transpose(0, 2, 1)).reshape(-1)
+    rx_c = np.ascontiguousarray(rx2.transpose(0, 2, 1)).reshape(-1)
+    for side, c in (("sent", tx_c), ("received", rx_c)):
+        finite = np.isfinite(c)
+        if not finite.all():
+            count, _, where = _flagged(~finite, n)
+            raise ReceiverError("%s samples are not finite: %d non-finite, the first at %s"
+                                % (side, count, where))
+    tx_r, rx_r = tx_c.view(float), rx_c.view(float)
+    level = np.searchsorted(_LEVEL_MIDS, np.abs(tx_r))  # each rail's nearest amplitude
+    codes = (level ^ (level >> 1)) + len(LEVELS) * (tx_r < 0)
+    off = np.abs(tx_c - _RAIL_VALUES[codes].view(complex)) > _GRID_TOL
+    if off.any():
+        count, first, where = _flagged(off, n)
+        raise ReceiverError("transmitted symbols are not on the constellation grid: %d off "
+                            "it, the first %r at %s" % (count, complex(tx_c[first]), where))
+    if amp_probs is None:
+        counts = np.bincount(level, minlength=len(LEVELS)).astype(float)
+        amp_probs = counts / counts.sum()
+    amp_probs = np.asarray(amp_probs, dtype=float)
+    if (amp_probs.shape != (len(LEVELS),) or not np.all(amp_probs >= 0)
+            or abs(amp_probs.sum() - 1.0) > 1e-9):
+        raise ReceiverError("amplitude priors must be a distribution over LEVELS")
+    rail_priors = amp_probs[_RAIL_LEVEL] / 2.0
     with np.errstate(divide="ignore"):
-        logp = np.log(priors)
-    h2 = float(-(priors[priors > 0] * np.log2(priors[priors > 0])).sum())
-    flat_tx = tx2.transpose(0, 2, 1).reshape(-1)  # ... pairs (x, y) stay adjacent
-    flat_rx = rx2.transpose(0, 2, 1).reshape(-1)
-    idx = _match_to_grid(flat_tx)
-    e2 = _bit_equivocations(idx, flat_rx, logp, sigma2)
-    e4 = e2.reshape(-1, 2).sum(axis=1)
-    air = max(0.0, 2.0 * h2 - float(e4.mean()))
+        logp = np.log(rail_priors)
+    h_rail = float(-(rail_priors[rail_priors > 0] * np.log2(rail_priors[rail_priors > 0])).sum())
+    # mean |y - x|^2 per 2D; a noiseless block's 0 takes the floor
+    sigma2 = max(float(np.mean(np.abs(rx2.ravel() - tx2.ravel()) ** 2)), 1e-300)
+    e4 = _bit_equivocations(codes, rx_r, logp, sigma2).reshape(-1, 4).sum(axis=1)
+    air = max(0.0, 4.0 * h_rail - float(e4.mean()))
     ci = 1.96 * float(e4.std(ddof=1)) / math.sqrt(e4.size) if e4.size > 1 else 0.0
-    return AirResult(air_bits_per_4d=air, prior_entropy_bits_per_4d=2.0 * h2,
-                     noise_variance=float(sigma2), ci95_bits_per_4d=ci,
+    return AirResult(air_bits_per_4d=air, prior_entropy_bits_per_4d=4.0 * h_rail,
+                     noise_variance=sigma2, ci95_bits_per_4d=ci,
                      n_symbols_4d=n4, equivocation_per_4d=e4)
 
 

@@ -24,9 +24,7 @@ from passel.channel import (
 )
 from passel.harness import desk_preset, emit_csv, run_point_detailed, ss_bound_estimate, sweep
 from passel.receiver import (
-    QAM_POINTS,
     air_bitwise,
-    constellation_priors,
     link_receive,
 )
 from passel.seeding import substream
@@ -44,6 +42,7 @@ from passel.selection import (
     wk_metric,
 )
 from passel.shaping import (
+    LEVELS,
     PasShaper,
     ShapingError,
     ess_build_trellis,
@@ -143,22 +142,24 @@ def test_criterion_3_air_awgn_oracle():
     # Gaussian noise (Gauss-Hermite quadrature, 48 nodes, converged to <1e-4)
     oracle_bits_2d = {6.0: 2.045810, 10.0: 3.168518, 14.0: 4.384907}
     t0 = time.perf_counter()
-    priors = constellation_priors(np.full(4, 0.25))
-    es = float((np.abs(QAM_POINTS) ** 2 * priors).sum())
+    uniform = np.full(4, 0.25)
+    rails = np.concatenate([np.asarray(LEVELS), -np.asarray(LEVELS)])
+    points = (rails[:, None] + 1j * rails[None, :]).ravel()  # the 64 points
+    es = float(np.mean(np.abs(points) ** 2))
     rng = substream(31, 0)
     n4 = 50000  # 1e5 2D symbols per point
     for snr_db, truth in oracle_bits_2d.items():
         sigma2 = es / 10 ** (snr_db / 10.0)
-        pick = rng.integers(0, QAM_POINTS.size, size=(2, n4))
-        tx = QAM_POINTS[pick]
+        pick = rng.integers(0, points.size, size=(2, n4))
+        tx = points[pick]
         noise = (rng.normal(size=tx.shape) + 1j * rng.normal(size=tx.shape))
-        res = air_bitwise(tx, tx + noise * math.sqrt(sigma2 / 2.0), priors)
+        res = air_bitwise(tx, tx + noise * math.sqrt(sigma2 / 2.0), uniform)
         assert abs(res.air_bits_per_4d / 2.0 - truth) < 0.05, snr_db
 
     # noiseless ceiling: every bit resolved, rate = label length
-    pick = rng.integers(0, QAM_POINTS.size, size=(2, 2000))
-    tx = QAM_POINTS[pick]
-    res0 = air_bitwise(tx, tx.copy(), priors, sigma2=1e-9)
+    pick = rng.integers(0, points.size, size=(2, 2000))
+    tx = points[pick]
+    res0 = air_bitwise(tx, tx.copy(), uniform)
     assert abs(res0.air_bits_per_4d - 12.0) < 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

@@ -43,5 +43,7 @@ def test_error_classes_are_exported(module):
 def test_fixed_alphabets_are_exported():
     # the read-only check above sees only what __all__ lists
     from passel import receiver, selection
-    assert {"QAM_POINTS", "QAM_LABELS"} <= set(receiver.__all__)
     assert "PILOT_POINTS" in selection.__all__
+    # the receiver's rail code table is private, and as fixed as an export
+    assert not receiver._RAIL_VALUES.flags.writeable
+    assert not receiver._RAIL_LABELS.flags.writeable

@@ -22,7 +22,6 @@ from passel.harness import (
     config_text,
     desk_preset,
     emit_csv,
-    empirical_amp_probs,
     fiber_for,
     link_wdm,
     metric_wdm,
@@ -178,20 +177,6 @@ class TestCsv:
             fh.write(CSV_HEADER + "\ness,none,1,1,1,1,1,nan\ness,none,abc,1,1,1,1,nan\n")
         with pytest.raises(HarnessError, match=r"bad CSV row \(line 3, column power_dbm\)"):
             parse_csv(path)
-
-
-class TestAmpProbs:
-    def test_known_composition(self):
-        # rails drawn as 3 ones, 1 three over 4 rails
-        syms = np.array([[1 + 1j, 1 + 3j]])
-        probs = empirical_amp_probs(syms)
-        assert np.allclose(probs, [0.75, 0.25, 0.0, 0.0])
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(0)
-        levels = np.array([1.0, 3.0, 5.0, 7.0])
-        syms = rng.choice(levels, (2, 50)) + 1j * rng.choice(levels, (2, 50))
-        assert abs(empirical_amp_probs(syms).sum() - 1.0) < 1e-12
 
 
 class TestPointAccounting:

@@ -6,6 +6,7 @@ efficiency conversion.
 """
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -23,13 +24,10 @@ from passel.channel import (
 )
 from passel.receiver import (
     MIN_SYMBOLS_4D,
-    QAM_LABELS,
-    QAM_POINTS,
     AirResult,
     ReceiverError,
     air_bitwise,
     cdc,
-    constellation_priors,
     link_receive,
     matched_filter_sample,
     mean_phase_comp,
@@ -37,25 +35,70 @@ from passel.receiver import (
 )
 from passel import receiver
 from passel.harness import desk_preset, fiber_for, link_wdm
-from passel.receiver import _bit_equivocations, _logsumexp, _match_to_grid
+from passel.receiver import _RAIL_LABELS, _RAIL_VALUES, _bit_equivocations
 from passel.seeding import substream
 from passel.shaping import LEVELS, mb_fit
 
 RAILS = np.array([-7, -5, -3, -1, 1, 3, 5, 7], dtype=float)
+UNIFORM = np.full(4, 0.25)
+
+
+def loop_rails():
+    """Rail code c in 0..7 from LEVELS by loops: (value, [sign, Gray bits])."""
+    rails = []
+    for code in range(8):
+        sign, gray = code >> 2, code & 3
+        level = next(j for j in range(4) if j ^ (j >> 1) == gray)
+        rails.append(((1 - 2 * sign) * LEVELS[level], [sign, gray >> 1, gray & 1]))
+    return rails
+
+
+# An independent 64-point reference: square QAM of two rails, Gray labeled per
+# rail. Point 8 * i + q carries rail i on I and rail q on Q; a label row is MSB
+# first [I sign, I amplitude Gray bits, Q sign, Q amplitude Gray bits].
+LOOP_RAILS = loop_rails()
+QAM_POINTS = np.array([complex(vi, vq) for vi, _ in LOOP_RAILS for vq, _ in LOOP_RAILS])
+QAM_LABELS = np.array([li + lq for _, li in LOOP_RAILS for _, lq in LOOP_RAILS])
+
+
+def qam_priors(amp_probs):
+    """Per-point priors of QAM_POINTS from LEVELS probabilities and uniform signs."""
+    rail = np.array([amp_probs[LEVELS.index(abs(v))] / 2.0 for v, _ in LOOP_RAILS])
+    return np.outer(rail, rail).ravel()
+
+
+def qam_weights(tx_syms, rx_syms, priors):
+    """Each 2D sample's sent point and N x 64 metric log p - |y - x|^2 / sigma2 under
+    the fitted Gaussian auxiliary channel, in (block, symbol, polarization) order."""
+    def flat(a):
+        a = np.asarray(a, dtype=complex)
+        return a.reshape(-1, 2, a.shape[-1]).transpose(0, 2, 1).ravel()
+    tx, rx = flat(tx_syms), flat(rx_syms)
+    sigma2 = max(np.mean(np.abs(rx - tx) ** 2), 1e-300)
+    with np.errstate(divide="ignore"):
+        logp = np.log(priors)
+    idx = np.abs(tx[:, None] - QAM_POINTS[None, :]).argmin(axis=1)
+    return idx, logp, logp[None, :] - np.abs(rx[:, None] - QAM_POINTS[None, :]) ** 2 / sigma2
+
+
+def reference_equivocations(tx_syms, rx_syms, amp_probs):
+    """Brute-force 64-point bit-metric equivocation per 4D symbol, in bits."""
+    from scipy.special import logsumexp
+    idx, _, w = qam_weights(tx_syms, rx_syms, qam_priors(amp_probs))
+    e2 = np.zeros(idx.size)
+    for j in range(QAM_LABELS.shape[1]):
+        ones = QAM_LABELS[:, j].astype(bool)
+        llr = logsumexp(w[:, ~ones], axis=1) - logsumexp(w[:, ones], axis=1)
+        e2 += np.logaddexp(0.0, -(1.0 - 2.0 * QAM_LABELS[idx, j]) * llr) / math.log(2.0)
+    return e2.reshape(-1, 2).sum(axis=1)
 
 
 def symbolwise_mi(tx_syms, rx_syms, priors):
     """Symbol-metric mutual information (bits/2D) under the same fitted Gaussian
     auxiliary channel as air_bitwise: a reference the bit-metric rate never exceeds."""
     from scipy.special import logsumexp
-    points = QAM_POINTS
-    tx = np.asarray(tx_syms, dtype=complex).ravel()
-    rx = np.asarray(rx_syms, dtype=complex).ravel()
-    sigma2 = np.mean(np.abs(rx - tx) ** 2)
-    logp = np.log(priors)
-    idx = np.abs(tx[:, None] - points[None, :]).argmin(axis=1)
-    w = logp[None, :] - np.abs(rx[:, None] - points[None, :]) ** 2 / sigma2
-    num = w[np.arange(rx.size), idx]
+    idx, logp, w = qam_weights(tx_syms, rx_syms, priors)
+    num = w[np.arange(idx.size), idx]
     return float((num - logsumexp(w, axis=1) - logp[idx]).mean()) / math.log(2.0)
 
 
@@ -67,65 +110,55 @@ def random_symbols(rng, n, blocks=None):
 
 
 class TestConstellation:
+    """The receiver's rail code table: Gray per rail, sign bit first."""
+
     def test_point_set(self):
-        assert QAM_POINTS.shape == (64,)
-        assert QAM_LABELS.shape == (64, 6)
+        assert _RAIL_VALUES.shape == (8,) and _RAIL_LABELS.shape == (8, 3)
+        assert sorted(_RAIL_VALUES) == list(RAILS)
         got = sorted((p.real, p.imag) for p in QAM_POINTS)
-        want = sorted((a, b) for a in RAILS for b in RAILS)
-        assert np.allclose(got, want)
+        assert got == sorted((a, b) for a in RAILS for b in RAILS)
 
     def test_labels_unique(self):
-        codes = {tuple(row) for row in QAM_LABELS}
-        assert len(codes) == 64
+        assert len({tuple(row) for row in _RAIL_LABELS}) == 8
+        assert len({tuple(row) for row in QAM_LABELS}) == 64
 
     def test_rail_gray_property(self):
         # walking the rail in value order flips exactly one label bit
-        on_axis = [(QAM_POINTS[k].real, tuple(QAM_LABELS[k][:3]))
-                   for k in range(64) if QAM_POINTS[k].imag == 1.0]
-        on_axis.sort()
-        for (_, a), (_, b) in zip(on_axis, on_axis[1:]):
-            assert sum(x != y for x, y in zip(a, b)) == 1
+        order = np.argsort(_RAIL_VALUES)
+        for a, b in zip(order, order[1:]):
+            assert np.sum(_RAIL_LABELS[a] != _RAIL_LABELS[b]) == 1
 
     def test_sign_bit_is_msb(self):
-        for k in range(64):
-            assert QAM_LABELS[k, 0] == (1 if QAM_POINTS[k].real < 0 else 0)
-            assert QAM_LABELS[k, 3] == (1 if QAM_POINTS[k].imag < 0 else 0)
+        assert np.array_equal(_RAIL_LABELS[:, 0], (_RAIL_VALUES < 0).astype(int))
 
     def test_matches_loop_reference(self):
         # rail code = sign bit, then the Gray label of the level index
-        rails = []
-        for code in range(8):
-            sign, gray = code >> 2, code & 3
-            level = next(j for j in range(4) if j ^ (j >> 1) == gray)
-            rails.append(((1 - 2 * sign) * LEVELS[level], [sign, gray >> 1, gray & 1]))
-        assert not QAM_POINTS.flags.writeable and not QAM_LABELS.flags.writeable
-        amp = np.array([0.4, 0.3, 0.2, 0.1])
-        pri = constellation_priors(amp)
-        for i, (vi, li) in enumerate(rails):
-            for q, (vq, lq) in enumerate(rails):
-                assert QAM_POINTS[8 * i + q] == complex(vi, vq)
-                assert list(QAM_LABELS[8 * i + q]) == li + lq
-                assert pri[8 * i + q] == (amp[LEVELS.index(abs(vi))] / 2.0) \
-                    * (amp[LEVELS.index(abs(vq))] / 2.0)
+        assert not _RAIL_VALUES.flags.writeable and not _RAIL_LABELS.flags.writeable
+        for code, (value, label) in enumerate(LOOP_RAILS):
+            assert _RAIL_VALUES[code] == value
+            assert list(_RAIL_LABELS[code]) == label
 
     def test_uniform_priors(self):
-        pri = constellation_priors(np.full(4, 0.25))
-        assert np.allclose(pri, 1.0 / 64)
+        # 3 bits on each of four rails
+        x = random_symbols(substream(7, 28), 600, blocks=2)
+        y = x + 0.9 * (1.0 + 1.0j)
+        assert air_bitwise(x, y, UNIFORM).prior_entropy_bits_per_4d == 12.0
 
     def test_shaped_priors_product_form(self):
+        # four rails carry the entropy of two 64-point products
         amp = np.array([0.4, 0.3, 0.2, 0.1])
-        pri = constellation_priors(amp)
+        pri = qam_priors(amp)
         assert abs(pri.sum() - 1.0) < 1e-12
-        k = np.argmin(np.abs(QAM_POINTS - (1 + 1j)))
-        assert abs(pri[k] - (0.4 / 2) * (0.4 / 2)) < 1e-12
-        k = np.argmin(np.abs(QAM_POINTS - (-7 + 3j)))
-        assert abs(pri[k] - (0.1 / 2) * (0.3 / 2)) < 1e-12
+        x = random_symbols(substream(7, 29), 600, blocks=2)
+        res = air_bitwise(x, x, amp)
+        assert abs(res.prior_entropy_bits_per_4d - 2.0 * -(pri * np.log2(pri)).sum()) < 1e-12
 
     def test_prior_validation(self):
-        with pytest.raises(ReceiverError):
-            constellation_priors(np.array([0.5, 0.5, 0.2, -0.2]))
-        with pytest.raises(ReceiverError):
-            constellation_priors(np.full(4, 0.3))
+        x = random_symbols(substream(7, 30), MIN_SYMBOLS_4D)
+        for bad in ([0.5, 0.5, 0.2, -0.2], np.full(4, 0.3), [0.5, 0.5, math.nan, 0.0],
+                    np.full(8, 0.125)):
+            with pytest.raises(ReceiverError, match="^amplitude priors must be a distribution"):
+                air_bitwise(x, x, bad)
 
 
 class TestChainBackToBack:
@@ -256,8 +289,7 @@ class TestAir:
     def test_noiseless_uniform_is_12_bits(self):
         rng = substream(7, 16)
         x = random_symbols(rng, 600, blocks=2)
-        pri = constellation_priors(np.full(4, 0.25))
-        res = air_bitwise(x, x, pri)
+        res = air_bitwise(x, x, UNIFORM)
         assert abs(res.air_bits_per_4d - 12.0) < 1e-6
         assert abs(res.prior_entropy_bits_per_4d - 12.0) < 1e-12
         assert res.ci95_bits_per_4d < 1e-9
@@ -269,8 +301,7 @@ class TestAir:
         amps = rng.choice(np.asarray(LEVELS), size=(4, 2, 300), p=dist.probs)
         signs = rng.choice([-1.0, 1.0], size=(2, 4, 2, 300))
         x = amps * signs[0] + 1j * amps * signs[1]
-        pri = constellation_priors(dist.probs)
-        res = air_bitwise(x, x, pri)
+        res = air_bitwise(x, x, dist.probs)
         p = np.asarray(dist.probs)
         want = 4.0 * (-(p * np.log2(p)).sum() + 1.0)
         assert abs(res.prior_entropy_bits_per_4d - want) < 1e-9
@@ -281,18 +312,16 @@ class TestAir:
         x = random_symbols(rng, 500, blocks=4)
         noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
         y = x + noise * 2.0
-        pri = constellation_priors(np.full(4, 0.25))
-        res = air_bitwise(x, y, pri)
+        res = air_bitwise(x, y, UNIFORM)
         assert 0.0 < res.air_bits_per_4d < res.prior_entropy_bits_per_4d
 
     def test_air_monotone_in_snr(self):
         rng = substream(7, 19)
         x = random_symbols(rng, 500, blocks=4)
-        pri = constellation_priors(np.full(4, 0.25))
         noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
         prev = 0.0
         for scale in (2.0, 1.0, 0.5, 0.25):
-            res = air_bitwise(x, x + noise * scale, pri)
+            res = air_bitwise(x, x + noise * scale, UNIFORM)
             assert res.air_bits_per_4d > prev
             prev = res.air_bits_per_4d
 
@@ -301,9 +330,8 @@ class TestAir:
         x = random_symbols(rng, 1000, blocks=2)
         noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
         y = x + noise * 1.2
-        pri = constellation_priors(np.full(4, 0.25))
-        res = air_bitwise(x, y, pri)
-        smd = symbolwise_mi(x, y, pri)
+        res = air_bitwise(x, y, UNIFORM)
+        smd = symbolwise_mi(x, y, qam_priors(UNIFORM))
         assert res.air_bits_per_4d / 2.0 <= smd + 1e-9
 
     def test_matches_analytic_awgn_oracle(self):
@@ -317,70 +345,106 @@ class TestAir:
         sigma2 = es / 10 ** (snr_db / 10)
         noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
         y = x + noise * math.sqrt(sigma2 / 2.0)
-        pri = constellation_priors(np.full(4, 0.25))
-        res = air_bitwise(x, y, pri, sigma2=sigma2)
+        res = air_bitwise(x, y, UNIFORM)
         assert abs(res.air_bits_per_4d / 2.0 - 4.3849) < 0.05
 
     def test_fitted_variance(self):
         rng = substream(7, 22)
         x = random_symbols(rng, 800, blocks=2)
         y = x + (1.0 + 1.0j)
-        pri = constellation_priors(np.full(4, 0.25))
-        assert abs(air_bitwise(x, y, pri).noise_variance - 2.0) < 1e-12
+        assert abs(air_bitwise(x, y, UNIFORM).noise_variance - 2.0) < 1e-12
 
     def test_sample_size_guard(self):
         x = np.full((2, MIN_SYMBOLS_4D), 1.0 + 1.0j)
-        pri = constellation_priors(np.full(4, 0.25))
         with pytest.raises(ReceiverError):
-            air_bitwise(x[:, 1:], x[:, 1:], pri)
-        assert isinstance(air_bitwise(x, x, pri), AirResult)
+            air_bitwise(x[:, 1:], x[:, 1:], UNIFORM)
+        assert isinstance(air_bitwise(x, x, UNIFORM), AirResult)
 
     def test_off_grid_tx_rejected(self):
-        pri = constellation_priors(np.full(4, 0.25))
         on_grid = random_symbols(substream(7, 27), MIN_SYMBOLS_4D)
         for off in (1.5 + 0.5j, 2.0 + 1.0j, 1.0 + 1e-4j):  # a rail tie, a gap, a near miss
             x = np.full((2, MIN_SYMBOLS_4D), off)
             y = on_grid.copy()
             y[1, 300] = off
-            for tx in (x, y):
-                with pytest.raises(ReceiverError, match="^transmitted symbols are not on "
-                                                        "the constellation grid$"):
-                    air_bitwise(tx, tx, pri)
+            for tx, count, where in ((x, 2 * MIN_SYMBOLS_4D, "block 0, symbol 0, polarization 0"),
+                                     (y, 1, "block 0, symbol 300, polarization 1")):
+                want = ("transmitted symbols are not on the constellation grid: %d off it, "
+                        "the first %r at (%s)" % (count, off, where))
+                with pytest.raises(ReceiverError, match="^%s$" % re.escape(want)):
+                    air_bitwise(tx, tx, UNIFORM)
+
+    @pytest.mark.parametrize("side", ["sent", "received"])
+    def test_non_finite_sample_rejected(self, side):
+        # a NaN once rated as AIR 0 through max(0.0, nan)
+        x = random_symbols(substream(7, 31), 250, blocks=4)
+        y = x + 0.5
+        for bad in (math.nan, complex(1.0, math.inf)):
+            tx, rx = x.copy(), y.copy()
+            (tx if side == "sent" else rx)[2, 1, 17] = bad
+            (tx if side == "sent" else rx)[3, 0, 5] = bad
+            want = "%s samples are not finite: 2 non-finite, the first at (block 2, " \
+                   "symbol 17, polarization 1)" % side
+            with pytest.raises(ReceiverError, match="^%s$" % re.escape(want)):
+                air_bitwise(tx, rx, UNIFORM)
 
     def test_batched_equals_flat(self):
         rng = substream(7, 23)
         x = random_symbols(rng, 250, blocks=8)
         noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
         y = x + 0.8 * noise
-        pri = constellation_priors(np.full(4, 0.25))
-        a = air_bitwise(x, y, pri)
-        b = air_bitwise(x.reshape(1, 8, 2, 250), y.reshape(1, 8, 2, 250), pri)
+        a = air_bitwise(x, y, UNIFORM)
+        b = air_bitwise(x.reshape(1, 8, 2, 250), y.reshape(1, 8, 2, 250), UNIFORM)
         assert a.air_bits_per_4d == b.air_bits_per_4d
+
+
+class TestAmpProbs:
+    """amp_probs=None rates with the sent rails' level frequencies."""
+
+    def test_known_composition(self):
+        # rails drawn as 3 ones, 1 three over 4 rails
+        x = np.tile(np.array([[1 + 1j], [1 + 3j]]), MIN_SYMBOLS_4D)
+        y = x + 0.3 * (1.0 - 2.0j)
+        got = air_bitwise(x, y, None)
+        want = air_bitwise(x, y, [0.75, 0.25, 0.0, 0.0])
+        assert got.air_bits_per_4d == want.air_bits_per_4d
+        assert np.array_equal(got.equivocation_per_4d, want.equivocation_per_4d)
+
+    def test_sums_to_one(self):
+        # 4,004 rails: the frequencies are not exact binary fractions
+        rng = np.random.default_rng(0)
+        syms = rng.choice(RAILS, (2, 1001)) + 1j * rng.choice(RAILS, (2, 1001))
+        counts = np.bincount(np.abs(np.concatenate([syms.real, syms.imag])).ravel()
+                             .astype(int) // 2, minlength=4)
+        got = air_bitwise(syms, syms, None)
+        assert got.prior_entropy_bits_per_4d == air_bitwise(syms, syms, counts / 4004.0) \
+            .prior_entropy_bits_per_4d
 
 
 class TestBoundedMemory:
     """air_bitwise's per-rail grid match and chunked rating keep its bits."""
 
     def test_rail_match_equals_brute_force(self):
+        # a wrong rail code would fail the grid check or move the bit labels
         rng = substream(7, 24)
         draws = rng.choice(QAM_POINTS, size=10_000)
         draws += 1e-8 * (rng.standard_normal(draws.size) + 1j * rng.standard_normal(draws.size))
-        tx = np.concatenate([QAM_POINTS, draws])
-        brute = np.abs(tx[:, None] - QAM_POINTS[None, :]).argmin(axis=1)
-        assert np.array_equal(_match_to_grid(tx), brute)
+        tx = np.concatenate([QAM_POINTS, draws, QAM_POINTS]).reshape(2, 5064)
+        rx = tx + 0.9 * (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape))
+        got = air_bitwise(tx, rx, UNIFORM).equivocation_per_4d
+        assert np.abs(got - reference_equivocations(tx, rx, UNIFORM)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [1000, 2048, 2049])
     def test_equivocations_do_not_depend_on_chunk(self, n, monkeypatch):
         rng = substream(7, 25)
         with np.errstate(divide="ignore"):
-            logp = np.log(constellation_priors([0.4, 0.35, 0.25, 0.0]))
-        tx = rng.choice(QAM_POINTS[np.isfinite(logp)], size=n)
-        rx = tx + 0.7 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        rx[:50] = rng.choice([-3.0, -1.0, 0.0, 1.0, 3.0], size=50)  # on an axis: exact ties
-        idx = _match_to_grid(tx)
-        small = _bit_equivocations(idx, rx, logp, 1.3)
+            logp = np.log(np.asarray([0.4, 0.35, 0.25, 0.0])[np.abs(_RAIL_VALUES)
+                                                              .astype(int) // 2] / 2.0)
+        codes = rng.choice(np.flatnonzero(np.isfinite(logp)), size=n)
+        rx = _RAIL_VALUES[codes] + 0.7 * rng.standard_normal(n)
+        rx[:50] = rng.choice([-4.0, -2.0, 0.0, 2.0, 4.0], size=50)  # between rail values: ties
+        small = _bit_equivocations(codes, rx, logp, 1.3)
         monkeypatch.setattr(receiver, "_EQUIVOCATION_CHUNK", 1 << 16)
-        whole = _bit_equivocations(idx, rx, logp, 1.3)
+        whole = _bit_equivocations(codes, rx, logp, 1.3)
         assert np.array_equal(small.view(np.int64), whole.view(np.int64))
 
     def test_paper_point_memory_is_bounded(self):
@@ -389,10 +453,9 @@ class TestBoundedMemory:
         rng = substream(7, 26)
         x = random_symbols(rng, 256, blocks=200)
         y = x + 0.8 * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
-        pri = constellation_priors(np.full(4, 0.25))
         tracemalloc.start()
         try:
-            air_bitwise(x, y, pri)
+            air_bitwise(x, y, UNIFORM)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -400,38 +463,25 @@ class TestBoundedMemory:
 
 
 class TestLogsumexp:
-    """The receiver's numpy logsumexp gives scipy.special.logsumexp's bits."""
-
-    @staticmethod
-    def receiver_weights(rng, sigma2):
-        # w as _bit_equivocations builds it, with the 7-level amplitude unused
-        with np.errstate(divide="ignore"):
-            logp = np.log(constellation_priors([0.4, 0.35, 0.25, 0.0]))
-        tx = rng.choice(QAM_POINTS[np.isfinite(logp)], size=3000)
-        rx = tx + math.sqrt(sigma2 / 2) * (rng.standard_normal(3000)
-                                           + 1j * rng.standard_normal(3000))
-        # rows on an axis: the points at +-1 on the other rail tie exactly
-        rx[:200] = rng.choice([-5.0, -3.0, -1.0, 0.0, 1.0, 3.0, 5.0], size=200) \
-            * rng.choice([1.0, 1j], size=200)
-        w = logp[None, :] - np.abs(rx[:, None] - QAM_POINTS[None, :]) ** 2 / sigma2
-        w[200:220] = -np.inf
-        w[220:240, ::3] = -np.inf
-        w[240:260] = 0.0
-        return w
+    """Rated rail by rail with numpy's logaddexp, air_bitwise gives the brute-force
+    64-point bit metric, reduced by scipy.special.logsumexp, to 1e-12 per 4D symbol."""
 
     @pytest.mark.parametrize("sigma2", [0.05, 1.0, 20.0])
     def test_matches_scipy_on_receiver_slices(self, sigma2):
-        from scipy.special import logsumexp
-        w = self.receiver_weights(substream(23, 0), sigma2)
-        for j in range(QAM_LABELS.shape[1]):
-            ones = QAM_LABELS[:, j].astype(bool)
-            for part in (w[:, ones], w[:, ~ones]):
-                got, want = _logsumexp(part, axis=1), logsumexp(part, axis=1)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        full = _logsumexp(w, axis=1)
-        assert np.array_equal(full.view(np.int64), logsumexp(w, axis=1).view(np.int64))
-        assert np.all(full[200:220] == -np.inf) and np.all(np.isfinite(full[220:]))
+        # 1,500 4D symbols are 6,000 rails: the rating crosses chunk boundaries
+        rng = substream(23, 0)
+        for amp in (UNIFORM, mb_fit(1.32).probs, [0.4, 0.35, 0.25, 0.0]):
+            amps = rng.choice(np.asarray(LEVELS), size=(3, 2, 500, 2), p=amp)
+            rails = amps * rng.choice([-1.0, 1.0], size=amps.shape)
+            tx = rails[..., 0] + 1j * rails[..., 1]
+            rx = tx + math.sqrt(sigma2 / 2) * (rng.standard_normal(tx.shape)
+                                               + 1j * rng.standard_normal(tx.shape))
+            # received on a decision boundary: rails tie exactly
+            rx[0, 0, :100] = rng.choice([-4.0, -2.0, 0.0, 2.0, 4.0], size=100) \
+                * rng.choice([1.0, 1j], size=100)
+            got = air_bitwise(tx, rx, amp).equivocation_per_4d
+            assert got.shape == (1500,)
+            assert np.abs(got - reference_equivocations(tx, rx, amp)).max() <= 1e-12
 
 
 class TestSpectralEfficiency:
