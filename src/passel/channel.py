@@ -28,14 +28,21 @@ whose truncation stays below 2^-53 for every phase up to the step bound
 MAX_STEP_PHASE_RAD, and cos = sqrt(1 - sin^2). The series is fixed, so a
 block's result does not depend on which blocks share its batch. Against
 np.exp(1j*phi) the rotation agrees within 4 ulp up to the 0.05 rad bound.
-A span runs block by block in cache-sized chunks, on
-preallocated buffers, with np.fft writing in place through out= (numpy 2.0
-or later); the caller's field is never written.
+
+One object, built once per link, is the whole kernel: the opening
+half-step and, per step, its length, nonlinear coefficient, series
+coefficients and merged linear multiplier. A span runs block by block in
+cache-sized chunks, on preallocated buffers, with np.fft writing in place
+through out= (numpy 2.0 or later); the caller's field is never written.
+Each step's guard takes one maximum over the chunk.
 
 Chunks share nothing, so propagate_link may run a batch of two or more
 chunks on several processes: it forks once per call, each process takes a
 contiguous share of the rows, and the spans meet in an anonymous shared
 mapping. The bits are those of the serial loop whatever the process count.
+Each span a child replies with nothing or with its exception, pickled, and
+the caller raises that exception: an error is the one the lowest share of
+rows raises, with its type, args and message.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ import math
 import mmap
 import os
 import signal
-import struct
 import threading
 from dataclasses import dataclass
 
@@ -317,10 +323,6 @@ class FieldWaveform:
         return self.samples.shape[-1]
 
 
-def _omega(n: int, sample_rate_hz: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / sample_rate_hz)
-
-
 def _rc_spectrum(f_over_rs: np.ndarray, rolloff: float) -> np.ndarray:
     """Closed-form raised-cosine spectrum, frequency in symbol-rate units."""
     af = np.abs(f_over_rs)
@@ -421,109 +423,15 @@ _SIN_COEF = [(-1) ** k / math.factorial(2 * k + 1) for k in range(4)]
 _CHUNK_SAMPLES = 1 << 14
 
 
-class _SplitStepWork:
-    """Preallocated buffers for split steps on up to `rows` blocks of t_len samples."""
-
-    def __init__(self, rows: int, t_len: int):
-        n = rows * t_len
-        self.squares = np.empty((rows, 2, 2 * t_len))  # re^2, im^2 interleaved
-        self.pol_sum = np.empty((rows, 2 * t_len))
-        self.power = np.empty((rows, t_len))
-        self.u = np.empty(n)
-        self.sin = np.empty(n)
-        self.rot = np.empty(n, dtype=complex)
-
-    def power_of(self, buf: np.ndarray) -> np.ndarray:
-        """|Ax|^2 + |Ay|^2 of (rows, 2, t_len) samples, as re^2 + im^2."""
-        n = buf.shape[0]
-        squares, pol_sum, power = self.squares[:n], self.pol_sum[:n], self.power[:n]
-        np.square(buf.view(float), out=squares)
-        np.add(squares[:, 0], squares[:, 1], out=pol_sum)
-        return np.add(pol_sum[:, 0::2], pol_sum[:, 1::2], out=power)
-
-    def rotation(self, power: np.ndarray, gnl: float) -> np.ndarray:
-        """exp(i*gnl*power), shaped like power, for phases |gnl*power| <= MAX_STEP_PHASE_RAD."""
-        n = power.size
-        p, u, s, rot = power.reshape(-1), self.u[:n], self.sin[:n], self.rot[:n]
-        # Horner in u = power^2 with gnl folded into the coefficients: sin(gnl*p)/p
-        np.multiply(p, p, out=u)
-        np.multiply(u, _SIN_COEF[3] * gnl ** 7, out=s)
-        for k in range(2, -1, -1):
-            s += _SIN_COEF[k] * gnl ** (2 * k + 1)
-            if k:
-                s *= u
-        np.multiply(s, p, out=rot.imag)
-        np.multiply(rot.imag, rot.imag, out=s)
-        np.subtract(1.0, s, out=s)
-        np.sqrt(s, out=rot.real)
-        return rot.reshape(power.shape)
-
-
-def _span_operators(fiber: FiberParams, step_cfg: SsfmStepConfig, t_len: int,
-                    sample_rate_hz: float):
-    """One span's schedule as (first, linear, gnls, lengths).
-
-    first is the opening half-step. linear[i] follows nonlinear step i: the
-    half-steps of steps i and i+1 merged into one multiplier, and the closing
-    half-step after the last. One exponential is taken per distinct step
-    length and one product per distinct pair, shared by every step using it.
-    gnls[i] is the nonlinear coefficient of step i, loss-integrated over it.
-    """
-    lengths = step_cfg.step_lengths(fiber)
-    alpha = fiber.alpha_per_m
-    w2 = _omega(t_len, sample_rate_hz) ** 2
-    halves, merged = {}, {}
-    for h in lengths:
-        if h not in halves:
-            halves[h] = np.exp((0.5j * fiber.beta2_s2_per_m * w2 - 0.5 * alpha) * (h / 2.0))
-    linear = []
-    for pair in zip(lengths, lengths[1:]):
-        if pair not in merged:
-            merged[pair] = halves[pair[0]] * halves[pair[1]]
-        linear.append(merged[pair])
-    linear.append(halves[lengths[-1]])
-    gnls = [MANAKOV_FACTOR * fiber.gamma_per_w_m
-            * (h if alpha == 0.0 else 2.0 * math.sinh(alpha * h / 2.0) / alpha)
-            for h in lengths]
-    return halves[lengths[0]], linear, gnls, lengths
-
-
-def _split_steps(buf: np.ndarray, operators, step_cfg: SsfmStepConfig,
-                 work: _SplitStepWork, first_row: int) -> None:
-    """All steps of one span on a (rows, 2, t_len) spectrum, in place.
-
-    Each block is held to the phase bound by its own peak, so whether a
-    block passes does not depend on the blocks beside it; the error names
-    the first block over the bound by its row in the whole batch.
-    """
-    first, linear, gnls, lengths = operators
-    buf *= first
-    for step, (gnl, lin) in enumerate(zip(gnls, linear)):
-        np.fft.ifft(buf, axis=-1, out=buf)
-        power = work.power_of(buf)
-        phase = abs(gnl) * power.max(axis=1)
-        if phase.max() > MAX_STEP_PHASE_RAD:
-            row = int(np.argmax(phase > MAX_STEP_PHASE_RAD))
-            raise StepSizeError(first_row + row, step, lengths[step], float(phase[row]),
-                                float(phase[row] / abs(gnl)), MAX_STEP_PHASE_RAD,
-                                step_cfg.peak_allowance_w)
-        # the guard caps every phase at the series' range
-        buf *= work.rotation(power, gnl)[:, None, :]
-        np.fft.fft(buf, axis=-1, out=buf)
-        buf *= lin
-
-
-# A child's reply to each span: _SPAN_DONE when its rows passed, else the args
-# of its StepSizeError (block, step, step_m, phase, peak, bound, allowance).
-_SPAN_DONE = b"\0"
-_STEP_ERROR = struct.Struct("<qq5d")
-
-
 class _Span:
-    """One span's split-step operators and work buffers, for fields shaped like `field`.
+    """The split-step kernel of a span, for fields shaped like `field`.
 
-    They depend on the fiber, the step schedule and the field's shape and
-    sample rate alone, so a link builds them once and runs every span on them.
+    Construction builds what the fiber, the schedule and the field's shape
+    fix, once per link: the opening half-step, and per step its length,
+    |gnl|, the series' coefficients with gnl folded in, and the multiplier
+    after it, which merges the step's half-step with the next one's (one
+    exponential per distinct length, one product per distinct pair). It
+    also allocates one chunk's work buffers.
 
     Entering the span as a context manager allocates the link's spectrum
     buffer once. With processes > 1, a batch of two chunks or more is cut
@@ -534,24 +442,43 @@ class _Span:
     and the parent's one share is every row. Every span, the parent writes
     the spectrum into the buffer, wakes the children over their pipes, steps
     its own share, waits for each child's reply and inverse-transforms the
-    buffer in place. The children inherit the operators and work buffers
-    through the fork and leave through os._exit; leaving the context reaps
-    them, and kills them first when the link is raising.
+    buffer in place. A child replies with None or with the exception its
+    rows raised, pickled, and the parent raises that exception. The children
+    inherit the kernel through the fork and leave through os._exit; leaving
+    the context reaps them, and kills them first when the link is raising.
     """
 
     def __init__(self, field: FieldWaveform, fiber: FiberParams, step_cfg: SsfmStepConfig,
                  processes: int = 1):
         t_len = field.n_samples
-        self.step_cfg = step_cfg
-        self.operators = _span_operators(fiber, step_cfg, t_len, field.sample_rate_hz)
+        lengths = step_cfg.step_lengths(fiber)
+        alpha = fiber.alpha_per_m
+        w2 = (2.0 * np.pi * np.fft.fftfreq(t_len, d=1.0 / field.sample_rate_hz)) ** 2
+        halves = {h: np.exp((0.5j * fiber.beta2_s2_per_m * w2 - 0.5 * alpha) * (h / 2.0))
+                  for h in dict.fromkeys(lengths)}
+        pairs = list(zip(lengths, lengths[1:]))
+        merged = {pair: halves[pair[0]] * halves[pair[1]] for pair in dict.fromkeys(pairs)}
+        linear = [merged[pair] for pair in pairs] + [halves[lengths[-1]]]
+        self.first = halves[lengths[0]]
+        self.steps = []  # (length, |gnl|, sine coefficients, linear multiplier) per step
+        for h, lin in zip(lengths, linear):
+            gnl = MANAKOV_FACTOR * fiber.gamma_per_w_m \
+                * (h if alpha == 0.0 else 2.0 * math.sinh(alpha * h / 2.0) / alpha)
+            self.steps.append((h, abs(gnl), [c * gnl ** (2 * k + 1) for k, c in
+                                             enumerate(_SIN_COEF)], lin))
+        self.allowance = step_cfg.peak_allowance_w
         n = field.samples.size // (2 * t_len)
         self.shape = (n, 2, t_len)
-        self.rows = max(1, min(n, _CHUNK_SAMPLES // (2 * t_len)))
-        self.work = _SplitStepWork(self.rows, t_len)
-        shares = max(1, min(processes, -(-n // self.rows)))
+        self.rows = rows = max(1, min(n, _CHUNK_SAMPLES // (2 * t_len)))
+        # re^2 and im^2 interleaved, their sums over polarizations, the power,
+        # and the series' u, sine and rotation
+        self.work = (np.empty((rows, 2, 2 * t_len)), np.empty((rows, 2 * t_len)),
+                     np.empty((rows, t_len)), np.empty(rows * t_len), np.empty(rows * t_len),
+                     np.empty(rows * t_len, dtype=complex))
+        shares = max(1, min(processes, -(-n // rows)))
         self.bounds = [n * k // shares for k in range(shares + 1)]
         self.spec = None    # the spectrum buffer, inside the context
-        self.children = []  # [pid, wake fd, reply fd] per share past the first
+        self.children = []  # [pid, wake fd, reply file] per share past the first
 
     def __enter__(self):
         # a lock another thread held at the fork would stay held in the child
@@ -572,16 +499,17 @@ class _Span:
 
     def __exit__(self, raising, *_):
         children, self.children, self.spec = self.children, [], None
-        for pid, wake, reply in children:
+        for pid, wake, replies in children:
             os.close(wake)  # a waiting child reads the end of its pipe and exits
-            os.close(reply)
+            replies.close()
             if pid:  # not reaped yet
                 if raising:  # the child may be mid-span
                     os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
     def _fork(self, lo: int, hi: int) -> list:
-        """Start the process for rows lo..hi-1; returns [pid, wake fd, reply fd]."""
+        """Start the process for rows lo..hi-1; returns [pid, wake fd, reply file]."""
+        import pickle  # a serial link never needs it
         wake_r, wake_w = os.pipe()
         reply_r, reply_w = os.pipe()
         try:
@@ -593,17 +521,22 @@ class _Span:
         if pid:
             os.close(wake_r)
             os.close(reply_w)
-            return [pid, wake_w, reply_r]
+            return [pid, wake_w, open(reply_r, "rb")]
         status = 1
         try:  # the child: nothing may unwind into the parent's stack
-            for fd in [wake_w, reply_r] + [fd for c in self.children for fd in c[1:]]:
-                os.close(fd)
+            os.close(wake_w)
+            os.close(reply_r)
+            for _, wake, replies in self.children:  # the earlier children's ends
+                os.close(wake)
+                replies.close()
             while os.read(wake_r, 1):
                 try:
                     self._steps(self.spec, lo, hi)
-                    reply = _SPAN_DONE
-                except StepSizeError as exc:
-                    reply = _STEP_ERROR.pack(*exc.args)
+                    reply = None
+                except Exception as exc:  # the serial loop's error, for the parent to raise
+                    reply = exc
+                reply = pickle.dumps(reply)
+                pickle.loads(reply)  # a reply the parent could not load is no reply
                 os.write(reply_w, reply)
             status = 0
         finally:
@@ -612,20 +545,66 @@ class _Span:
     def _steps(self, spec: np.ndarray, lo: int, hi: int) -> None:
         """All steps of the span on rows lo..hi-1 of spec, chunk by chunk from lo."""
         for a in range(lo, hi, self.rows):
-            _split_steps(spec[a:min(a + self.rows, hi)], self.operators, self.step_cfg,
-                         self.work, a)
+            self._chunk(spec[a:min(a + self.rows, hi)], a)
+
+    def _chunk(self, buf: np.ndarray, first_row: int) -> None:
+        """All steps of the span on a (rows, 2, t_len) spectrum, row first_row first, in place.
+
+        The guard takes one maximum per step, and each row's only past the
+        bound, to name the lowest row over it. Scaling by |gnl| keeps the
+        order of peaks under rounding, so a block passes by its own peak.
+        """
+        rows = buf.shape[0]
+        squares, pol_sum, power = (a[:rows] for a in self.work[:3])
+        u, s, rot = (a[:power.size] for a in self.work[3:])
+        x_sq, y_sq, re_sq, im_sq = squares[:, 0], squares[:, 1], pol_sum[:, 0::2], pol_sum[:, 1::2]
+        p, sin, cos, turn = power.reshape(-1), rot.imag, rot.real, rot.reshape(rows, 1, -1)
+        flat = buf.view(float)
+        buf *= self.first
+        for step, (h, gnl, coefs, linear) in enumerate(self.steps):
+            np.fft.ifft(buf, axis=-1, out=buf)
+            np.square(flat, out=squares)  # |Ax|^2 + |Ay|^2 as re^2 + im^2
+            np.add(x_sq, y_sq, out=pol_sum)
+            np.add(re_sq, im_sq, out=power)
+            if gnl * power.max() > MAX_STEP_PHASE_RAD:
+                phase = gnl * power.max(axis=1)
+                row = int(np.argmax(phase > MAX_STEP_PHASE_RAD))
+                raise StepSizeError(first_row + row, step, h, float(phase[row]),
+                                    float(phase[row] / gnl), MAX_STEP_PHASE_RAD, self.allowance)
+            self._rotation(p, coefs, u, s, sin, cos)  # the guard capped every phase
+            buf *= turn
+            np.fft.fft(buf, axis=-1, out=buf)
+            buf *= linear
+
+    @staticmethod
+    def _rotation(p, coefs, u, s, sin, cos) -> None:
+        """cos + i*sin = exp(i*gnl*p) for |gnl*p| <= MAX_STEP_PHASE_RAD, by Horner in
+        u = p^2 on coefs, the series' with gnl folded in; u and s are work buffers."""
+        c0, c1, c2, c3 = coefs
+        np.multiply(p, p, out=u)
+        np.multiply(u, c3, out=s)
+        s += c2
+        s *= u
+        s += c1
+        s *= u
+        s += c0
+        np.multiply(s, p, out=sin)
+        np.multiply(sin, sin, out=s)
+        np.subtract(1.0, s, out=s)
+        np.sqrt(s, out=cos)
 
     def _wait(self, child: list, lo: int, hi: int) -> None:
         """Wait for a child's span: return, or raise its error or its death."""
-        reply = os.read(child[2], _STEP_ERROR.size)
-        if reply == _SPAN_DONE:
-            return
-        if reply:
-            raise StepSizeError(*_STEP_ERROR.unpack(reply))
-        _, status = os.waitpid(child[0], 0)
-        child[0] = 0
-        raise RuntimeError("the link process for rows %d..%d ended mid-span with exit code %d"
-                           % (lo, hi - 1, os.waitstatus_to_exitcode(status)))
+        import pickle
+        try:
+            error = pickle.load(child[2])
+        except (EOFError, pickle.UnpicklingError):  # no whole reply: the child died
+            _, status = os.waitpid(child[0], 0)
+            child[0] = 0
+            raise RuntimeError("the link process for rows %d..%d ended mid-span with exit code %d"
+                               % (lo, hi - 1, os.waitstatus_to_exitcode(status))) from None
+        if error is not None:
+            raise error
 
     def __call__(self, samples: np.ndarray) -> np.ndarray:
         """The span's output for samples shaped like the field the span was built for.
@@ -665,9 +644,9 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     processes: how many processes the split steps may use (past 1, the
     platform needs os.fork). A batch of two chunks or more runs on up to
     that many, forked once for the whole link and gone when it returns or
-    raises. The result is bit-identical for every count. A StepSizeError is
-    the one the lowest share of rows raises; with one loud block, that is
-    the serial error.
+    raises. The result is bit-identical for every count. An error is the
+    one the lowest share of rows raises, with the same type, args and
+    message; with one failing block, that is the serial error.
     """
     if amp.noise_on and fiber.n_spans and unit_noise_for_span is None:
         raise ChannelError("ASE enabled but no per-span noise source given")

@@ -24,6 +24,7 @@ from .harness import (
     config_hash,
     desk_preset,
     emit_csv,
+    failed_point,
     paper_preset,
     parse_config,
     ss_bound_estimate,
@@ -107,7 +108,17 @@ def _cmd_run(args, cfg: ExperimentConfig) -> int:
 
 def _cmd_bound(args, cfg: ExperimentConfig) -> int:
     out = args.out
-    detail = ss_bound_estimate(cfg, power_dbm=args.power)
+    power = cfg.powers_dbm[0] if args.power is None else args.power
+    try:
+        detail = ss_bound_estimate(cfg, power_dbm=power)
+    except Exception as exc:  # as a failed sweep point: a NaN row and a sidecar record
+        row, error, record = failed_point(exc, "bound", "nli", power,
+                                          round(1.0 / cfg.bound_eta))
+        emit_csv([row], out)
+        label = "bound p=%g eta=%g" % (power, cfg.bound_eta)
+        write_meta(out, cfg, {label: error}, [record])
+        print("FAILED %s: %s" % (label, error), file=sys.stderr)
+        return 1
     emit_csv([detail.row], out)
     meta = write_meta(out, cfg, {}, [detail.resolved])
     r = detail.row

@@ -87,6 +87,7 @@ __all__ = [
     "paper_preset",
     "run_point_detailed",
     "ss_bound_estimate",
+    "failed_point",
     "sweep",
     "emit_csv",
     "parse_csv",
@@ -631,40 +632,45 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
                   bound_m_total=cfg.bound_m_total if m_total is None else int(m_total))
     eta, m_total = cfg.bound_eta, cfg.bound_m_total
     st = _PointState(cfg, "ess", power, 1)
-    tx, _, indices = st.draw(m_total)
-
     wdm = link_wdm(cfg)
-    center = wdm.center_channel
-    scorer = _nli_metric(cfg, power, None, st.processes)
-    costs = np.concatenate([scorer(tx[center, lo:lo + 64]) for lo in range(0, m_total, 64)])
-
-    n_keep = math.ceil(eta * m_total)
-    kept = np.sort(np.argsort(costs, kind="stable")[:n_keep])
     penalty = math.log2(eta) / st.n
-    row = dict(scheme="bound", metric="nli", n_t=int(round(1.0 / eta)),
-               sel_metric_mean=float(costs[kept].mean()))
     st.resolved.update({"scheme": "bound", "eta": eta, "m_total": m_total,
                         "rate_penalty_bits_per_4d": penalty,
                         "rate_penalty_formula": "log2(eta)/block_len_4d",
                         # above the sweep's powers the schedule differs from resolve_defaults
                         "link_steps_per_span": step_schedule(
                             cfg, power, wdm, cfg.steps_per_span).resolve(fiber_for(cfg))})
-    return _point_detail(st, tx[:, kept], indices[:, kept], kept, penalty, row,
-                         costs[None, :])
+    try:
+        tx, _, indices = st.draw(m_total)
+        center = wdm.center_channel
+        scorer = _nli_metric(cfg, power, None, st.processes)
+        costs = np.concatenate([scorer(tx[center, lo:lo + 64])
+                                for lo in range(0, m_total, 64)])
+        kept = np.sort(np.argsort(costs, kind="stable")[:math.ceil(eta * m_total)])
+        row = dict(scheme="bound", metric="nli", n_t=int(round(1.0 / eta)),
+                   sel_metric_mean=float(costs[kept].mean()))
+        return _point_detail(st, tx[:, kept], indices[:, kept], kept, penalty, row,
+                             costs[None, :])
+    except Exception as exc:
+        exc.point_resolved = st.resolved  # for the bound's failure record
+        raise
 
 
 _TRACE_FRAMES = 6
 
 
-def _failure_record(scheme: str, power: float, n_t: int, error: str,
-                    exc: Exception) -> dict:
-    """Sidecar entry of a failed point: its parameters, error and innermost frames."""
+def failed_point(exc: Exception, scheme: str, metric: str, power: float,
+                 n_t: int) -> tuple[ResultRow, str, dict]:
+    """A failed point's NaN row, its "Type: message" and its sidecar record:
+    its parameters, the error and its innermost frames."""
+    row = dict.fromkeys([f.name for f in fields(ResultRow)], math.nan)
+    row.update(scheme=scheme, metric=metric, power_dbm=float(power), n_t=int(n_t))
     record = {"scheme": scheme, "power_dbm": power, "n_t": n_t}
     record.update(getattr(exc, "point_resolved", {}))
-    record["error"] = error
+    record["error"] = error = "%s: %s" % (type(exc).__name__, exc)
     record["traceback"] = ["%s:%d:%s" % (f.filename, f.lineno, f.name) for f in
                            traceback.extract_tb(exc.__traceback__)[-_TRACE_FRAMES:]]
-    return record
+    return ResultRow(**row), error, record
 
 
 def _point_worker(args):
@@ -673,11 +679,7 @@ def _point_worker(args):
         detail = run_point_detailed(cfg, scheme, power, n_t, pool_width)
         return detail.row, None, detail.resolved
     except Exception as exc:  # a failed point becomes a NaN row and a sidecar record
-        row = dict.fromkeys([f.name for f in fields(ResultRow)], math.nan)
-        row.update(scheme=scheme, metric=_metric_label(cfg, scheme), power_dbm=float(power),
-                   n_t=int(n_t))
-        error = "%s: %s" % (type(exc).__name__, exc)
-        return ResultRow(**row), error, _failure_record(scheme, power, n_t, error, exc)
+        return failed_point(exc, scheme, _metric_label(cfg, scheme), power, n_t)
 
 
 def sweep(cfg: ExperimentConfig):

@@ -26,7 +26,7 @@ from passel.channel import (
     wdm_demux,
     wdm_mux,
 )
-from passel.channel import _CHUNK_SAMPLES, _Span, _SplitStepWork
+from passel.channel import _CHUNK_SAMPLES, _SIN_COEF, _Span
 from passel.harness import (
     ExperimentConfig,
     desk_preset,
@@ -324,8 +324,14 @@ def reference_span(field, fiber, step_cfg=None, lengths=None):
 
 
 def uniform_span_before_schedules(field, fiber, steps):
-    """The uniform kernel as it was before step schedules: one half-step table,
-    full = half * half between steps, and the guard on the chunk's peak."""
+    """The uniform kernel as it was before step schedules, in plain numpy: one
+    half-step table, full = half * half between steps, and a per-row guard.
+
+    It repeats the kernel's operations in the kernel's order, so the two
+    agree bit for bit: re^2 and im^2 summed over polarizations, then over re
+    and im; the four-term Horner series of sin(phi)/phi in phi^2; and the
+    lowest row over the bound named with its phase and its phase / |gnl|.
+    """
     dz = fiber.span_length_m / steps
     alpha = fiber.alpha_per_m
     h_eff = dz if alpha == 0.0 else 2.0 * math.sinh(alpha * dz / 2.0) / alpha
@@ -333,18 +339,27 @@ def uniform_span_before_schedules(field, fiber, steps):
     half = np.exp((0.5j * fiber.beta2_s2_per_m * w2 - 0.5 * alpha) * (dz / 2.0))
     full = half * half
     gnl = (8.0 / 9.0) * fiber.gamma_per_w_m * h_eff
+    coef = [(-1) ** k / math.factorial(2 * k + 1) * gnl ** (2 * k + 1) for k in range(4)]
     t_len = field.n_samples
     spec = np.fft.fft(field.samples.reshape(-1, 2, t_len), axis=-1)
     rows = max(1, min(spec.shape[0], _CHUNK_SAMPLES // (2 * t_len)))
-    work = _SplitStepWork(rows, t_len)
     for lo in range(0, spec.shape[0], rows):
         buf = spec[lo:lo + rows]
         buf *= half
         for step in range(steps):
             np.fft.ifft(buf, axis=-1, out=buf)
-            power = work.power_of(buf)
-            assert gnl * float(power.max()) <= 0.05
-            buf *= work.rotation(power, gnl)[:, None, :]
+            re2, im2 = np.square(buf.real), np.square(buf.imag)
+            power = (re2[:, 0] + re2[:, 1]) + (im2[:, 0] + im2[:, 1])
+            phase = abs(gnl) * power.max(axis=1)
+            if np.any(phase > MAX_STEP_PHASE_RAD):
+                row = int(np.argmax(phase > MAX_STEP_PHASE_RAD))
+                raise StepSizeError(lo + row, step, dz, float(phase[row]),
+                                    float(phase[row] / abs(gnl)), MAX_STEP_PHASE_RAD, 0.0)
+            u = power * power
+            sin = (((u * coef[3] + coef[2]) * u + coef[1]) * u + coef[0]) * power
+            rot = np.empty(power.shape, dtype=complex)
+            rot.real, rot.imag = np.sqrt(1.0 - sin * sin), sin
+            buf *= rot[:, None, :]
             np.fft.fft(buf, axis=-1, out=buf)
             buf *= full if step < steps - 1 else half
     return np.fft.ifft(spec, axis=-1).reshape(field.samples.shape)
@@ -463,7 +478,9 @@ class TestSsfmKernel:
         # the fixed four-term series, from tiny phases up to the bound
         for top in (1e-7, 3.3e-4, 9e-3, MAX_STEP_PHASE_RAD):
             phi = np.concatenate([rng.uniform(0.0, top, 50_000), [0.0, top]])
-            got = _SplitStepWork(1, phi.size).rotation(phi, 1.0)
+            got = np.empty(phi.size, dtype=complex)
+            _Span._rotation(phi, _SIN_COEF, np.empty(phi.size), np.empty(phi.size),
+                            got.imag, got.real)
             want = np.exp(1j * phi)
             for g, w in ((got.real, want.real), (got.imag, want.imag)):
                 assert np.all(np.abs(g - w) <= 4 * np.spacing(np.abs(w))), top
@@ -544,11 +561,9 @@ class TestEdfa:
                            lambda span: np.zeros((2, 4), dtype=complex))
 
     def test_missing_source_raises_before_any_split_step(self, monkeypatch):
-        from passel import channel
-
         def no_steps(*args, **kwargs):
             raise AssertionError("a split step ran")
-        monkeypatch.setattr(channel, "_split_steps", no_steps)
+        monkeypatch.setattr(_Span, "_chunk", no_steps)
         field = FieldWaveform(np.ones((2, 8), dtype=complex), 1e9)
         with pytest.raises(ChannelError, match="no per-span noise source"):
             propagate_link(field, FiberParams(n_spans=3), AmplifierParams(), self.step)
@@ -561,14 +576,13 @@ class TestEdfa:
     def test_wrong_noise_shape_raises_before_any_split_step(self, monkeypatch):
         # each span's noise is drawn before its steps, so the loud field, which would
         # fail its first step, never reaches one
-        from passel import channel
         calls = []
-        split_steps = channel._split_steps
+        chunk = _Span._chunk
 
         def counted(*args):
             calls.append(args)
-            split_steps(*args)
-        monkeypatch.setattr(channel, "_split_steps", counted)
+            chunk(*args)
+        monkeypatch.setattr(_Span, "_chunk", counted)
         field = FieldWaveform(np.ones((2, 8), dtype=complex), 1e9)
         with pytest.raises(ChannelError, match="unit_noise shape mismatch"):
             propagate_link(field, FiberParams(n_spans=2), AmplifierParams(),
@@ -679,9 +693,10 @@ class TestForkedLink:
                                 noise, processes=p).samples for p in (1, 2)]
         assert np.array_equal(links[0], links[1])
 
-    @pytest.mark.parametrize("loud", [(20,), (3, 20)])
+    @pytest.mark.parametrize("loud", [(20,), (3, 20), (5, 9)])
     def test_step_error_is_the_serial_one(self, loud):
-        # 33 rows in two shares: the parent's rows 0..15 and the child's 16..32
+        # 33 rows in two shares: the parent's rows 0..15 and the child's 16..32;
+        # rows 5 and 9 share a chunk, and both are over the bound at step 0
         fiber = FiberParams(n_spans=2)
         field = desk_composite(np.random.default_rng(32), 0.0, n_blocks=33)
         for b, gain in zip(loud, (8.0, 12.0)):  # the child's block trips first
@@ -695,7 +710,46 @@ class TestForkedLink:
             errors.append((info.value.args, info.value.span, str(info.value)))
             assert_nothing_left(fds)
         assert errors[1] == errors[0]
-        assert errors[1][0][0] == loud[0]  # with loud blocks in both shares, the parent's
+        assert errors[1][0][0] == loud[0]  # the lowest loud block's
+        with pytest.raises(StepSizeError) as info:  # span 0 under a per-row guard
+            uniform_span_before_schedules(field, fiber, 100)
+        assert errors[0][:2] == (info.value.args, 0)
+
+    def test_any_child_error_is_the_serial_one(self):
+        # row 25 overflows: in the serial chunk 16..31, in the child's share 16..32
+        # at two processes, and in the second child's 22..32 at three
+        field = desk_composite(np.random.default_rng(35), -10.0, n_blocks=33)
+        field.samples[25, 0, 7] = 1e200
+        fds = open_fds()
+        errors = []
+        for processes in (1, 2, 3):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+                propagate_link(field, FiberParams(n_spans=2), AmplifierParams(noise_on=False),
+                               SsfmStepConfig(steps_per_span=20), processes=processes)
+            errors.append((type(info.value), info.value.args, str(info.value)))
+            assert_nothing_left(fds)
+        assert errors == [errors[0]] * 3
+        assert errors[0][2] == "overflow encountered in square"
+
+    def test_child_error_that_does_not_pickle_is_its_death(self, monkeypatch):
+        class Unpicklable(Exception):  # a class local to a function does not pickle
+            pass
+        chunk = _Span._chunk
+
+        def raising(self, buf, first_row):
+            if first_row >= 16:
+                raise Unpicklable("rows from %d" % first_row)
+            chunk(self, buf, first_row)
+        monkeypatch.setattr(_Span, "_chunk", raising)
+        field = desk_composite(np.random.default_rng(36), -10.0, n_blocks=33)
+        link = [FiberParams(n_spans=1), AmplifierParams(noise_on=False),
+                SsfmStepConfig(steps_per_span=10)]
+        with pytest.raises(Unpicklable, match="rows from 16"):
+            propagate_link(field, *link)
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match=r"rows 16\.\.32 ended mid-span with exit code 1"):
+            propagate_link(field, *link, processes=2)
+        assert_nothing_left(fds)
 
     @pytest.mark.parametrize("between_spans", [False, True])
     def test_dead_child_makes_the_link_raise(self, monkeypatch, between_spans):

@@ -444,6 +444,37 @@ class TestCli:
         rows = parse_csv(out)
         assert rows[0].scheme == "bound" and rows[0].n_t == 1
 
+    def test_failed_bound_writes_a_nan_row_and_its_record(self, tmp_path, monkeypatch,
+                                                          capsys):
+        import json
+
+        import passel.harness
+        from passel.cli import main
+        from passel.receiver import ReceiverError
+
+        def no_rate(*args):
+            raise ReceiverError("no rate for these blocks")
+        monkeypatch.setattr(passel.harness, "air_bitwise", no_rate)
+        cfg_path = str(tmp_path / "cfg.txt")
+        with open(cfg_path, "w") as fh:
+            fh.write(config_text(tiny_config(bound_m_total=128, bound_eta=0.5)))
+        out = str(tmp_path / "bound.csv")
+        assert main(["bound", "--config", cfg_path, "--out", out]) == 1
+        error = "ReceiverError: no rate for these blocks"
+        assert capsys.readouterr().err.splitlines() == ["FAILED bound p=1 eta=0.5: " + error]
+        row, = parse_csv(out)
+        assert (row.scheme, row.metric, row.power_dbm, row.n_t) == ("bound", "nli", 1.0, 2)
+        assert math.isnan(row.air_bits_4d) and math.isnan(row.se_bits_s_hz)
+        with open(out + ".meta.json") as fh:
+            meta = json.load(fh)
+        assert meta["errors"] == {"bound p=1 eta=0.5": error}
+        point, = meta["points"]
+        assert (point["scheme"], point["eta"], point["m_total"]) == ("bound", 0.5, 128)
+        assert point["error"] == error
+        frames = point["traceback"]
+        assert frames[-1].endswith(":no_rate") and any(
+            frame.endswith(":_point_detail") for frame in frames), frames
+
     def test_seed_override_changes_output(self, tmp_path):
         from passel.cli import main
         cfg_path = str(tmp_path / "cfg.txt")
