@@ -40,9 +40,11 @@ Chunks share nothing, so propagate_link may run a batch of two or more
 chunks on several processes: it forks once per call, each process takes a
 contiguous share of the rows, and the spans meet in an anonymous shared
 mapping. The bits are those of the serial loop whatever the process count.
-Each span a child replies with nothing or with its exception, pickled, and
-the caller raises that exception: an error is the one the lowest share of
-rows raises, with its type, args and message.
+A child only computes: each span it steps its rows and replies with one
+byte, and an error ends it. The parent owns every error. When a child ends
+without its reply, the parent steps that child's rows again itself, and the
+kernel, being deterministic, raises the serial loop's error there: the same
+type, args and message, from the same frames.
 """
 
 from __future__ import annotations
@@ -221,8 +223,8 @@ _PHASE_FILL = 0.95
 class SsfmStepConfig:
     """Split-step schedule of one span, fixed by the config alone.
 
-    Every step is at most span_length / steps_per_span long (default: 10
-    steps per km). Where the power is high, a step is shortened further so
+    Every step is at most span_length / steps_per_span long (0, the default:
+    10 steps per km). Where the power is high, a step is shortened further so
     that a span-input peak of peak_allowance_w rotates by no more than 0.95
     of MAX_STEP_PHASE_RAD over it: (8/9) gamma P integral(exp(-alpha z) dz)
     over the step. Phase-limited steps run from the span input until they
@@ -234,12 +236,12 @@ class SsfmStepConfig:
     :class:`StepSizeError` past it.
     """
 
-    steps_per_span: int | None = None
+    steps_per_span: int = 0
     peak_allowance_w: float = 0.0
 
     def __post_init__(self):
-        if self.steps_per_span is not None and self.steps_per_span < 1:
-            raise ChannelError("steps_per_span must be >= 1")
+        if self.steps_per_span < 0:
+            raise ChannelError("steps_per_span must be >= 0")
         if not 0.0 <= self.peak_allowance_w < math.inf:  # inf would step forever
             raise ChannelError("peak allowance must be finite and >= 0")
 
@@ -441,9 +443,12 @@ class _Span:
     and in a process with more than one thread, the buffer is a plain array
     and the parent's one share is every row. Every span, the parent writes
     the spectrum into the buffer, wakes the children over their pipes, steps
-    its own share, waits for each child's reply and inverse-transforms the
-    buffer in place. A child replies with None or with the exception its
-    rows raised, pickled, and the parent raises that exception. The children
+    its own share, reads one byte from each child in share order and
+    inverse-transforms the buffer in place. A child catches nothing: an
+    error ends it without a byte. The parent then transforms that child's
+    rows again from the span's input and steps them itself, which raises
+    the child's error as the serial loop does; if they pass, the child was
+    killed from outside, and the parent raises its death. The children
     inherit the kernel through the fork and leave through os._exit; leaving
     the context reaps them, and kills them first when the link is raising.
     """
@@ -478,7 +483,7 @@ class _Span:
         shares = max(1, min(processes, -(-n // rows)))
         self.bounds = [n * k // shares for k in range(shares + 1)]
         self.spec = None    # the spectrum buffer, inside the context
-        self.children = []  # [pid, wake fd, reply file] per share past the first
+        self.children = []  # [pid, wake fd, reply fd] per share past the first
 
     def __enter__(self):
         # a lock another thread held at the fork would stay held in the child
@@ -499,17 +504,16 @@ class _Span:
 
     def __exit__(self, raising, *_):
         children, self.children, self.spec = self.children, [], None
-        for pid, wake, replies in children:
+        for pid, wake, reply in children:
             os.close(wake)  # a waiting child reads the end of its pipe and exits
-            replies.close()
+            os.close(reply)
             if pid:  # not reaped yet
                 if raising:  # the child may be mid-span
                     os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
     def _fork(self, lo: int, hi: int) -> list:
-        """Start the process for rows lo..hi-1; returns [pid, wake fd, reply file]."""
-        import pickle  # a serial link never needs it
+        """Start the process for rows lo..hi-1; returns [pid, wake fd, reply fd]."""
         wake_r, wake_w = os.pipe()
         reply_r, reply_w = os.pipe()
         try:
@@ -521,23 +525,17 @@ class _Span:
         if pid:
             os.close(wake_r)
             os.close(reply_w)
-            return [pid, wake_w, open(reply_r, "rb")]
+            return [pid, wake_w, reply_r]
         status = 1
         try:  # the child: nothing may unwind into the parent's stack
             os.close(wake_w)
             os.close(reply_r)
-            for _, wake, replies in self.children:  # the earlier children's ends
+            for _, wake, reply in self.children:  # the earlier children's ends
                 os.close(wake)
-                replies.close()
+                os.close(reply)
             while os.read(wake_r, 1):
-                try:
-                    self._steps(self.spec, lo, hi)
-                    reply = None
-                except Exception as exc:  # the serial loop's error, for the parent to raise
-                    reply = exc
-                reply = pickle.dumps(reply)
-                pickle.loads(reply)  # a reply the parent could not load is no reply
-                os.write(reply_w, reply)
+                self._steps(self.spec, lo, hi)  # an error ends the child: no reply
+                os.write(reply_w, b"\0")
             status = 0
         finally:
             os._exit(status)
@@ -593,34 +591,28 @@ class _Span:
         np.subtract(1.0, s, out=s)
         np.sqrt(s, out=cos)
 
-    def _wait(self, child: list, lo: int, hi: int) -> None:
-        """Wait for a child's span: return, or raise its error or its death."""
-        import pickle
-        try:
-            error = pickle.load(child[2])
-        except (EOFError, pickle.UnpicklingError):  # no whole reply: the child died
-            _, status = os.waitpid(child[0], 0)
-            child[0] = 0
-            raise RuntimeError("the link process for rows %d..%d ended mid-span with exit code %d"
-                               % (lo, hi - 1, os.waitstatus_to_exitcode(status))) from None
-        if error is not None:
-            raise error
-
     def __call__(self, samples: np.ndarray) -> np.ndarray:
         """The span's output for samples shaped like the field the span was built for.
 
         The output is a view of the buffer, which the next span overwrites.
         """
-        np.fft.fft(samples.reshape(self.shape), axis=-1, out=self.spec)
+        blocks = samples.reshape(self.shape)
+        np.fft.fft(blocks, axis=-1, out=self.spec)
         for child in self.children:
             try:
                 os.write(child[1], b"\1")
-            except BrokenPipeError:  # the child is gone; _wait names it below
+            except BrokenPipeError:  # the child is gone; the read below finds no reply
                 pass
         self._steps(self.spec, *self.bounds[:2])
-        # the serial order's error: the parent's rows first, then the lowest child's
+        # in the serial order: the parent's rows first, then each child's
         for child, lo, hi in zip(self.children, self.bounds[1:], self.bounds[2:]):
-            self._wait(child, lo, hi)
+            if not os.read(child[2], 1):  # the child ended: its rows raise its error here
+                np.fft.fft(blocks[lo:hi], axis=-1, out=self.spec[lo:hi])
+                self._steps(self.spec, lo, hi)
+                _, status = os.waitpid(child[0], 0)  # they passed: the child was killed
+                child[0] = 0
+                raise RuntimeError("the link process for rows %d..%d ended mid-span with "
+                                   "exit code %d" % (lo, hi - 1, os.waitstatus_to_exitcode(status)))
         return np.fft.ifft(self.spec, axis=-1, out=self.spec).reshape(samples.shape)
 
 
@@ -644,9 +636,12 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     processes: how many processes the split steps may use (past 1, the
     platform needs os.fork). A batch of two chunks or more runs on up to
     that many, forked once for the whole link and gone when it returns or
-    raises. The result is bit-identical for every count. An error is the
-    one the lowest share of rows raises, with the same type, args and
-    message; with one failing block, that is the serial error.
+    raises. The result is bit-identical for every count. The children only
+    compute; the parent raises every error, and one a child's rows raise is
+    raised again by the parent's own steps over those rows. So the error is
+    the serial loop's at every count: its type, args, message and frames.
+    A child killed from outside makes the link raise a RuntimeError that
+    names its rows and exit code.
     """
     if amp.noise_on and fiber.n_spans and unit_noise_for_span is None:
         raise ChannelError("ASE enabled but no per-span noise source given")

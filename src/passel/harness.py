@@ -362,7 +362,7 @@ def step_schedule(cfg: ExperimentConfig, power_dbm: float, wdm: WdmConfig,
     mean_energy = float(mb_fit(cfg.dm_rate_bits_per_amp).probs @ np.asarray(LEVELS) ** 2)
     corner_to_mean = LEVELS[-1] ** 2 / mean_energy
     power_w = dbm_to_watts(max(power_dbm, *cfg.powers_dbm))
-    return SsfmStepConfig(steps_per_span=steps_per_span or None,
+    return SsfmStepConfig(steps_per_span=steps_per_span,
                           peak_allowance_w=wdm.n_channels ** 2 * power_w * corner_to_mean)
 
 
@@ -631,10 +631,11 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     cfg = replace(cfg, bound_eta=cfg.bound_eta if eta is None else float(eta),
                   bound_m_total=cfg.bound_m_total if m_total is None else int(m_total))
     eta, m_total = cfg.bound_eta, cfg.bound_m_total
+    n_t = int(round(1.0 / eta))
     st = _PointState(cfg, "ess", power, 1)
     wdm = link_wdm(cfg)
     penalty = math.log2(eta) / st.n
-    st.resolved.update({"scheme": "bound", "eta": eta, "m_total": m_total,
+    st.resolved.update({"scheme": "bound", "n_t": n_t, "eta": eta, "m_total": m_total,
                         "rate_penalty_bits_per_4d": penalty,
                         "rate_penalty_formula": "log2(eta)/block_len_4d",
                         # above the sweep's powers the schedule differs from resolve_defaults
@@ -647,7 +648,7 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
         costs = np.concatenate([scorer(tx[center, lo:lo + 64])
                                 for lo in range(0, m_total, 64)])
         kept = np.sort(np.argsort(costs, kind="stable")[:math.ceil(eta * m_total)])
-        row = dict(scheme="bound", metric="nli", n_t=int(round(1.0 / eta)),
+        row = dict(scheme="bound", metric="nli", n_t=n_t,
                    sel_metric_mean=float(costs[kept].mean()))
         return _point_detail(st, tx[:, kept], indices[:, kept], kept, penalty, row,
                              costs[None, :])

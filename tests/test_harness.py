@@ -264,7 +264,7 @@ class TestDegenerate:
         assert above > steps
         assert det.resolved["rate_penalty_bits_per_4d"] == pytest.approx(
             math.log2(0.5) / cfg.block_len_4d)
-        assert det.row.n_t == 2
+        assert det.row.n_t == det.resolved["n_t"] == 2  # the record names the row's n_t
         assert det.kept_blocks.size == 64
 
     def test_bound_too_few_kept_rejected(self):
@@ -470,6 +470,7 @@ class TestCli:
         assert meta["errors"] == {"bound p=1 eta=0.5": error}
         point, = meta["points"]
         assert (point["scheme"], point["eta"], point["m_total"]) == ("bound", 0.5, 128)
+        assert point["n_t"] == row.n_t
         assert point["error"] == error
         frames = point["traceback"]
         assert frames[-1].endswith(":no_rate") and any(

@@ -4,10 +4,12 @@
 
 For each .pkl in BASE_OUT it loads the PointDetail there and the one of the
 same name in HEAD_OUT and prints, as a markdown table, every field that
-differs (row fields as row.<name>) with its largest absolute difference
-over the field's elements; a field that is not numeric, or whose shape
-changed, reads "differs". NaNs in the same places count as equal. It
-reports only: the exit status is 0 whatever differs.
+differs (row fields as row.<name>, keys of the resolved record as
+resolved.<key>) with its largest absolute difference over the field's
+elements; a field that is not numeric, or whose shape changed, reads
+"differs", and one that only one side has reads "missing". NaNs in the
+same places count as equal. It reports only: the exit status is 0
+whatever differs.
 """
 
 import dataclasses
@@ -19,13 +21,17 @@ import numpy as np
 
 
 def fields_of(detail, prefix=""):
-    """(name, value) of each field, with dataclass fields such as row flattened."""
-    for f in dataclasses.fields(detail):
-        value = getattr(detail, f.name)
-        if dataclasses.is_dataclass(value):
-            yield from fields_of(value, prefix + f.name + ".")
+    """(name, value) of each field, with dataclass fields such as row and dict
+    fields such as resolved flattened."""
+    if isinstance(detail, dict):
+        items = detail.items()
+    else:
+        items = ((f.name, getattr(detail, f.name)) for f in dataclasses.fields(detail))
+    for name, value in items:
+        if dataclasses.is_dataclass(value) or isinstance(value, dict):
+            yield from fields_of(value, prefix + name + ".")
         else:
-            yield prefix + f.name, value
+            yield prefix + name, value
 
 
 def max_abs_diff(a, b) -> str | None:
@@ -50,11 +56,14 @@ def main(base_dir: str, head_dir: str) -> None:
             lines.append("| %s | (missing in %s) | |" % (name, head_dir))
             continue
         with open(os.path.join(base_dir, name), "rb") as fh:
-            base = pickle.load(fh)
+            base = dict(fields_of(pickle.load(fh)))
         with open(head_path, "rb") as fh:
             head = dict(fields_of(pickle.load(fh)))
-        for field, value in fields_of(base):
-            moved = max_abs_diff(value, head.get(field)) if field in head else "missing"
+        for field in base | head:  # base's order, then the fields only head has
+            if field in base and field in head:
+                moved = max_abs_diff(base[field], head[field])
+            else:
+                moved = "missing"
             if moved is not None:
                 lines.append("| %s | %s | %s |" % (name, field, moved))
     if not lines:
