@@ -188,15 +188,19 @@ class ExperimentConfig:
             raise HarnessError("dm_rate_bits_per_amp = %r gives %d bits per DM block of %d; "
                                "need >= 1" % (self.dm_rate_bits_per_amp, k,
                                               self.dm_blocklength))
+        n_t = max(self.n_t_values)  # each selection scheme's largest family
         if "ess+bsss" in self.schemes:
             # n amplitudes index at most BITS_PER_AMPLITUDE * n bits
-            n_t = max(self.n_t_values)
             needed = bsss_bits_per_block(self, n_t)
             if needed > BITS_PER_AMPLITUDE * self.dm_blocklength:
                 raise HarnessError("ess+bsss at n_t = %d needs %d bits per DM block of %d, "
                                    "above the %d it can carry"
                                    % (n_t, needed, self.dm_blocklength,
                                       BITS_PER_AMPLITUDE * self.dm_blocklength))
+        if "ess+siss" in self.schemes and n_t > math.factorial(self.block_len_4d):
+            raise HarnessError("ess+siss at n_t = %d needs %d permutations of %d symbols, "
+                               "above the %d there are"
+                               % (n_t, n_t, self.block_len_4d, math.factorial(self.block_len_4d)))
         try:
             for build in (fiber_for, link_wdm, metric_wdm, amp_for):
                 build(self)
@@ -218,7 +222,10 @@ def _parse_value(name: str, typ: str, raw: str):
     """One value of the ExperimentConfig field annotated typ; tuples are comma-separated."""
     if typ.startswith("tuple["):
         elem = typ[len("tuple["):].split(",", 1)[0]
-        return tuple(_parse_value(name, elem, p) for p in raw.split(",") if p.strip())
+        parts = raw.split(",") if raw.strip() else []
+        if not all(p.strip() for p in parts):
+            raise ValueError("empty list element")
+        return tuple(_parse_value(name, elem, p) for p in parts)
     raw = raw.strip()
     if typ == "bool":
         if raw.lower() in ("true", "1", "yes", "on"):

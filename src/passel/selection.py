@@ -124,8 +124,9 @@ def permutations(seed: int, n_t: int, n: int) -> np.ndarray:
     """(n_t, n) int64 position permutations, row 0 the identity, nested as the masks."""
     if n_t < 1 or n < 1:
         raise SelectionError("book needs n_t >= 1 and a positive length")
-    if n_t > 1 and n < 2:
-        raise SelectionError("cannot permute a single position")
+    if n_t > math.factorial(n):
+        raise SelectionError("cannot draw %d distinct permutations of %d positions, "
+                             "there are %d" % (n_t, n, math.factorial(n)))
     return _distinct_rows(np.arange(n, dtype=np.int64), n_t, seed, TAG_PERMUTATION,
                           lambda rng: rng.permutation(n).astype(np.int64))
 

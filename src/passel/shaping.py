@@ -30,11 +30,9 @@ __all__ = [
     "ShapingError",
     "EssTrellis",
     "MbDistribution",
-    "ess_build_trellis",
+    "trellis_for",
     "ess_encode",
     "ess_decode",
-    "ess_encode_index",
-    "ess_decode_index",
     "mb_fit",
     "mb_sample",
     "pas_map",
@@ -99,84 +97,83 @@ class EssTrellis:
     def slack_width(self) -> int:
         return len(self.counts[0])
 
-    def total_count(self) -> int:
-        """Number of admissible sequences, = count at full budget."""
-        return int(self.counts[0][self.slack_width - 1])
 
+@lru_cache(maxsize=32)
+def trellis_for(n: int, k: int) -> EssTrellis:
+    """The suffix-counting table of n amplitudes for k-bit blocks, cached by (n, k).
 
-def ess_build_trellis(n: int, k: int, emax: int | None = None) -> EssTrellis:
-    """Build the suffix-counting table of n amplitudes for k-bit blocks.
-
-    With ``emax`` omitted, the tightest feasible sphere is chosen: the
-    smallest energy bound admitting at least 2**k sequences, and raises if
-    even the full cube of LEVELS falls short. The table satisfies
-    counts[n][t] = 1 (one empty suffix) and counts[0][last] >= 2**k.
+    The sphere is the tightest feasible one: the smallest energy bound
+    admitting at least 2**k sequences. Raises if even the full cube of LEVELS
+    falls short. The table satisfies counts[n][t] = 1 (one empty suffix) and
+    counts[0][-1] >= 2**k.
     """
     if n < 1:
         raise ShapingError("blocklength must be >= 1")
     if k < 1:
         raise ShapingError("bits per block must be >= 1")
-    if emax is None:
-        # at the full slack width every sequence fits, so row 0 of the recursion
-        # is the cumulative sphere count by energy; this pass keeps one row at a time
-        row = np.ones(n * _INCR[-1] + 1, dtype=object)
-        for _ in range(n):
-            row = _suffix_step(row)
-        t = next((t for t, count in enumerate(row) if count >= 1 << k), None)
-        if t is None:
-            raise ShapingError("%d bits per block infeasible at blocklength %d" % (k, n))
-        emax = n * _S0 + _G * t
-    width = (emax - n * _S0) // _G + 1
-    if width < 1:
-        raise ShapingError("emax %d below the minimum block energy %d" % (emax, n * _S0))
-    rows = [np.ones(width, dtype=object)]  # rows N, N-1, ..., 0
+    # at the full slack width every sequence fits, so row 0 of the recursion
+    # is the cumulative sphere count by energy; this pass keeps one row at a time
+    row = np.ones(n * _INCR[-1] + 1, dtype=object)
+    for _ in range(n):
+        row = _suffix_step(row)
+    t = next((t for t, count in enumerate(row) if count >= 1 << k), None)
+    if t is None:
+        raise ShapingError("%d bits per block infeasible at blocklength %d" % (k, n))
+    # no entry at slack <= t depends on the width, so counts[0][t] >= 2**k here too
+    rows = [np.ones(t + 1, dtype=object)]  # rows N, N-1, ..., 0
     for _ in range(n):
         rows.append(_suffix_step(rows[-1]))
-    trellis = EssTrellis(blocklength=n, bits_per_block=k, emax=int(emax),
-                         counts=tuple(reversed(rows)))
-    if trellis.total_count() < (1 << k):
-        raise ShapingError("sphere emax=%d holds %d sequences, need 2^%d"
-                           % (emax, trellis.total_count(), k))
-    return trellis
+    return EssTrellis(blocklength=n, bits_per_block=k, emax=n * _S0 + _G * t,
+                      counts=tuple(reversed(rows)))
 
 
-@lru_cache(maxsize=32)
-def trellis_for(blocklength: int, bits_per_block: int) -> EssTrellis:
-    """:func:`ess_build_trellis` at the tightest sphere, cached by (n, k)."""
-    return ess_build_trellis(blocklength, bits_per_block)
+def bits_to_index(bits: np.ndarray) -> int:
+    """MSB-first bit vector -> integer."""
+    value = 0
+    for b in np.asarray(bits).ravel():
+        value = (value << 1) | int(b)
+    return value
 
 
-def ess_encode_index(index: int, trellis: EssTrellis) -> np.ndarray:
-    """Map an integer index to the index-th admissible sequence.
+def index_to_bits(value: int, width: int) -> np.ndarray:
+    """Integer -> MSB-first bit vector of fixed width."""
+    if value < 0 or value >> width:
+        raise ShapingError("value does not fit in %d bits" % width)
+    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
 
-    Sequences are ordered lexicographically with ascending amplitude levels,
-    so index 0 is the all-minimum-level block.
+
+def ess_encode(bits: np.ndarray, trellis: EssTrellis) -> np.ndarray:
+    """Encode one k-bit block (MSB first) to the index-th admissible sequence.
+
+    The index is ``bits_to_index(bits)``. Sequences are ordered
+    lexicographically with ascending amplitude levels, so the all-zero block
+    is the all-minimum-level sequence.
     """
-    if not 0 <= index < (1 << trellis.bits_per_block):
-        raise ShapingError("index out of range for %d-bit blocks" % trellis.bits_per_block)
+    bits = np.asarray(bits)
+    k = trellis.bits_per_block
+    if bits.size != k:
+        raise ShapingError("expected %d bits, got %d" % (k, bits.size))
+    rem = bits_to_index(bits)
+    if rem >> k:  # an entry other than 0 or 1 can push the index past 2**k
+        raise ShapingError("bits do not spell a %d-bit index" % k)
+    # rem stays below counts[p][slack], so the walk never leaves the sphere
     counts = trellis.counts
     slack = trellis.slack_width - 1
     out = np.empty(trellis.blocklength, dtype=float)
-    rem = index
     for p in range(trellis.blocklength):
         nxt = counts[p + 1]
         for j, d in enumerate(_INCR):
-            s = slack - d
-            if s < 0:
-                raise ShapingError("index walks outside the energy sphere")  # unreachable
-            c = int(nxt[s])
+            c = int(nxt[slack - d])
             if rem < c:
                 out[p] = LEVELS[j]
-                slack = s
+                slack -= d
                 break
             rem -= c
-        else:
-            raise ShapingError("index walks outside the energy sphere")  # unreachable
     return out
 
 
-def ess_decode_index(amplitudes: np.ndarray, trellis: EssTrellis) -> int:
-    """Invert :func:`ess_encode_index`.
+def ess_decode(amplitudes: np.ndarray, trellis: EssTrellis) -> np.ndarray:
+    """Invert :func:`ess_encode`: the k-bit block of an amplitude sequence.
 
     Raises :class:`ShapingError` on amplitudes outside LEVELS, on
     blocks exceeding the energy sphere, and on indices at or above 2**k
@@ -196,44 +193,11 @@ def ess_decode_index(amplitudes: np.ndarray, trellis: EssTrellis) -> int:
         if slack - _INCR[j] < 0:
             raise ShapingError("sequence energy exceeds the sphere bound")
         nxt = counts[p + 1]
-        for jj in range(j):
-            s = slack - _INCR[jj]
-            if s >= 0:
-                index += int(nxt[s])
+        index += sum(int(nxt[slack - d]) for d in _INCR[:j])
         slack -= _INCR[j]
-    if index >= (1 << trellis.bits_per_block):
+    if index >= 1 << trellis.bits_per_block:
         raise ShapingError("sequence is admissible but outside the k-bit codebook")
-    return index
-
-
-def bits_to_index(bits: np.ndarray) -> int:
-    """MSB-first bit vector -> integer."""
-    value = 0
-    for b in np.asarray(bits).ravel():
-        value = (value << 1) | int(b)
-    return value
-
-
-def index_to_bits(value: int, width: int) -> np.ndarray:
-    """Integer -> MSB-first bit vector of fixed width."""
-    if value < 0 or value >> width:
-        raise ShapingError("value does not fit in %d bits" % width)
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def ess_encode(bits: np.ndarray, trellis: EssTrellis) -> np.ndarray:
-    """Encode one k-bit block (MSB first) to an amplitude sequence."""
-    bits = np.asarray(bits)
-    if bits.size != trellis.bits_per_block:
-        raise ShapingError(
-            "expected %d bits, got %d" % (trellis.bits_per_block, bits.size)
-        )
-    return ess_encode_index(bits_to_index(bits), trellis)
-
-
-def ess_decode(amplitudes: np.ndarray, trellis: EssTrellis) -> np.ndarray:
-    """Decode an amplitude sequence back to its k-bit block."""
-    return index_to_bits(ess_decode_index(amplitudes, trellis), trellis.bits_per_block)
+    return index_to_bits(index, trellis.bits_per_block)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from passel.channel import (
@@ -44,8 +43,6 @@ from passel.selection import (
 from passel.shaping import (
     LEVELS,
     PasShaper,
-    ShapingError,
-    ess_build_trellis,
     ess_decode,
     ess_encode,
     index_to_bits,
@@ -64,18 +61,17 @@ def test_criterion_1_ess_exhaustive():
     for n in (2, 4, 6):
         for rate in (0.5, 1.0, 1.3):
             k = math.ceil(n * rate)
-            tr = ess_build_trellis(n, k)
-            assert tr.total_count() >= 1 << k
+            tr = trellis_for(n, k)
+            assert int(tr.counts[0][-1]) >= 1 << k
             for idx in range(1 << k):
                 bits = index_to_bits(idx, k)
                 amps = ess_encode(bits, tr)
                 assert float(amps @ amps) <= tr.emax + 1e-9
                 assert np.array_equal(ess_decode(amps, tr), bits)
                 checked += 1
-            # minimality: one lattice step down cannot index 2^k sequences,
-            # which the builder reports by refusing the sphere
-            with pytest.raises(ShapingError):
-                ess_build_trellis(n, k, emax=tr.emax - 8)
+            # minimality: the first row one lattice step down, the sphere of
+            # energy emax - 8, holds fewer than 2^k sequences
+            assert tr.slack_width == 1 or tr.counts[0][-2] < 1 << k
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(1, "exhaustive roundtrip of %d indices over 9 shaper configs, "

@@ -1,7 +1,10 @@
 """Every name a passel module lists in __all__ resolves on that module, every
-array it lists is read-only, and every error class it defines is listed."""
+array it lists is read-only, every error class it defines is listed, and every
+name one passel module imports from another is listed by the other."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -38,6 +41,19 @@ def test_error_classes_are_exported(module):
               and value.__module__ == mod.__name__]
     missing = [name for name in errors if name not in getattr(mod, "__all__", ())]
     assert not missing, "passel.%s defines errors missing from __all__: %s" % (module, missing)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_from_passel_modules_are_exported(module):
+    # what one module takes from another is that module's public API
+    mod = importlib.import_module("passel." + module)
+    tree = ast.parse(pathlib.Path(mod.__file__).read_text(encoding="utf-8"))
+    unexported = ["%s.%s" % (node.module, alias.name)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                  for alias in node.names
+                  if alias.name not in importlib.import_module("passel." + node.module).__all__]
+    assert not unexported, "passel.%s imports unexported names: %s" % (module, unexported)
 
 
 def test_fixed_alphabets_are_exported():

@@ -78,7 +78,8 @@ class TestConfig:
             parse_config("noise_on = maybe")
 
     @pytest.mark.parametrize("line", ["n_blocks = 1.5", "powers_dbm = 1, x",
-                                      "gamma_per_w_km = fast"])
+                                      "gamma_per_w_km = fast", "powers_dbm = 1,,2",
+                                      "n_t_values = 4, 16,"])
     def test_malformed_number_names_key_and_line(self, line):
         key = line.split()[0]
         with pytest.raises(HarnessError, match=r"%s \(line 2\)" % key):
@@ -628,6 +629,9 @@ class TestCli:
          "dm_rate_bits_per_amp = 1e-12 gives 0 bits per DM block of 64; need >= 1"),
         ("dm_rate_bits_per_amp = 2",
          "ess+bsss at n_t = 16 needs 129 bits per DM block of 64, above the 128 it can carry"),
+        pytest.param("block_len_4d = 3\ndm_blocklength = 4",
+                     "ess+siss at n_t = 16 needs 16 permutations of 3 symbols, above the 6 "
+                     "there are", id="siss-above-n-factorial"),
         pytest.param("n_blocks = 2", "n_blocks*block_len_4d = 2*64 4D symbols is below "
                      "the 1000 the rate estimate needs", id="run-too-few-symbols"),
         pytest.param("block_len_4d = 16\nbound_m_total = 40\nbound_eta = 1",

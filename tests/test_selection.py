@@ -121,8 +121,11 @@ class TestBooks:
                 book[0, 0] = 1
 
     def test_permutation_too_short(self):
-        with pytest.raises(SelectionError):
-            permutations(3, 2, 1)
+        # a family above n! is refused before any draw: no redraw finds a fresh row
+        for n_t, n, there_are in ((2, 1, 1), (8, 3, 6)):
+            with pytest.raises(SelectionError, match="^cannot draw %d distinct permutations "
+                               "of %d positions, there are %d$" % (n_t, n, there_are)):
+                permutations(3, n_t, n)
 
 
 def loop_detect(block):

@@ -13,11 +13,8 @@ from passel.shaping import (
     PasShaper,
     ShapingError,
     bits_to_index,
-    ess_build_trellis,
     ess_decode,
-    ess_decode_index,
     ess_encode,
-    ess_encode_index,
     index_to_bits,
     mb_fit,
     mb_sample,
@@ -47,19 +44,19 @@ def suffixes_within(trellis, position, budget):
 
 
 class TestChooseEmax:
-    """The tightest sphere ess_build_trellis picks when emax is omitted."""
+    """The tightest sphere trellis_for picks."""
 
     def test_frozen_examples(self):
         # values frozen from the exhaustive enumeration oracle
-        assert ess_build_trellis(4, 6).emax == 60
-        assert ess_build_trellis(1, 2).emax == 49
-        assert ess_build_trellis(2, 1).emax == 10
+        assert trellis_for(4, 6).emax == 60
+        assert trellis_for(1, 2).emax == 49
+        assert trellis_for(2, 1).emax == 10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("rate", [0.5, 1.0, 1.3, 1.9])
     def test_matches_enumeration(self, n, rate):
         k = math.ceil(n * rate)
-        emax = ess_build_trellis(n, k).emax
+        emax = trellis_for(n, k).emax
         need = 2 ** k
         assert len(enumerate_sphere(n, emax)) >= need
         # minimality: one lattice step tighter no longer fits 2^k sequences
@@ -67,17 +64,17 @@ class TestChooseEmax:
 
     def test_infeasible_rate_raises(self):
         with pytest.raises(ShapingError, match="10 bits per block infeasible at blocklength 4"):
-            ess_build_trellis(4, 10)  # 2.5 bits per amplitude
+            trellis_for(4, 10)  # 2.5 bits per amplitude
 
     def test_count_at_emax_matches_oracle(self):
-        trellis = ess_build_trellis(4, 6)
+        trellis = trellis_for(4, 6)
         assert trellis.emax == 60
-        assert trellis.total_count() == 82
+        assert int(trellis.counts[0][-1]) == 82
 
 
 class TestTrellis:
     def test_boundary_rows(self):
-        trellis = ess_build_trellis(4, 6)
+        trellis = trellis_for(4, 6)
         n = trellis.blocklength
         # empty suffix: exactly one for every non-negative budget
         for e in (0, 1, 8, 60):
@@ -86,7 +83,7 @@ class TestTrellis:
         assert suffixes_within(trellis, 0, trellis.emax) == 82
 
     def test_suffix_counts_match_enumeration(self):
-        trellis = ess_build_trellis(3, 3)
+        trellis = trellis_for(3, 3)
         for p in range(4):
             for budget in range(0, trellis.emax + 1):
                 oracle = sum(
@@ -97,30 +94,26 @@ class TestTrellis:
 
     def test_large_blocklength_counts_are_exact_bigints(self):
         trellis = trellis_for(256, math.ceil(256 * 1.3))
-        assert trellis.total_count() >= 1 << 332
-
-    def test_emax_override_below_minimum_raises(self):
-        with pytest.raises(ShapingError):
-            ess_build_trellis(4, 6, emax=3)
+        assert int(trellis.counts[0][-1]) >= 1 << 332
 
 
 class TestEncodeDecode:
     @pytest.mark.parametrize("n,rate", [(2, 0.5), (3, 1.0), (4, 1.3), (5, 1.6)])
     def test_bijection_against_enumeration(self, n, rate):
         k = math.ceil(n * rate)
-        trellis = ess_build_trellis(n, k)
+        trellis = trellis_for(n, k)
         oracle = enumerate_sphere(n, trellis.emax)
         for idx in range(2 ** k):
-            seq = ess_encode_index(idx, trellis)
+            seq = ess_encode(index_to_bits(idx, k), trellis)
             assert tuple(seq) == oracle[idx]
-            assert ess_decode_index(seq, trellis) == idx
+            assert bits_to_index(ess_decode(seq, trellis)) == idx
 
     def test_index_zero_is_all_minimum(self):
         trellis = trellis_for(16, 20)
-        assert np.all(ess_encode_index(0, trellis) == 1.0)
+        assert np.all(ess_encode(np.zeros(20, dtype=np.uint8), trellis) == 1.0)
 
     def test_bits_roundtrip(self):
-        trellis = ess_build_trellis(4, 6)
+        trellis = trellis_for(4, 6)
         for idx in range(64):
             bits = index_to_bits(idx, 6)
             amps = ess_encode(bits, trellis)
@@ -131,28 +124,35 @@ class TestEncodeDecode:
         rng = np.random.default_rng(7)
         for _ in range(50):
             idx = int(rng.integers(0, 1 << 40))
-            amps = ess_encode_index(idx, trellis)
+            amps = ess_encode(index_to_bits(idx, 40), trellis)
             assert np.sum(amps ** 2) <= trellis.emax
 
+    def test_encode_rejects_what_is_not_a_k_bit_block(self):
+        trellis = trellis_for(4, 6)
+        with pytest.raises(ShapingError, match="expected 6 bits, got 5"):
+            ess_encode(np.zeros(5, dtype=np.uint8), trellis)
+        with pytest.raises(ShapingError, match="do not spell a 6-bit index"):
+            ess_encode(np.full(6, 3), trellis)  # reads as index 127
+
     def test_decode_rejects_bad_input(self):
-        trellis = ess_build_trellis(4, 6)
+        trellis = trellis_for(4, 6)
         with pytest.raises(ShapingError):
-            ess_decode_index(np.array([2.0, 1.0, 1.0, 1.0]), trellis)
+            ess_decode(np.array([2.0, 1.0, 1.0, 1.0]), trellis)
         with pytest.raises(ShapingError):
-            ess_decode_index(np.array([7.0, 7.0, 7.0, 7.0]), trellis)  # energy 196 > 60
+            ess_decode(np.array([7.0, 7.0, 7.0, 7.0]), trellis)  # energy 196 > 60
 
     def test_decode_rejects_admissible_but_uncoded(self):
         # sphere holds 82 sequences but only 64 are used by the 6-bit code
-        trellis = ess_build_trellis(4, 6)
+        trellis = trellis_for(4, 6)
         oracle = enumerate_sphere(4, trellis.emax)
         with pytest.raises(ShapingError):
-            ess_decode_index(np.array(oracle[70], dtype=float), trellis)
+            ess_decode(np.array(oracle[70], dtype=float), trellis)
 
     @given(st.integers(min_value=0, max_value=(1 << 13) - 1))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_property(self, idx):
         trellis = trellis_for(10, 13)
-        assert ess_decode_index(ess_encode_index(idx, trellis), trellis) == idx
+        assert bits_to_index(ess_decode(ess_encode(index_to_bits(idx, 13), trellis), trellis)) == idx
 
 
 class TestMb:
