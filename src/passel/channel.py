@@ -36,15 +36,19 @@ cache-sized chunks, on preallocated buffers, with np.fft writing in place
 through out= (numpy 2.0 or later); the caller's field is never written.
 Each step's guard takes one maximum over the chunk.
 
-Chunks share nothing, so propagate_link may run a batch of two or more
-chunks on several processes: it forks once per call, each process takes a
-contiguous share of the rows, and the spans meet in an anonymous shared
-mapping. The bits are those of the serial loop whatever the process count.
+Rows share nothing, so propagate_link may run a batch on several
+processes: it forks once per call, each process takes a contiguous share of
+the rows, and the spans meet in an anonymous shared mapping. A share must
+carry enough sample-steps to pay for its fork, so small batches stay in one
+process. Each share is stepped from its own first row in cache-sized chunks,
+and the bits are those of the serial loop whatever the process count.
 A child only computes: each span it steps its rows and replies with one
 byte, and an error ends it. The parent owns every error. When a child ends
 without its reply, the parent steps that child's rows again itself, and the
-kernel, being deterministic, raises the serial loop's error there: the same
-type, args and message, from the same frames.
+kernel, being deterministic, raises the child's error there. A step-bound
+error names a block, not a chunk: the lowest block over the bound in the
+first span where any block goes over it, at that block's first step over
+it, whatever the process count.
 """
 
 from __future__ import annotations
@@ -424,6 +428,11 @@ _SIN_COEF = [(-1) ** k / math.factorial(2 * k + 1) for k in range(4)]
 # that a chunk and its work buffers stay in a core's L2 cache for all steps.
 _CHUNK_SAMPLES = 1 << 14
 
+# The fewest sample-steps (rows x samples x steps over the link) a forked share
+# carries. On a 2-core x86 host, entering and leaving a split span (fork, map,
+# reap) took about 2 ms at ~100 MB RSS, and a serial share this size about 15 ms.
+_FORK_SAMPLE_STEPS = 1 << 20
+
 
 class _Span:
     """The split-step kernel of a span, for fields shaped like `field`.
@@ -436,21 +445,35 @@ class _Span:
     also allocates one chunk's work buffers.
 
     Entering the span as a context manager allocates the link's spectrum
-    buffer once. With processes > 1, a batch of two chunks or more is cut
-    into min(processes, chunks) contiguous shares of near-equal rows; the
-    buffer is then an anonymous shared mapping, and one process is forked
-    per share past the first, the parent keeping the lowest rows. Otherwise,
-    and in a process with more than one thread, the buffer is a plain array
-    and the parent's one share is every row. Every span, the parent writes
-    the spectrum into the buffer, wakes the children over their pipes, steps
-    its own share, reads one byte from each child in share order and
+    buffer once. The batch is cut into contiguous shares of near-equal rows:
+    as many as processes, rows and the link's sample-steps allow, at
+    _FORK_SAMPLE_STEPS or more per share. Past one share, the buffer is an
+    anonymous shared mapping, and one process is forked per share past the
+    first, the parent keeping the lowest rows. Otherwise, and in a process
+    with more than one thread, the buffer is a plain array and the parent's
+    one share is every row. Each share is stepped from its own first row in
+    chunks of at most _CHUNK_SAMPLES. Every span, the parent writes the
+    spectrum into the buffer, wakes the children over their pipes, steps its
+    own share, reads one byte from each child in share order and
     inverse-transforms the buffer in place. A child catches nothing: an
     error ends it without a byte. The parent then transforms that child's
     rows again from the span's input and steps them itself, which raises
-    the child's error as the serial loop does; if they pass, the child was
-    killed from outside, and the parent raises its death. The children
-    inherit the kernel through the fork and leave through os._exit; leaving
-    the context reaps them, and kills them first when the link is raising.
+    the child's error; if they pass, the child was killed from outside, and
+    the parent raises its death. The children inherit the kernel through
+    the fork and leave through os._exit; leaving the context reaps them, and
+    kills them first when the link is raising.
+
+    A chunk stops at its first step with a block over the bound, so the
+    block it names depends on where chunks start. The parent therefore steps
+    the rows below that block again from the span's input, down to the
+    lowest block over the bound, and steps that block alone, which raises
+    its StepSizeError at its first step over the bound. So a StepSizeError
+    is the same at every process count: type, args, message and frames. Any
+    other error, such as numpy's FloatingPointError under a caller's
+    np.errstate(over="raise"), is raised where numpy raises it, in the first
+    share in row order that fails. A share below it that trips the bound
+    raises its StepSizeError instead, so such an error may depend on the
+    process count.
     """
 
     def __init__(self, field: FieldWaveform, fiber: FiberParams, step_cfg: SsfmStepConfig,
@@ -480,7 +503,8 @@ class _Span:
         self.work = (np.empty((rows, 2, 2 * t_len)), np.empty((rows, 2 * t_len)),
                      np.empty((rows, t_len)), np.empty(rows * t_len), np.empty(rows * t_len),
                      np.empty(rows * t_len, dtype=complex))
-        shares = max(1, min(processes, -(-n // rows)))
+        sample_steps = n * 2 * t_len * len(lengths) * fiber.n_spans
+        shares = max(1, min(processes, n, sample_steps // _FORK_SAMPLE_STEPS))
         self.bounds = [n * k // shares for k in range(shares + 1)]
         self.spec = None    # the spectrum buffer, inside the context
         self.children = []  # [pid, wake fd, reply fd] per share past the first
@@ -603,17 +627,42 @@ class _Span:
                 os.write(child[1], b"\1")
             except BrokenPipeError:  # the child is gone; the read below finds no reply
                 pass
-        self._steps(self.spec, *self.bounds[:2])
-        # in the serial order: the parent's rows first, then each child's
-        for child, lo, hi in zip(self.children, self.bounds[1:], self.bounds[2:]):
-            if not os.read(child[2], 1):  # the child ended: its rows raise its error here
-                np.fft.fft(blocks[lo:hi], axis=-1, out=self.spec[lo:hi])
-                self._steps(self.spec, lo, hi)
-                _, status = os.waitpid(child[0], 0)  # they passed: the child was killed
-                child[0] = 0
-                raise RuntimeError("the link process for rows %d..%d ended mid-span with "
-                                   "exit code %d" % (lo, hi - 1, os.waitstatus_to_exitcode(status)))
-        return np.fft.ifft(self.spec, axis=-1, out=self.spec).reshape(samples.shape)
+        lo = 0  # the first row of the share being stepped
+        try:
+            self._steps(self.spec, lo, self.bounds[1])
+            # in row order: the parent's rows first, then each child's
+            for child, lo, hi in zip(self.children, self.bounds[1:], self.bounds[2:]):
+                if not os.read(child[2], 1):  # the child ended: its rows raise its error here
+                    np.fft.fft(blocks[lo:hi], axis=-1, out=self.spec[lo:hi])
+                    self._steps(self.spec, lo, hi)
+                    _, status = os.waitpid(child[0], 0)  # they passed: the child was killed
+                    child[0] = 0
+                    raise RuntimeError(
+                        "the link process for rows %d..%d ended mid-span with exit code %d"
+                        % (lo, hi - 1, os.waitstatus_to_exitcode(status)))
+        except StepSizeError as exc:
+            block = self._lowest_over(blocks, lo, exc.args[0])
+        else:
+            return np.fft.ifft(self.spec, axis=-1, out=self.spec).reshape(samples.shape)
+        # that block alone raises its own error, from these frames at every process count
+        np.fft.fft(blocks[block:block + 1], axis=-1, out=self.spec[block:block + 1])
+        self._steps(self.spec, block, block + 1)
+
+    def _lowest_over(self, blocks: np.ndarray, lo: int, block: int) -> int:
+        """The lowest block over the step bound this span, given that block is over it
+        in a share stepped from row lo. The rows of block's chunk below it stopped at
+        its trip, the earlier chunks' rows ran the whole span: the former run again
+        from the span's input `blocks`, below each block over the bound they name."""
+        lo += (block - lo) // self.rows * self.rows  # the first row of block's chunk
+        while lo < block:
+            np.fft.fft(blocks[lo:block], axis=-1, out=self.spec[lo:block])
+            try:
+                self._chunk(self.spec[lo:block], lo)
+            except StepSizeError as exc:
+                block = exc.args[0]
+            else:
+                break
+        return block
 
 
 def standard_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -634,21 +683,27 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     with zero spans returns the input unchanged.
 
     processes: how many processes the split steps may use (past 1, the
-    platform needs os.fork). A batch of two chunks or more runs on up to
-    that many, forked once for the whole link and gone when it returns or
-    raises. The result is bit-identical for every count. The children only
-    compute; the parent raises every error, and one a child's rows raise is
-    raised again by the parent's own steps over those rows. So the error is
-    the serial loop's at every count: its type, args, message and frames.
-    A child killed from outside makes the link raise a RuntimeError that
-    names its rows and exit code.
+    platform needs os.fork). The rows are split over up to that many, as
+    long as each share carries at least _FORK_SAMPLE_STEPS sample-steps
+    (rows x samples x steps over the link), forked once for the whole link
+    and gone when it returns or raises. The result is bit-identical for
+    every count. The children only compute; the parent raises every error,
+    and one a child's rows raise is raised again by the parent's own steps
+    over those rows. A StepSizeError names the lowest block over the bound
+    in the first span where any block goes over it, at that block's first
+    step over it, with the same args, message and frames at every count.
+    Another error a step raises, such as a FloatingPointError under
+    np.errstate(over="raise"), comes from the first share in row order that
+    fails, unless a lower share trips the bound first; so it may depend on
+    the count. A child killed from outside makes the link raise a
+    RuntimeError that names its rows and exit code.
     """
     if amp.noise_on and fiber.n_spans and unit_noise_for_span is None:
         raise ChannelError("ASE enabled but no per-span noise source given")
     gain = 10.0 ** (fiber.span_loss_db / 20.0)
     sigma = math.sqrt(amp.ase_variance_per_sample(fiber.span_loss_db, field.sample_rate_hz))
     samples = field.samples
-    with _Span(field, fiber, step_cfg, processes if fiber.n_spans else 1) as span_fn:
+    with _Span(field, fiber, step_cfg, processes) as span_fn:
         for span in range(fiber.n_spans):
             if amp.noise_on:  # drawn before the steps, so a bad source fails before them
                 noise = unit_noise_for_span(span)

@@ -27,7 +27,7 @@ from passel.channel import (
     wdm_demux,
     wdm_mux,
 )
-from passel.channel import _CHUNK_SAMPLES, _SIN_COEF, _Span
+from passel.channel import _CHUNK_SAMPLES, _FORK_SAMPLE_STEPS, _SIN_COEF, _Span
 from passel.harness import (
     ExperimentConfig,
     desk_preset,
@@ -668,14 +668,15 @@ def frames(exc):
 class TestForkedLink:
     """propagate_link on forked shares of the rows against the serial chunk loop."""
 
-    # desk-link blocks of 2 x 512 samples run in chunks of 16 rows: 7, 3 and 2 chunks
-    @pytest.mark.parametrize("n_blocks", [100, 33, 17])
+    # desk-link blocks of 2 x 512 samples run in chunks of 16 rows; over 200 steps,
+    # 100, 33 and 17 rows hold three shares' work, 12 rows two and 4 rows none
+    @pytest.mark.parametrize("n_blocks", [100, 33, 17, 12, 4])
     def test_bit_identical_to_serial_chunk_loop(self, monkeypatch, n_blocks):
         fiber = FiberParams(n_spans=1)
         field = desk_composite(np.random.default_rng(30), 2.0, n_blocks=n_blocks)
         assert field.n_samples == 512
         want = uniform_span_before_schedules(field, fiber, 200) * span_gain(fiber)
-        chunks = -(-n_blocks // 16)
+        sample_steps = n_blocks * 1024 * 200
         fds = open_fds()
         forks = count_forks(monkeypatch)
         for processes in (2, 3):
@@ -683,10 +684,13 @@ class TestForkedLink:
                                  SsfmStepConfig(steps_per_span=200), processes=processes)
             assert np.array_equal(got.samples, want)
             assert_nothing_left(fds)
-        assert len(forks) == 1 + min(2, chunks - 1)  # one child, then two where they fit
+        # a child per share past the first, at a share per _FORK_SAMPLE_STEPS
+        assert len(forks) == sum(max(1, min(p, sample_steps // _FORK_SAMPLE_STEPS)) - 1
+                                 for p in (2, 3))
 
-    def test_noisy_scheduled_link_bit_identical_to_serial(self):
+    def test_noisy_scheduled_link_bit_identical_to_serial(self, monkeypatch):
         # the spans meet in the shared mapping; the ASE is drawn and added by the parent
+        forks = count_forks(monkeypatch)
         cfg = desk_preset()
         fiber = replace(fiber_for(cfg), n_spans=2)
         field = desk_composite(np.random.default_rng(31), 4.0, n_blocks=33)
@@ -698,9 +702,10 @@ class TestForkedLink:
         links = [propagate_link(field, fiber, AmplifierParams(), step,
                                 noise, processes=p).samples for p in (1, 2)]
         assert np.array_equal(links[0], links[1])
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("loud", [(20,), (3, 20), (5, 9)])
-    def test_step_error_is_the_serial_one(self, loud):
+    def test_step_error_is_the_serial_one(self, monkeypatch, loud):
         # 33 rows in two shares, the parent's rows 0..15 and the child's 16..32, or in
         # three, 0..10, 11..21 and 22..32; rows 5 and 9 share a chunk, and both are over
         # the bound at step 0
@@ -709,6 +714,7 @@ class TestForkedLink:
         for b, gain in zip(loud, (8.0, 12.0)):  # the child's block trips first
             field.samples[b] *= gain
         fds = open_fds()
+        forks = count_forks(monkeypatch)
         errors = []
         for processes in (1, 2, 3):
             with pytest.raises(StepSizeError) as info:
@@ -717,6 +723,7 @@ class TestForkedLink:
             errors.append((info.value.args, info.value.span, str(info.value),
                            frames(info.value)))
             assert_nothing_left(fds)
+        assert len(forks) == 3  # one child at two processes, two at three
         assert errors == [errors[0]] * 3
         assert errors[0][3][-4:] == ["propagate_link", "__call__", "_steps", "_chunk"]
         assert errors[0][0][0] == loud[0]  # the lowest loud block's
@@ -724,20 +731,48 @@ class TestForkedLink:
             uniform_span_before_schedules(field, fiber, 100)
         assert errors[0][:2] == (info.value.args, 0)
 
-    def test_any_child_error_is_the_serial_one(self):
+    def test_step_error_names_the_lowest_block_over_the_bound(self, monkeypatch):
+        # rows 48..63 share a serial chunk, which row 50 trips at step 0; row 49 starts
+        # at 0.98 of the bound and goes over it at step 3. Two shares cut the rows at
+        # 50, three at 33 and 66: the lowest block over the bound wins at every count
+        fiber = FiberParams(n_spans=2, alpha_db_per_km=0.0)
+        field = desk_composite(np.random.default_rng(35), -10.0, n_blocks=100)
+        gnl = 8.0 / 9.0 * fiber.gamma_per_w_m * 5e3  # a 5 km step
+        peak = (np.abs(field.samples[8]) ** 2).sum(axis=0).max()
+        field.samples[49] = field.samples[8] * math.sqrt(0.98 * MAX_STEP_PHASE_RAD
+                                                         / (gnl * peak))
+        field.samples[50] *= 10.0
+        fds = open_fds()
+        forks = count_forks(monkeypatch)
+        errors = []
+        for processes in (1, 2, 3):
+            with pytest.raises(StepSizeError) as info:
+                propagate_link(field, fiber, AmplifierParams(noise_on=False),
+                               SsfmStepConfig(steps_per_span=20), processes=processes)
+            errors.append((info.value.args, info.value.span, str(info.value),
+                           frames(info.value)))
+            assert_nothing_left(fds)
+        assert len(forks) == 3
+        assert errors == [errors[0]] * 3
+        assert errors[0][0][:2] == (49, 3) and errors[0][1] == 0
+        assert errors[0][3][-4:] == ["propagate_link", "__call__", "_steps", "_chunk"]
+
+    def test_any_child_error_is_the_serial_one(self, monkeypatch):
         # row 25 overflows: in the serial chunk 16..31, in the child's share 16..32
         # at two processes, and in the second child's 22..32 at three
         field = desk_composite(np.random.default_rng(35), -10.0, n_blocks=33)
         field.samples[25, 0, 7] = 1e200
         fds = open_fds()
+        forks = count_forks(monkeypatch)
         errors = []
         for processes in (1, 2, 3):
             with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
                 propagate_link(field, FiberParams(n_spans=2), AmplifierParams(noise_on=False),
-                               SsfmStepConfig(steps_per_span=20), processes=processes)
+                               SsfmStepConfig(steps_per_span=100), processes=processes)
             errors.append((type(info.value), info.value.args, str(info.value),
                            frames(info.value)))
             assert_nothing_left(fds)
+        assert len(forks) == 3
         assert errors == [errors[0]] * 3
         assert errors[0][2] == "overflow encountered in square"
         assert errors[0][3][-4:] == ["propagate_link", "__call__", "_steps", "_chunk"]
@@ -754,12 +789,14 @@ class TestForkedLink:
         monkeypatch.setattr(_Span, "_chunk", raising)
         field = desk_composite(np.random.default_rng(36), -10.0, n_blocks=33)
         link = [FiberParams(n_spans=1), AmplifierParams(noise_on=False),
-                SsfmStepConfig(steps_per_span=10)]
+                SsfmStepConfig(steps_per_span=100)]
         fds = open_fds()
+        forks = count_forks(monkeypatch)
         for processes in (1, 2):  # the child's error never leaves it
             with pytest.raises(Unpicklable, match="rows from 16"):
                 propagate_link(field, *link, processes=processes)
             assert_nothing_left(fds)
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("between_spans", [False, True])
     def test_dead_child_makes_the_link_raise(self, monkeypatch, between_spans):
@@ -792,13 +829,15 @@ class TestForkedLink:
         fds = open_fds()
         with pytest.raises(RuntimeError, match=r"rows 16\.\.32 ended mid-span with exit code 3"):
             propagate_link(field, FiberParams(n_spans=2), AmplifierParams(),
-                           SsfmStepConfig(steps_per_span=10), no_noise, processes=2)
+                           SsfmStepConfig(steps_per_span=50), no_noise, processes=2)
         assert_nothing_left(fds)
+        assert len(children) == 1
 
     def test_a_process_with_threads_runs_serially(self, monkeypatch):
+        # two shares' work, which forks without the thread
         field = desk_composite(np.random.default_rng(34), -10.0, n_blocks=17)
         link = [FiberParams(n_spans=1), AmplifierParams(noise_on=False),
-                SsfmStepConfig(steps_per_span=10)]
+                SsfmStepConfig(steps_per_span=200)]
         want = propagate_link(field, *link).samples
         forks = count_forks(monkeypatch)
         stop = threading.Event()
@@ -813,14 +852,15 @@ class TestForkedLink:
         assert np.array_equal(got, want)
 
     def test_sweep_at_full_pool_width_never_forks(self, monkeypatch):
-        # 64 blocks of 2 x 256 samples are two chunks; two cores, two points
+        # 64 blocks of 2 x 256 samples over 100 steps are two shares' work; two cores,
+        # two points
         def refuse(self, lo, hi):
             raise AssertionError("forked")
         monkeypatch.setattr(_Span, "_fork", refuse)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = ExperimentConfig(schemes=("ess",), powers_dbm=(1.0, 2.0), n_blocks=64,
                                block_len_4d=64, dm_blocklength=64, n_spans=1, n_channels=1,
-                               sps=4, steps_per_span=10, selection_metric="wk", seed=5)
+                               sps=4, steps_per_span=100, selection_metric="wk", seed=5)
         _, errors, _ = sweep(replace(cfg, max_workers=1))
         assert sorted(errors.values()) == ["AssertionError: forked"] * 2
         _, errors, _ = sweep(replace(cfg, max_workers=2))

@@ -7,6 +7,7 @@ Monte Carlo AWGN run for pilot detection.
 """
 
 import math
+import os
 from functools import partial
 
 import numpy as np
@@ -351,6 +352,32 @@ class TestNliMetric:
                            SsfmStepConfig(steps_per_span=20), launch_power_dbm=2.0)
         want = np.concatenate([metric(stack[i:i + 16]) for i in range(0, 128, 16)])
         assert np.array_equal(metric(stack), want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="a split batch needs os.fork")
+    def test_a_desk_batch_splits_with_the_same_costs(self, monkeypatch):
+        # a desk block's 16 candidates fit one cache chunk yet carry two shares'
+        # sample-steps; 4 candidates at a tiny geometry carry less than one share
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(0) or fork())
+        cfg = harness.desk_preset()
+        cands, _ = desk_candidates(cfg, "ess+bsss", 16)
+        wdm = harness.metric_wdm(cfg)
+        args = (harness.fiber_for(cfg), wdm,
+                harness.step_schedule(cfg, 2.0, wdm, cfg.metric_steps_per_span), 2.0)
+        serial = NliMetric(*args)(cands)
+        assert not forks
+        assert np.array_equal(NliMetric(*args, processes=2)(cands), serial)
+        assert len(forks) == 1
+        tiny = harness.ExperimentConfig(
+            block_len_4d=16, dm_blocklength=32, n_spans=2, n_channels=1, sps=4,
+            steps_per_span=20, metric_sps=4, metric_steps_per_span=25)
+        wdm = harness.metric_wdm(tiny)
+        metric = NliMetric(harness.fiber_for(tiny), wdm,
+                           harness.step_schedule(tiny, -4.0, wdm, tiny.metric_steps_per_span),
+                           -4.0, processes=2)
+        rng = substream(31, 17)
+        metric(np.stack([random_block(rng, 16) for _ in range(4)]))
+        assert len(forks) == 1
 
     def test_payload_slice_excludes_pilots(self):
         rng = substream(31, 10)
