@@ -43,12 +43,13 @@ carry enough sample-steps to pay for its fork, so small batches stay in one
 process. Each share is stepped from its own first row in cache-sized chunks,
 and the bits are those of the serial loop whatever the process count.
 A child only computes: each span it steps its rows and replies with one
-byte, and an error ends it. The parent owns every error. When a child ends
-without its reply, the parent steps that child's rows again itself, and the
-kernel, being deterministic, raises the child's error there. A step-bound
-error names a block, not a chunk: the lowest block over the bound in the
-first span where any block goes over it, at that block's first step over
-it, whatever the process count.
+byte, and an error ends it. The parent owns every error, by one rule. A
+share fails when the parent's own rows raise or a child ends without its
+reply; the parent then steps that share's blocks alone from the span's
+input, lowest first, and the first block that fails raises its own error.
+Rows share nothing and each row's steps are deterministic, so the error is
+the lowest block's that fails alone, the same at every process count, and
+the error path costs at most one span per block of the failed share.
 """
 
 from __future__ import annotations
@@ -456,24 +457,22 @@ class _Span:
     spectrum into the buffer, wakes the children over their pipes, steps its
     own share, reads one byte from each child in share order and
     inverse-transforms the buffer in place. A child catches nothing: an
-    error ends it without a byte. The parent then transforms that child's
-    rows again from the span's input and steps them itself, which raises
-    the child's error; if they pass, the child was killed from outside, and
-    the parent raises its death. The children inherit the kernel through
+    error ends it without a byte. The children inherit the kernel through
     the fork and leave through os._exit; leaving the context reaps them, and
     kills them first when the link is raising.
 
-    A chunk stops at its first step with a block over the bound, so the
-    block it names depends on where chunks start. The parent therefore steps
-    the rows below that block again from the span's input, down to the
-    lowest block over the bound, and steps that block alone, which raises
-    its StepSizeError at its first step over the bound. So a StepSizeError
-    is the same at every process count: type, args, message and frames. Any
-    other error, such as numpy's FloatingPointError under a caller's
-    np.errstate(over="raise"), is raised where numpy raises it, in the first
-    share in row order that fails. A share below it that trips the bound
-    raises its StepSizeError instead, so such an error may depend on the
-    process count.
+    One rule raises every error. A share fails when the parent's own rows
+    raise or a child ends without its reply. The parent takes the first
+    failed share in row order, steps its blocks alone from the span's input,
+    lowest first, and the first block that fails raises its own error: a
+    chunk stops at its first failure, so where chunks start decides which
+    block a chunk names, but a block alone fails the same way in every
+    batch. So the error is the same at every process count: type, args,
+    message and frames. If every block of the parent's share passes alone,
+    the parent raises its share's error again; if every block of a child's
+    share does, the child was killed from outside, and the parent raises
+    its death. The error path costs at most one span per block of the
+    failed share.
     """
 
     def __init__(self, field: FieldWaveform, fiber: FiberParams, step_cfg: SsfmStepConfig,
@@ -627,42 +626,28 @@ class _Span:
                 os.write(child[1], b"\1")
             except BrokenPipeError:  # the child is gone; the read below finds no reply
                 pass
-        lo = 0  # the first row of the share being stepped
+        error = None
         try:
-            self._steps(self.spec, lo, self.bounds[1])
-            # in row order: the parent's rows first, then each child's
+            self._steps(self.spec, 0, self.bounds[1])
+        except Exception as exc:  # the parent's share failed
+            error, lo, hi = exc, 0, self.bounds[1]
+        else:  # in row order, each child's share
             for child, lo, hi in zip(self.children, self.bounds[1:], self.bounds[2:]):
-                if not os.read(child[2], 1):  # the child ended: its rows raise its error here
-                    np.fft.fft(blocks[lo:hi], axis=-1, out=self.spec[lo:hi])
-                    self._steps(self.spec, lo, hi)
-                    _, status = os.waitpid(child[0], 0)  # they passed: the child was killed
-                    child[0] = 0
-                    raise RuntimeError(
-                        "the link process for rows %d..%d ended mid-span with exit code %d"
-                        % (lo, hi - 1, os.waitstatus_to_exitcode(status)))
-        except StepSizeError as exc:
-            block = self._lowest_over(blocks, lo, exc.args[0])
-        else:
-            return np.fft.ifft(self.spec, axis=-1, out=self.spec).reshape(samples.shape)
-        # that block alone raises its own error, from these frames at every process count
-        np.fft.fft(blocks[block:block + 1], axis=-1, out=self.spec[block:block + 1])
-        self._steps(self.spec, block, block + 1)
-
-    def _lowest_over(self, blocks: np.ndarray, lo: int, block: int) -> int:
-        """The lowest block over the step bound this span, given that block is over it
-        in a share stepped from row lo. The rows of block's chunk below it stopped at
-        its trip, the earlier chunks' rows ran the whole span: the former run again
-        from the span's input `blocks`, below each block over the bound they name."""
-        lo += (block - lo) // self.rows * self.rows  # the first row of block's chunk
-        while lo < block:
-            np.fft.fft(blocks[lo:block], axis=-1, out=self.spec[lo:block])
-            try:
-                self._chunk(self.spec[lo:block], lo)
-            except StepSizeError as exc:
-                block = exc.args[0]
+                if not os.read(child[2], 1):  # the child ended without its reply
+                    break
             else:
-                break
-        return block
+                return np.fft.ifft(self.spec, axis=-1, out=self.spec).reshape(samples.shape)
+        # the failed share's blocks alone from the span's input, lowest first: the
+        # first that fails raises its own error, from these frames at every count
+        for block in range(lo, hi):
+            np.fft.fft(blocks[block:block + 1], axis=-1, out=self.spec[block:block + 1])
+            self._steps(self.spec, block, block + 1)
+        if error is not None:  # every block passes alone
+            raise error
+        _, status = os.waitpid(child[0], 0)  # they passed: the child was killed
+        child[0] = 0
+        raise RuntimeError("the link process for rows %d..%d ended mid-span with exit code %d"
+                           % (lo, hi - 1, os.waitstatus_to_exitcode(status)))
 
 
 def standard_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -688,15 +673,17 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     (rows x samples x steps over the link), forked once for the whole link
     and gone when it returns or raises. The result is bit-identical for
     every count. The children only compute; the parent raises every error,
-    and one a child's rows raise is raised again by the parent's own steps
-    over those rows. A StepSizeError names the lowest block over the bound
-    in the first span where any block goes over it, at that block's first
-    step over it, with the same args, message and frames at every count.
-    Another error a step raises, such as a FloatingPointError under
-    np.errstate(over="raise"), comes from the first share in row order that
-    fails, unless a lower share trips the bound first; so it may depend on
-    the count. A child killed from outside makes the link raise a
-    RuntimeError that names its rows and exit code.
+    by one rule. When a share fails (the parent's own rows raise, or a child
+    ends without its reply), the parent steps that share's blocks alone from
+    the span's input, lowest first, and the first block that fails raises
+    its own error, with the same type, args, message and frames at every
+    count. So a StepSizeError names the lowest block over the bound in the
+    first span where any block goes over it, at that block's first step
+    over it. If every block of the parent's share passes alone, its error is
+    raised again; if every block of a child's share does, the child was
+    killed from outside, and the link raises a RuntimeError that names its
+    rows and exit code. The error path costs at most one span per block of
+    the failed share.
     """
     if amp.noise_on and fiber.n_spans and unit_noise_for_span is None:
         raise ChannelError("ASE enabled but no per-span noise source given")

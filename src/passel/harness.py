@@ -543,10 +543,10 @@ def _ase_noise_source(seed: int, block_indices: np.ndarray, per_block_shape: tup
     idx = [int(b) for b in block_indices]
 
     def unit_noise(span: int) -> np.ndarray:
-        return np.stack([
-            standard_complex_noise(substream(seed, TAG_ASE, b, span), per_block_shape)
-            for b in idx
-        ])
+        noise = np.empty((len(idx), *per_block_shape), dtype=complex)
+        for row, b in zip(noise, idx):
+            row[...] = standard_complex_noise(substream(seed, TAG_ASE, b, span), per_block_shape)
+        return noise
     return unit_noise
 
 
@@ -642,16 +642,17 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     st = _PointState(cfg, "ess", power, 1)
     wdm = link_wdm(cfg)
     penalty = math.log2(eta) / st.n
+    scorer = _nli_metric(cfg, power, None, st.processes)
     st.resolved.update({"scheme": "bound", "n_t": n_t, "eta": eta, "m_total": m_total,
                         "rate_penalty_bits_per_4d": penalty,
                         "rate_penalty_formula": "log2(eta)/block_len_4d",
-                        # above the sweep's powers the schedule differs from resolve_defaults
+                        # above the sweep's powers the schedules differ from resolve_defaults
                         "link_steps_per_span": step_schedule(
-                            cfg, power, wdm, cfg.steps_per_span).resolve(fiber_for(cfg))})
+                            cfg, power, wdm, cfg.steps_per_span).resolve(fiber_for(cfg)),
+                        "metric_steps_per_span": scorer.step_cfg.resolve(scorer.fiber)})
     try:
         tx, _, indices = st.draw(m_total)
         center = wdm.center_channel
-        scorer = _nli_metric(cfg, power, None, st.processes)
         costs = np.concatenate([scorer(tx[center, lo:lo + 64])
                                 for lo in range(0, m_total, 64)])
         kept = np.sort(np.argsort(costs, kind="stable")[:math.ceil(eta * m_total)])

@@ -731,22 +731,30 @@ class TestForkedLink:
             uniform_span_before_schedules(field, fiber, 100)
         assert errors[0][:2] == (info.value.args, 0)
 
-    def test_step_error_names_the_lowest_block_over_the_bound(self, monkeypatch):
-        # rows 48..63 share a serial chunk, which row 50 trips at step 0; row 49 starts
-        # at 0.98 of the bound and goes over it at step 3. Two shares cut the rows at
-        # 50, three at 33 and 66: the lowest block over the bound wins at every count
+    @pytest.mark.parametrize("overflow", [False, True], ids=["late_trip", "overflow_above"])
+    def test_step_error_names_the_lowest_block_over_the_bound(self, monkeypatch, overflow):
+        # rows 48..63 share a serial chunk. Row 50 trips it at step 0, and row 49 starts
+        # at 0.98 of the bound and goes over it at step 3; or, under overflow="raise",
+        # row 49 is over the bound at step 0 and row 50 overflows numpy's square before
+        # the chunk's guard runs. Two shares cut the rows at 50, three at 33 and 66: the
+        # lowest block over the bound wins at every count
         fiber = FiberParams(n_spans=2, alpha_db_per_km=0.0)
         field = desk_composite(np.random.default_rng(35), -10.0, n_blocks=100)
-        gnl = 8.0 / 9.0 * fiber.gamma_per_w_m * 5e3  # a 5 km step
-        peak = (np.abs(field.samples[8]) ** 2).sum(axis=0).max()
-        field.samples[49] = field.samples[8] * math.sqrt(0.98 * MAX_STEP_PHASE_RAD
-                                                         / (gnl * peak))
-        field.samples[50] *= 10.0
+        if overflow:
+            field.samples[49] *= 1e3
+            field.samples[50, 0, 7] = 1e200
+        else:
+            gnl = 8.0 / 9.0 * fiber.gamma_per_w_m * 5e3  # a 5 km step
+            peak = (np.abs(field.samples[8]) ** 2).sum(axis=0).max()
+            field.samples[49] = field.samples[8] * math.sqrt(0.98 * MAX_STEP_PHASE_RAD
+                                                             / (gnl * peak))
+            field.samples[50] *= 10.0
         fds = open_fds()
         forks = count_forks(monkeypatch)
         errors = []
         for processes in (1, 2, 3):
-            with pytest.raises(StepSizeError) as info:
+            with np.errstate(over="raise" if overflow else "warn"), \
+                    pytest.raises(StepSizeError) as info:
                 propagate_link(field, fiber, AmplifierParams(noise_on=False),
                                SsfmStepConfig(steps_per_span=20), processes=processes)
             errors.append((info.value.args, info.value.span, str(info.value),
@@ -754,14 +762,20 @@ class TestForkedLink:
             assert_nothing_left(fds)
         assert len(forks) == 3
         assert errors == [errors[0]] * 3
-        assert errors[0][0][:2] == (49, 3) and errors[0][1] == 0
+        assert errors[0][0][:2] == (49, 0 if overflow else 3) and errors[0][1] == 0
         assert errors[0][3][-4:] == ["propagate_link", "__call__", "_steps", "_chunk"]
 
-    def test_any_child_error_is_the_serial_one(self, monkeypatch):
+    @pytest.mark.parametrize("overflow, loud", [(25, None), (12, 25)],
+                             ids=["overflow", "overflow_below_loud"])
+    def test_any_child_error_is_the_serial_one(self, monkeypatch, overflow, loud):
         # row 25 overflows: in the serial chunk 16..31, in the child's share 16..32
-        # at two processes, and in the second child's 22..32 at three
+        # at two processes, and in the second child's 22..32 at three. Or row 12
+        # overflows below a loud row 25 over the bound, in a higher chunk or share:
+        # in the parent's share at two processes and the first child's at three
         field = desk_composite(np.random.default_rng(35), -10.0, n_blocks=33)
-        field.samples[25, 0, 7] = 1e200
+        field.samples[overflow, 0, 7] = 1e200
+        if loud is not None:
+            field.samples[loud] *= 100.0
         fds = open_fds()
         forks = count_forks(monkeypatch)
         errors = []
@@ -797,6 +811,37 @@ class TestForkedLink:
                 propagate_link(field, *link, processes=processes)
             assert_nothing_left(fds)
         assert len(forks) == 1
+
+    def test_parent_error_every_block_passes_alone_is_raised_again(self, monkeypatch):
+        # the parent's first chunk raises once; then each block of its share passes alone
+        parent, chunk, raised, alone = os.getpid(), _Span._chunk, [], []
+
+        def fails_once(self, buf, first_row):
+            if os.getpid() == parent:
+                if not raised:
+                    raised.append(first_row)
+                    raise MemoryError("rows from %d" % first_row)
+                if len(buf) == 1:
+                    alone.append(first_row)
+            chunk(self, buf, first_row)
+        monkeypatch.setattr(_Span, "_chunk", fails_once)
+        field = desk_composite(np.random.default_rng(36), -10.0, n_blocks=33)
+        link = [FiberParams(n_spans=1), AmplifierParams(noise_on=False),
+                SsfmStepConfig(steps_per_span=100)]
+        fds = open_fds()
+        forks = count_forks(monkeypatch)
+        errors = []
+        for processes, share in ((1, 33), (2, 16), (3, 11)):
+            raised.clear()
+            alone.clear()
+            with pytest.raises(MemoryError, match="rows from 0") as info:
+                propagate_link(field, *link, processes=processes)
+            errors.append((info.value.args, frames(info.value)))
+            assert alone == list(range(share))
+            assert_nothing_left(fds)
+        assert len(forks) == 3
+        assert errors == [errors[0]] * 3
+        assert errors[0][1][-3:] == ["__call__", "_steps", "fails_once"]
 
     @pytest.mark.parametrize("between_spans", [False, True])
     def test_dead_child_makes_the_link_raise(self, monkeypatch, between_spans):

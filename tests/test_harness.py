@@ -280,6 +280,9 @@ class TestDegenerate:
         assert step.resolve(fiber_for(cfg)) == 31
         det = ss_bound_estimate(cfg, power_dbm=6.0)
         assert det.row.scheme == "bound" and math.isfinite(det.row.se_bits_s_hz)
+        # the sidecar record names the schedule the metric scored with
+        assert det.resolved["metric_steps_per_span"] == 31
+        assert resolve_defaults(cfg)["metric_steps_per_span"] == 25
 
 
 class TestSweepDeterminism:

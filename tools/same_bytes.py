@@ -12,7 +12,12 @@ nothing when all are equal). It writes:
 - bound.{csv,pkl}: the desk bound at 2 dBm, eta 0.5, m_total 100;
 - mb_2dBm, ess_4dBm, ess_bsss_16_2dBm and ess_siss_16_2dBm .{csv,pkl}: desk
   points at 100 blocks with the nli metric;
-- hashes.txt: the config_hash of the desk and paper presets.
+- hashes.txt: the config_hash of the desk and paper presets;
+- link_errors.txt: the "Type: message" that propagate_link raises on two
+  fixed failing desk links at 1, 2 and 3 processes: "overflow", where
+  block 49 is over the step bound and block 50 overflows numpy's square
+  under np.errstate(over="raise"), and "two_shares", where blocks 40 and
+  70 are over the bound, in different shares at 2 and 3 processes.
 
 Each .pkl is the pickled PointDetail. The desk points take a few minutes
 on one core, mostly in the two selection points. Its last printed line
@@ -24,6 +29,17 @@ import pickle
 import resource
 import sys
 
+import numpy as np
+
+from passel.channel import (
+    AmplifierParams,
+    FiberParams,
+    SsfmStepConfig,
+    WdmConfig,
+    propagate_link,
+    rrc_modulate,
+    wdm_mux,
+)
 from passel.harness import (
     ExperimentConfig,
     config_hash,
@@ -48,6 +64,39 @@ def tiny_config() -> ExperimentConfig:
         metric_steps_per_span=25, seed=77)
 
 
+def failing_links():
+    """(name, field) of each fixed failing link: 100 desk composite blocks at -10 dBm."""
+    desk = desk_preset()
+    wdm = WdmConfig(n_channels=desk.n_channels, symbol_rate_gbd=desk.symbol_rate_gbd,
+                    spacing_ghz=desk.spacing_ghz, rolloff=desk.rolloff, sps=desk.sps)
+    rails = np.arange(-7.0, 8.0, 2.0)
+    links = []
+    for name in ("overflow", "two_shares"):
+        rng = np.random.default_rng(35)
+        field = wdm_mux([rrc_modulate(rng.choice(rails, size=(100, 2, 64))
+                                      + 1j * rng.choice(rails, size=(100, 2, 64)),
+                                      wdm, -10.0)[0] for _ in range(wdm.n_channels)], wdm)
+        if name == "overflow":
+            field.samples[49] *= 1e3
+            field.samples[50, 0, 7] = 1e200
+        else:
+            field.samples[[40, 70]] *= 10.0
+        links.append((name, field))
+    return links
+
+
+def link_error(field, processes: int) -> str:
+    """The "Type: message" propagate_link raises on field over two lossless spans."""
+    try:
+        with np.errstate(over="raise"):
+            propagate_link(field, FiberParams(n_spans=2, alpha_db_per_km=0.0),
+                           AmplifierParams(noise_on=False), SsfmStepConfig(steps_per_span=20),
+                           processes=processes)
+    except Exception as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return "no error"
+
+
 def write_detail(out_dir: str, name: str, detail) -> None:
     emit_csv([detail.row], os.path.join(out_dir, name + ".csv"))
     with open(os.path.join(out_dir, name + ".pkl"), "wb") as fh:
@@ -59,6 +108,10 @@ def main(out_dir: str) -> None:
     with open(os.path.join(out_dir, "hashes.txt"), "w", encoding="ascii") as fh:
         fh.write("desk %s\npaper %s\n" % (config_hash(desk_preset()),
                                           config_hash(paper_preset())))
+    with open(os.path.join(out_dir, "link_errors.txt"), "w", encoding="ascii") as fh:
+        for name, field in failing_links():
+            for processes in (1, 2, 3):
+                fh.write("%s processes=%d %s\n" % (name, processes, link_error(field, processes)))
     rows, errors, _ = sweep(tiny_config())
     if errors:
         raise SystemExit("tiny sweep failed: %s" % errors)
