@@ -36,20 +36,10 @@ cache-sized chunks, on preallocated buffers, with np.fft writing in place
 through out= (numpy 2.0 or later); the caller's field is never written.
 Each step's guard takes one maximum over the chunk.
 
-Rows share nothing, so propagate_link may run a batch on several
-processes: it forks once per call, each process takes a contiguous share of
-the rows, and the spans meet in an anonymous shared mapping. A share must
-carry enough sample-steps to pay for its fork, so small batches stay in one
-process. Each share is stepped from its own first row in cache-sized chunks,
-and the bits are those of the serial loop whatever the process count.
-A child only computes: each span it steps its rows and replies with one
-byte, and an error ends it. The parent owns every error, by one rule. A
-share fails when the parent's own rows raise or a child ends without its
-reply; the parent then steps that share's blocks alone from the span's
-input, lowest first, and the first block that fails raises its own error.
-Rows share nothing and each row's steps are deterministic, so the error is
-the lowest block's that fails alone, the same at every process count, and
-the error path costs at most one span per block of the failed share.
+Rows share nothing, so propagate_link may split a batch by rows over
+several processes, with the bits of the serial loop at every count; when a
+block fails, the lowest block that fails alone raises its own error. The
+kernel's docstring, _Span's, states how.
 """
 
 from __future__ import annotations
@@ -445,33 +435,34 @@ class _Span:
     exponential per distinct length, one product per distinct pair). It
     also allocates one chunk's work buffers.
 
+    The batch is cut into contiguous shares of near-equal rows: as many as
+    processes, rows and the link's sample-steps allow, at _FORK_SAMPLE_STEPS
+    or more per share, and one share in a process with more than one thread.
     Entering the span as a context manager allocates the link's spectrum
-    buffer once. The batch is cut into contiguous shares of near-equal rows:
-    as many as processes, rows and the link's sample-steps allow, at
-    _FORK_SAMPLE_STEPS or more per share. Past one share, the buffer is an
-    anonymous shared mapping, and one process is forked per share past the
-    first, the parent keeping the lowest rows. Otherwise, and in a process
-    with more than one thread, the buffer is a plain array and the parent's
-    one share is every row. Each share is stepped from its own first row in
-    chunks of at most _CHUNK_SAMPLES. Every span, the parent writes the
-    spectrum into the buffer, wakes the children over their pipes, steps its
-    own share, reads one byte from each child in share order and
-    inverse-transforms the buffer in place. A child catches nothing: an
-    error ends it without a byte. The children inherit the kernel through
-    the fork and leave through os._exit; leaving the context reaps them, and
-    kills them first when the link is raising.
+    buffer once. Past one share, the buffer is an anonymous shared mapping,
+    and one process is forked per share past the first, the parent keeping
+    the lowest rows; otherwise it is a plain array. Each share is stepped
+    from its own first row in chunks of at most _CHUNK_SAMPLES. Every span,
+    the parent writes the spectrum into the buffer, wakes the children over
+    their pipes, steps its own share, reads one byte from each child in
+    share order and inverse-transforms the buffer in place. A child catches
+    nothing: an error ends it without a byte. The children inherit the
+    kernel through the fork and leave through os._exit; leaving the context
+    reaps them, and kills them first when the link is raising.
 
     One rule raises every error. A share fails when the parent's own rows
     raise or a child ends without its reply. The parent takes the first
     failed share in row order, steps its blocks alone from the span's input,
     lowest first, and the first block that fails raises its own error: a
-    chunk stops at its first failure, so where chunks start decides which
-    block a chunk names, but a block alone fails the same way in every
-    batch. So the error is the same at every process count: type, args,
-    message and frames. If every block of the parent's share passes alone,
-    the parent raises its share's error again; if every block of a child's
-    share does, the child was killed from outside, and the parent raises
-    its death. The error path costs at most one span per block of the
+    chunk stops at its first failure, and its StepSizeError names its first
+    row, so only a block alone tells which block failed; a block alone fails
+    the same way in every batch. So the error is the same at every process
+    count: type, args, message and frames. A StepSizeError names the lowest
+    block over the bound at its first step over it. If every block of the
+    parent's share passes alone, the parent raises its share's error again;
+    if every block of a child's share does, the child was killed from
+    outside, and the parent raises a RuntimeError naming the child's rows
+    and exit code. The error path costs at most one span per block of the
     failed share.
     """
 
@@ -503,14 +494,15 @@ class _Span:
                      np.empty((rows, t_len)), np.empty(rows * t_len), np.empty(rows * t_len),
                      np.empty(rows * t_len, dtype=complex))
         sample_steps = n * 2 * t_len * len(lengths) * fiber.n_spans
+        if threading.active_count() > 1:  # a lock one held at a fork stays held in the child
+            processes = 1
         shares = max(1, min(processes, n, sample_steps // _FORK_SAMPLE_STEPS))
         self.bounds = [n * k // shares for k in range(shares + 1)]
         self.spec = None    # the spectrum buffer, inside the context
         self.children = []  # [pid, wake fd, reply fd] per share past the first
 
     def __enter__(self):
-        # a lock another thread held at the fork would stay held in the child
-        if len(self.bounds) > 2 and threading.active_count() == 1:
+        if len(self.bounds) > 2:
             # no descriptor: the mapping is unmapped with the last array on it
             mem = mmap.mmap(-1, 16 * math.prod(self.shape))
             self.spec = np.frombuffer(mem, dtype=complex).reshape(self.shape)
@@ -522,7 +514,6 @@ class _Span:
                 raise
         else:
             self.spec = np.empty(self.shape, dtype=complex)
-            self.bounds = [0, self.shape[0]]  # one share: every row is the parent's
         return self
 
     def __exit__(self, raising, *_):
@@ -571,9 +562,10 @@ class _Span:
     def _chunk(self, buf: np.ndarray, first_row: int) -> None:
         """All steps of the span on a (rows, 2, t_len) spectrum, row first_row first, in place.
 
-        The guard takes one maximum per step, and each row's only past the
-        bound, to name the lowest row over it. Scaling by |gnl| keeps the
-        order of peaks under rounding, so a block passes by its own peak.
+        The guard takes one maximum per step and raises for the chunk's first
+        row, the block when the chunk is one block alone. Scaling by |gnl|
+        keeps the order of peaks under rounding, so the guard trips on a
+        chunk exactly when it trips on one of its blocks alone.
         """
         rows = buf.shape[0]
         squares, pol_sum, power = (a[:rows] for a in self.work[:3])
@@ -587,11 +579,10 @@ class _Span:
             np.square(flat, out=squares)  # |Ax|^2 + |Ay|^2 as re^2 + im^2
             np.add(x_sq, y_sq, out=pol_sum)
             np.add(re_sq, im_sq, out=power)
-            if gnl * power.max() > MAX_STEP_PHASE_RAD:
-                phase = gnl * power.max(axis=1)
-                row = int(np.argmax(phase > MAX_STEP_PHASE_RAD))
-                raise StepSizeError(first_row + row, step, h, float(phase[row]),
-                                    float(phase[row] / gnl), MAX_STEP_PHASE_RAD, self.allowance)
+            phase = gnl * power.max()
+            if phase > MAX_STEP_PHASE_RAD:
+                raise StepSizeError(first_row, step, h, float(phase), float(phase / gnl),
+                                    MAX_STEP_PHASE_RAD, self.allowance)
             self._rotation(p, coefs, u, s, sin, cos)  # the guard capped every phase
             buf *= turn
             np.fft.fft(buf, axis=-1, out=buf)
@@ -668,22 +659,12 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     with zero spans returns the input unchanged.
 
     processes: how many processes the split steps may use (past 1, the
-    platform needs os.fork). The rows are split over up to that many, as
-    long as each share carries at least _FORK_SAMPLE_STEPS sample-steps
-    (rows x samples x steps over the link), forked once for the whole link
-    and gone when it returns or raises. The result is bit-identical for
-    every count. The children only compute; the parent raises every error,
-    by one rule. When a share fails (the parent's own rows raise, or a child
-    ends without its reply), the parent steps that share's blocks alone from
-    the span's input, lowest first, and the first block that fails raises
-    its own error, with the same type, args, message and frames at every
-    count. So a StepSizeError names the lowest block over the bound in the
-    first span where any block goes over it, at that block's first step
-    over it. If every block of the parent's share passes alone, its error is
-    raised again; if every block of a child's share does, the child was
-    killed from outside, and the link raises a RuntimeError that names its
-    rows and exit code. The error path costs at most one span per block of
-    the failed share.
+    platform needs os.fork); the rows are split over up to that many while
+    each share carries at least _FORK_SAMPLE_STEPS sample-steps. The result
+    is bit-identical for every count. When a block fails, the lowest block
+    that fails alone raises its own error in the first span where any
+    fails, the same at every count; a StepSizeError names that block and
+    span. _Span states the rule.
     """
     if amp.noise_on and fiber.n_spans and unit_noise_for_span is None:
         raise ChannelError("ASE enabled but no per-span noise source given")

@@ -182,7 +182,7 @@ def _selftest_checks():
         masks = scrambler_masks(5, 4, payload)
         rng = substream(5, 1)
         bits = rng.integers(0, 2, payload, dtype=np.uint8)
-        res = bsss_encode(bits, masks, shaper.encode, lambda s: wk_metric(s, window=8))
+        res = bsss_encode(bits, masks, shaper.encode, wk_metric)
         back = bsss_decode(shaper.decode(res.symbols), masks)
         _check(np.array_equal(back, bits), "bit selection does not round-trip")
 
@@ -193,8 +193,7 @@ def _selftest_checks():
         bits = rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8)
         payload = shaper.encode(bits)
         res = siss_encode(payload, perms,
-                          lambda s: wk_metric(s, window=8,
-                                              payload=slice(siss_pilot_symbols(16), None)))
+                          lambda s: wk_metric(s, payload=slice(siss_pilot_symbols(16), None)))
         got, idx = siss_decode(res.symbols, perms)
         _check(idx == res.index and np.allclose(got, payload),
                "symbol selection does not round-trip")

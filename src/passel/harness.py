@@ -207,9 +207,8 @@ class ExperimentConfig:
         except ChannelError as exc:
             raise HarnessError(str(exc)) from None
         # a point's blocks, and the bound's kept blocks, must hold enough symbols to rate
-        kept = math.ceil(self.bound_eta * self.bound_m_total)
         for what, n_blocks in (("n_blocks", self.n_blocks),
-                               ("ceil(bound_eta*bound_m_total)", kept)):
+                               ("ceil(bound_eta*bound_m_total)", bound_kept(self))):
             if n_blocks * self.block_len_4d < MIN_SYMBOLS_4D:
                 raise HarnessError("%s*block_len_4d = %d*%d 4D symbols is below the %d "
                                    "the rate estimate needs"
@@ -385,8 +384,8 @@ def _core_share(pool_width: int) -> int:
     return max(1, len(os.sched_getaffinity(0)) // pool_width)
 
 
-def _nli_metric(cfg: ExperimentConfig, power_dbm: float, payload: slice | None,
-                processes: int) -> NliMetric:
+def _nli_metric(cfg: ExperimentConfig, power_dbm: float, processes: int,
+                payload: slice = slice(None)) -> NliMetric:
     """NLI cost of selection points and the bound: the link's fiber and step rule, one channel."""
     wdm = metric_wdm(cfg)
     return NliMetric(fiber_for(cfg), wdm,
@@ -396,6 +395,14 @@ def _nli_metric(cfg: ExperimentConfig, power_dbm: float, payload: slice | None,
 
 def dm_bits_per_block(cfg: ExperimentConfig) -> int:
     return math.ceil(cfg.dm_blocklength * cfg.dm_rate_bits_per_amp - 1e-9)
+
+
+def bound_kept(cfg: ExperimentConfig) -> int:
+    """Blocks the bound keeps: ceil(bound_eta*bound_m_total), less the product's rounding.
+
+    In binary 0.55 * 200 is 110.00000000000001, which a bare ceil takes to 111.
+    """
+    return math.ceil(cfg.bound_eta * cfg.bound_m_total - 1e-9)
 
 
 def bsss_bits_per_block(cfg: ExperimentConfig, n_t: int) -> int:
@@ -451,11 +458,11 @@ class _PointState:
                 self.book = scrambler_masks(cfg.seed, n_t, self.payload_bits)
             else:
                 self.book = permutations(cfg.seed, n_t, self.n)
-            payload = slice(self.pilot_syms, None) if self.pilot_syms else None
+            payload = slice(self.pilot_syms, None)
             if cfg.selection_metric == "wk":
                 self.metric_fn = partial(wk_metric, payload=payload)
             else:
-                self.metric_fn = _nli_metric(cfg, self.power_dbm, payload, self.processes)
+                self.metric_fn = _nli_metric(cfg, self.power_dbm, self.processes, payload)
 
         self.block_len_tx = self.n + self.pilot_syms
         self.time_fraction = self.n / self.block_len_tx
@@ -628,7 +635,7 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     """Post-selection rate bound from the best eta fraction of m_total blocks.
 
     Center-channel blocks are scored with the channel-emulation cost at the
-    launch power under test; the cheapest ceil(eta*m_total) blocks are
+    launch power under test; the cheapest bound_kept(cfg) blocks are
     propagated through the full WDM link and the achievable rate over that
     subset is adjusted by log2(eta)/n before the spectral-efficiency
     conversion. eta=1 reproduces the plain sphere-shaping point exactly.
@@ -642,7 +649,7 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     st = _PointState(cfg, "ess", power, 1)
     wdm = link_wdm(cfg)
     penalty = math.log2(eta) / st.n
-    scorer = _nli_metric(cfg, power, None, st.processes)
+    scorer = _nli_metric(cfg, power, st.processes)
     st.resolved.update({"scheme": "bound", "n_t": n_t, "eta": eta, "m_total": m_total,
                         "rate_penalty_bits_per_4d": penalty,
                         "rate_penalty_formula": "log2(eta)/block_len_4d",
@@ -655,7 +662,7 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
         center = wdm.center_channel
         costs = np.concatenate([scorer(tx[center, lo:lo + 64])
                                 for lo in range(0, m_total, 64)])
-        kept = np.sort(np.argsort(costs, kind="stable")[:math.ceil(eta * m_total)])
+        kept = np.sort(np.argsort(costs, kind="stable")[:bound_kept(cfg)])
         row = dict(scheme="bound", metric="nli", n_t=n_t,
                    sel_metric_mean=float(costs[kept].mean()))
         return _point_detail(st, tx[:, kept], indices[:, kept], kept, penalty, row,

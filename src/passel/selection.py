@@ -10,14 +10,14 @@ with the data. Symbol-level selection permutes the shaped 4D symbols and
 prepends pilot symbols drawn from the highest-energy constellation corners,
 four index bits per pilot symbol.
 
-Costs: a windowed kurtosis of the per-4D-symbol energies (cheap, local), or
-the residual distortion after a noiseless single-channel emulation of the
-fiber link (expensive, direct). Lower is better; ties go to the lowest
-candidate index. Candidate books are read-only arrays, one row per
-candidate, and the encoders and decoders take the family size from the
-book's row count. Books nest by construction: the book for a smaller family
-is a prefix of that for a larger one, so a caller holding a larger book
-passes book[:n_t].
+Costs score a stack of candidates, one cost each: a windowed kurtosis of
+the per-4D-symbol energies (cheap, local), or the residual distortion after
+a noiseless single-channel emulation of the fiber link (expensive, direct).
+Lower is better; ties go to the lowest candidate index. Candidate books are
+read-only arrays, one row per candidate, and the encoders and decoders take
+the family size from the book's row count. Books nest by construction: the
+book for a smaller family is a prefix of that for a larger one, so a caller
+holding a larger book passes book[:n_t].
 """
 
 from __future__ import annotations
@@ -257,59 +257,51 @@ def siss_decode(received: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, in
     return payload[:, np.argsort(perms[idx])], idx
 
 
-def wk_metric(symbols: np.ndarray, window: int | None = None,
-              stride: int | None = None,
-              payload: slice | None = None) -> float | np.ndarray:
-    """Windowed kurtosis of per-4D-symbol energies; lower is smoother.
+def wk_metric(symbols: np.ndarray, payload: slice = slice(None)) -> np.ndarray:
+    """Windowed kurtosis of per-4D-symbol energies, one cost per candidate; lower is smoother.
 
-    For each length-`window` span of consecutive 4D symbols (default
-    min(128, n), stride half a window), the span's kurtosis is
-    mean(e^2)/mean(e)^2 with e the dual-pol symbol energy; the result is
-    the mean over the spans. Batched (..., 2, n) input returns one value
-    per leading element.
+    symbols is an (n_t, 2, T) stack; payload selects the 4D symbols scored.
+    For each span of min(128, n) consecutive payload symbols, n the payload
+    length, at a stride of half a span, the span's kurtosis is
+    mean(e^2)/mean(e)^2 with e the dual-pol symbol energy; a candidate's
+    cost is the mean over the spans.
     """
     s = np.asarray(symbols, dtype=complex)
-    if s.ndim < 2 or s.shape[-2] != 2:
-        raise SelectionError("expected (..., 2, n) symbols")
-    if payload is not None:
-        s = s[..., payload]
+    if s.ndim != 3 or s.shape[1] != 2:
+        raise SelectionError("expected an (n_t, 2, T) candidate stack")
+    s = s[..., payload]
     n = s.shape[-1]
     if n < 1:
         raise SelectionError("empty block")
-    w = min(128, n) if window is None else int(window)
-    if not 1 <= w <= n:
-        raise SelectionError("window must be in [1, %d]" % n)
-    st = max(1, w // 2) if stride is None else int(stride)
-    if not 1 <= st <= w:
-        raise SelectionError("stride must be in [1, window]")
+    w = min(128, n)
     e = (np.abs(s) ** 2).sum(axis=-2)
-    offsets = range(0, n - w + 1, st)
-    kappas = np.empty(s.shape[:-2] + (len(offsets),))
+    offsets = range(0, n - w + 1, max(1, w // 2))
+    kappas = np.empty((s.shape[0], len(offsets)))
     for j, off in enumerate(offsets):
         win = e[..., off:off + w]
         m1 = win.mean(axis=-1)
         if np.any(m1 == 0.0):
             raise SelectionError("all-zero energy window")
         kappas[..., j] = (win ** 2).mean(axis=-1) / (m1 * m1)
-    out = kappas.mean(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return kappas.mean(axis=-1)
 
 
 class NliMetric:
     """Residual distortion after a noiseless single-channel link emulation.
 
-    Runs the candidate block alone through link_receive, the chain of a
-    sweep point, on a one-channel grid (amplifiers transparent, no noise),
-    and returns the Euclidean norm of the symbol error over the payload span
-    after mean phase compensation. Captures the nonlinear interference the
-    block generates for itself. processes is handed to propagate_link: a
+    Runs each candidate of an (n_t, 2, T) stack alone through link_receive,
+    the chain of a sweep point, on a one-channel grid (amplifiers
+    transparent, no noise), and returns one cost per candidate: the
+    Euclidean norm of the symbol error over the payload span after mean
+    phase compensation. Captures the nonlinear interference the block
+    generates for itself. processes is handed to propagate_link: a
     batch of candidates is split over up to that many processes by rows
     when each share carries enough sample-steps to pay for its fork, as one
     desk block's 16 candidates do, with the same costs bit for bit.
     """
 
     def __init__(self, fiber: FiberParams, wdm: WdmConfig, step_cfg: SsfmStepConfig,
-                 launch_power_dbm: float, payload: slice | None = None,
+                 launch_power_dbm: float, payload: slice = slice(None),
                  processes: int = 1):
         if wdm.n_channels != 1:
             raise SelectionError("metric emulation is single-channel")
@@ -317,17 +309,16 @@ class NliMetric:
         self.wdm = wdm
         self.step_cfg = step_cfg
         self.launch_power_dbm = launch_power_dbm
-        self.payload = payload if payload is not None else slice(None)
+        self.payload = payload
         self.amp = AmplifierParams(noise_on=False)
         self.processes = processes
 
-    def __call__(self, symbols: np.ndarray) -> float | np.ndarray:
+    def __call__(self, symbols: np.ndarray) -> np.ndarray:
         x = np.asarray(symbols, dtype=complex)
-        if x.ndim < 2 or x.shape[-2] != 2:
-            raise SelectionError("expected (..., 2, n) symbols")
+        if x.ndim != 3 or x.shape[1] != 2:
+            raise SelectionError("expected an (n_t, 2, T) candidate stack")
         y = link_receive(x[None], self.wdm, self.fiber, self.amp, self.step_cfg,
                          self.launch_power_dbm, processes=self.processes)
         xp = x[..., self.payload]
         yp, _ = mean_phase_comp(y[..., self.payload], xp)
-        cost = np.sqrt((np.abs(yp - xp) ** 2).sum(axis=(-2, -1)))
-        return float(cost) if cost.ndim == 0 else cost
+        return np.sqrt((np.abs(yp - xp) ** 2).sum(axis=(-2, -1)))

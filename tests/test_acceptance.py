@@ -175,8 +175,7 @@ def test_criterion_4_end_to_end_decodability():
         payload = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
         masks = scrambler_masks(11, n_t, payload)
         bits = rng.integers(0, 2, payload, dtype=np.uint8)
-        res = bsss_encode(bits, masks, shaper.encode,
-                          lambda s: wk_metric(s, window=8))
+        res = bsss_encode(bits, masks, shaper.encode, wk_metric)
         back = bsss_decode(shaper.decode(res.symbols), masks)
         assert np.array_equal(back, bits), "bit selection n_t=%d" % n_t
 
@@ -185,8 +184,7 @@ def test_criterion_4_end_to_end_decodability():
             rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8))
         res_s = siss_encode(payload_syms, perms,
                             lambda s: wk_metric(
-                                s, window=8,
-                                payload=slice(siss_pilot_symbols(n_t), None)))
+                                s, payload=slice(siss_pilot_symbols(n_t), None)))
         got, idx = siss_decode(res_s.symbols, perms)
         assert idx == res_s.index
         assert np.array_equal(got, payload_syms), "symbol selection n_t=%d" % n_t

@@ -272,6 +272,13 @@ class TestDegenerate:
         with pytest.raises(HarnessError):
             ss_bound_estimate(tiny_config(bound_m_total=20, bound_eta=1.0))
 
+    def test_bound_keeps_eta_times_m_total_despite_rounding(self):
+        # in binary 0.55 * 200 is 110.00000000000001 and 0.28 * 175 is 49.00000000000001
+        det = ss_bound_estimate(tiny_config(bound_m_total=200, bound_eta=0.55), power_dbm=1.0)
+        assert det.kept_blocks.size == 110
+        with pytest.raises(HarnessError, match=r"= 49\*20 4D symbols is below the 1000"):
+            tiny_config(block_len_4d=20, dm_blocklength=40, bound_m_total=175, bound_eta=0.28)
+
     def test_bound_above_the_metric_steps_completes(self):
         # 6 dBm is more than 25 equal metric steps per span carry: the metric steps by
         # its allowance there, as the link does

@@ -232,69 +232,74 @@ def naive_wk(symbols, window, stride):
 
 class TestWkMetric:
     def test_matches_naive_oracle(self):
+        # the window is min(128, n) at half-window stride: past 128 symbols,
+        # two or three windows that leave a tail out; up to it, one window
         rng = substream(31, 2)
-        for n, w, s in ((256, 128, 64), (256, 64, 32), (100, 30, 7), (64, 64, 1)):
+        for n in (256, 300, 200, 100, 64, 3, 1):
             block = random_block(rng, n)
-            got = wk_metric(block, window=w, stride=s)
-            want = naive_wk(block, w, s)
-            assert abs(got - want) < 1e-12 * want
+            w = min(128, n)
+            got = wk_metric(block[None])
+            want = naive_wk(block, w, max(1, w // 2))
+            assert got.shape == (1,)
+            assert abs(got[0] - want) < 1e-12 * want
 
     def test_equal_energy_gives_one(self):
-        block = np.full((2, 200), 3.0 + 3.0j)
-        assert abs(wk_metric(block) - 1.0) < 1e-12
+        block = np.full((1, 2, 200), 3.0 + 3.0j)
+        assert abs(wk_metric(block)[0] - 1.0) < 1e-12
 
     def test_single_spike_gives_window_length(self):
         w = 32
-        block = np.zeros((2, w), dtype=complex)
-        block[:, 7] = 1.0 + 1.0j
-        assert abs(wk_metric(block, window=w, stride=w) - w) < 1e-9
+        block = np.zeros((1, 2, w), dtype=complex)
+        block[0, :, 7] = 1.0 + 1.0j
+        assert abs(wk_metric(block)[0] - w) < 1e-9
 
     def test_zero_window_rejected(self):
         with pytest.raises(SelectionError):
-            wk_metric(np.zeros((2, 64), dtype=complex))
+            wk_metric(np.zeros((1, 2, 64), dtype=complex))
 
     def test_default_window_caps_at_block(self):
         rng = substream(31, 3)
         block = random_block(rng, 48)
-        got = wk_metric(block)
+        got = wk_metric(block[None])[0]
         assert abs(got - naive_wk(block, 48, 24)) < 1e-12
 
     def test_permutation_invariant_single_window(self):
         rng = substream(31, 4)
         block = random_block(rng, 64)
         perm = rng.permutation(64)
-        a = wk_metric(block, window=64, stride=64)
-        b = wk_metric(block[:, perm], window=64, stride=64)
+        a, b = wk_metric(np.stack([block, block[:, perm]]))
         assert abs(a - b) < 1e-12
 
     def test_permutation_sensitive_below_block(self):
+        # past 128 symbols the windows see the order: the energies' halves
+        # apart, or interleaved
         e_lo, e_hi = 1.0 + 0.0j, 3.0 + 0.0j
-        block = np.zeros((2, 4), dtype=complex)
-        block[0] = [e_lo, e_lo, e_hi, e_hi]
-        swapped = block[:, [0, 2, 1, 3]]
-        a = wk_metric(block, window=2, stride=2)
-        b = wk_metric(swapped, window=2, stride=2)
+        block = np.zeros((2, 256), dtype=complex)
+        block[0] = [e_lo] * 128 + [e_hi] * 128
+        swapped = block[:, np.arange(256).reshape(2, 128).T.ravel()]
+        a, b = wk_metric(np.stack([block, swapped]))
         assert abs(a - b) > 1e-3
 
     def test_batched_matches_per_block(self):
         rng = substream(31, 5)
-        stack = np.stack([random_block(rng, 96) for _ in range(5)])
-        got = wk_metric(stack, window=48, stride=16)
+        stack = np.stack([random_block(rng, 300) for _ in range(5)])
+        got = wk_metric(stack)
+        assert got.shape == (5,)
         for i in range(5):
-            assert abs(got[i] - wk_metric(stack[i], window=48, stride=16)) < 1e-12
+            assert abs(got[i] - wk_metric(stack[i:i + 1])[0]) < 1e-12
 
     def test_payload_slice(self):
         rng = substream(31, 6)
-        block = random_block(rng, 66)
-        m = partial(wk_metric, window=32, stride=16, payload=slice(2, None))
-        assert abs(m(block) - wk_metric(block[:, 2:], window=32, stride=16)) < 1e-12
+        block = random_block(rng, 266)[None]
+        got = wk_metric(block, payload=slice(2, None))
+        assert abs(got[0] - wk_metric(block[..., 2:])[0]) < 1e-12
 
-    def test_window_validation(self):
+    def test_takes_stacks_only(self):
         block = np.full((2, 16), 1.0 + 1.0j)
         with pytest.raises(SelectionError):
-            wk_metric(block, window=17)
+            wk_metric(block)
         with pytest.raises(SelectionError):
-            wk_metric(block, window=8, stride=9)
+            NliMetric(FiberParams(n_spans=1), metric_wdm(), SsfmStepConfig(), 0.0)(block)
 
 
 def metric_wdm(sps=4):
@@ -308,7 +313,7 @@ class TestNliMetric:
         metric = NliMetric(fiber, metric_wdm(), SsfmStepConfig(steps_per_span=20),
                            launch_power_dbm=2.0)
         block = random_block(rng, 64)
-        cost = metric(block)
+        cost, = metric(block[None])
         assert cost / np.linalg.norm(block) < 1e-6
 
     def test_spm_only_removed_by_phase_comp(self):
@@ -317,18 +322,18 @@ class TestNliMetric:
         metric = NliMetric(fiber, metric_wdm(sps=8), SsfmStepConfig(steps_per_span=20),
                            launch_power_dbm=0.0)
         block = np.full((2, 128), 3.0 + 3.0j)
-        cost = metric(block)
+        cost, = metric(block[None])
         assert cost / np.linalg.norm(block) < 1e-3
 
     def test_cost_grows_with_power(self):
         rng = substream(31, 8)
         fiber = FiberParams(n_spans=1)
-        block = random_block(rng, 64)
+        block = random_block(rng, 64)[None]
         costs = []
         for p in (-10.0, -6.0, -2.0, 2.0):
             metric = NliMetric(fiber, metric_wdm(), SsfmStepConfig(steps_per_span=25),
                                launch_power_dbm=p)
-            costs.append(metric(block))
+            costs.append(metric(block)[0])
         assert all(a < b for a, b in zip(costs, costs[1:]))
 
     def test_batched_matches_single(self):
@@ -340,7 +345,7 @@ class TestNliMetric:
         got = metric(stack)
         assert got.shape == (3,)
         for i in range(3):
-            assert abs(got[i] - metric(stack[i])) < 1e-9
+            assert abs(got[i] - metric(stack[i:i + 1])[0]) < 1e-9
 
     def test_costs_do_not_depend_on_the_batch(self):
         # 128 desk-length candidates pass 256 KiB of symbols in one call; the
@@ -356,18 +361,24 @@ class TestNliMetric:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="a split batch needs os.fork")
     def test_a_desk_batch_splits_with_the_same_costs(self, monkeypatch):
         # a desk block's 16 candidates fit one cache chunk yet carry two shares'
-        # sample-steps; 4 candidates at a tiny geometry carry less than one share
+        # sample-steps, ess+siss's 64 + 1 symbols scored over its payload slice;
+        # 4 candidates at a tiny geometry carry less than one share
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(0) or fork())
         cfg = harness.desk_preset()
-        cands, _ = desk_candidates(cfg, "ess+bsss", 16)
         wdm = harness.metric_wdm(cfg)
         args = (harness.fiber_for(cfg), wdm,
                 harness.step_schedule(cfg, 2.0, wdm, cfg.metric_steps_per_span), 2.0)
-        serial = NliMetric(*args)(cands)
-        assert not forks
-        assert np.array_equal(NliMetric(*args, processes=2)(cands), serial)
-        assert len(forks) == 1
+        for scheme, shape, payload in (("ess+bsss", (16, 2, 64), slice(0, None)),
+                                       ("ess+siss", (16, 2, 65), slice(1, None))):
+            cands, got_payload = desk_candidates(cfg, scheme, 16)
+            assert cands.shape == shape and got_payload == payload
+            forks.clear()
+            serial = NliMetric(*args, payload=payload)(cands)
+            assert not forks
+            assert np.array_equal(NliMetric(*args, payload=payload, processes=2)(cands),
+                                  serial)
+            assert len(forks) == 1
         tiny = harness.ExperimentConfig(
             block_len_4d=16, dm_blocklength=32, n_spans=2, n_channels=1, sps=4,
             steps_per_span=20, metric_sps=4, metric_steps_per_span=25)
@@ -384,11 +395,11 @@ class TestNliMetric:
         fiber = FiberParams(n_spans=1)
         body = random_block(rng, 60)
         pilots = np.full((2, 4), 7.0 + 7.0j)
-        cand = np.concatenate([pilots, body], axis=1)
+        cand = np.concatenate([pilots, body], axis=1)[None]
         kw = dict(step_cfg=SsfmStepConfig(steps_per_span=25), launch_power_dbm=2.0)
         all_in = NliMetric(fiber, metric_wdm(), **kw)
         payload_only = NliMetric(fiber, metric_wdm(), payload=slice(4, None), **kw)
-        assert payload_only(cand) < all_in(cand)
+        assert payload_only(cand)[0] < all_in(cand)[0]
 
     def test_requires_single_channel(self):
         with pytest.raises(SelectionError):
@@ -425,7 +436,7 @@ def desk_candidates(cfg, scheme, n_t):
         n_bits = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
         bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
         bsss_encode(bits, scrambler_masks(cfg.seed, n_t, n_bits), shaper.encode, keep_stack)
-        return stacks[0], None
+        return stacks[0], slice(0, None)
     shaper = PasShaper(trellis_for(cfg.dm_blocklength, harness.dm_bits_per_block(cfg)), n)
     bits = rng.integers(0, 2, shaper.bits_per_selection_block, dtype=np.uint8)
     siss_encode(shaper.encode(bits), permutations(cfg.seed, n_t, n), keep_stack)
@@ -437,21 +448,19 @@ def reference_nli_costs(x, fiber, wdm, step_cfg, power_dbm, payload):
     field, scale = rrc_modulate(x, wdm, power_dbm)
     out = propagate_link(field, fiber, AmplifierParams(noise_on=False), step_cfg)
     y = matched_filter_sample(cdc(out, fiber), wdm) / scale[..., None, None]
-    pay = payload or slice(None)
-    yp, _ = mean_phase_comp(y[..., pay], x[..., pay])
-    return np.sqrt((np.abs(yp - x[..., pay]) ** 2).sum(axis=(-2, -1)))
+    yp, _ = mean_phase_comp(y[..., payload], x[..., payload])
+    return np.sqrt((np.abs(yp - x[..., payload]) ** 2).sum(axis=(-2, -1)))
 
 
 class TestBsss:
     def test_roundtrip(self):
         rng = substream(31, 11)
         shaper = small_shaper(8)
-        metric = partial(wk_metric, window=8, stride=8)
         for n_t in (1, 2, 4, 8):
             payload = shaper.bits_per_selection_block - bsss_pilot_bits(n_t)
             masks = scrambler_masks(77, n_t, payload)
             bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-            res = bsss_encode(bits, masks, shaper.encode, metric)
+            res = bsss_encode(bits, masks, shaper.encode, wk_metric)
             assert isinstance(res, SelectionResult)
             assert res.symbols.shape == (2, 8)
             back = bsss_decode(shaper.decode(res.symbols), masks)
@@ -483,14 +492,13 @@ class TestBsss:
         shaper = small_shaper(8)
         payload = shaper.bits_per_selection_block - 2
         masks = scrambler_masks(79, 4, payload)
-        metric = partial(wk_metric, window=8, stride=8)
         for _ in range(10):
             bits = rng.integers(0, 2, size=payload, dtype=np.uint8)
-            res = bsss_encode(bits, masks, shaper.encode, metric)
+            res = bsss_encode(bits, masks, shaper.encode, wk_metric)
             rescored = []
             for i in range(4):
                 blk = np.concatenate([index_to_bits(i, 2), masks[i] ^ bits])
-                rescored.append(wk_metric(shaper.encode(blk), window=8, stride=8))
+                rescored.append(wk_metric(shaper.encode(blk)[None])[0])
             assert res.index == int(np.argmin(rescored))
             assert abs(res.cost - min(rescored)) < 1e-12
 
@@ -544,7 +552,6 @@ class TestBsss:
         # largest family's pilot width for all runs
         width = payloads[16]
         masks = scrambler_masks(80, 16, width)
-        metric = partial(wk_metric, window=8, stride=8)
         bits = [rng.integers(0, 2, size=width, dtype=np.uint8) for _ in range(30)]
         prev = None
         for n_t in (1, 2, 4, 8, 16):
@@ -555,7 +562,7 @@ class TestBsss:
                 for i in range(n_t):
                     blk = np.concatenate([index_to_bits(i, bsss_pilot_bits(16)),
                                           masks[i] ^ b])
-                    per_cand.append(metric(shaper.encode(blk)))
+                    per_cand.append(wk_metric(shaper.encode(blk)[None])[0])
                 costs.append(min(per_cand))
             mean_cost = float(np.mean(costs))
             if prev is not None:
@@ -570,7 +577,7 @@ class TestSiss:
             perms = permutations(91, n_t, n)
             payload = random_block(rng, n)
             npil = siss_pilot_symbols(n_t)
-            metric = partial(wk_metric, window=8, stride=8, payload=slice(npil, None))
+            metric = partial(wk_metric, payload=slice(npil, None))
             res = siss_encode(payload, perms, metric)
             assert res.symbols.shape == (2, npil + n)
             back, idx = siss_decode(res.symbols, perms)
@@ -582,7 +589,7 @@ class TestSiss:
         payload = random_block(rng, 16)
         for n_t, want in ((2, 1), (16, 1), (256, 2)):
             perms = permutations(91, n_t, 16)
-            metric = partial(wk_metric, window=8, stride=8, payload=slice(want, None))
+            metric = partial(wk_metric, payload=slice(want, None))
             res = siss_encode(payload, perms, metric)
             assert res.symbols.shape[1] == 16 + want
 
@@ -598,7 +605,7 @@ class TestSiss:
         rng = substream(31, 21)
         perms = permutations(91, 2, 16)
         payload = random_block(rng, 16)
-        metric = partial(wk_metric, window=8, stride=8, payload=slice(1, None))
+        metric = partial(wk_metric, payload=slice(1, None))
         res = siss_encode(payload, perms, metric)
         want_payload = payload[:, perms[res.index]]
         assert np.array_equal(res.symbols[:, 1:], want_payload)
@@ -609,7 +616,7 @@ class TestSiss:
         rng = substream(31, 22)
         perms = permutations(91, 16, 64)
         payload = random_block(rng, 64)
-        metric = partial(wk_metric, window=16, stride=8, payload=slice(1, None))
+        metric = partial(wk_metric, payload=slice(1, None))
         res = siss_encode(payload, perms, metric)
         got = res.symbols[:, 1:]
         for pol in range(2):
@@ -618,27 +625,28 @@ class TestSiss:
 
     def test_argmin_matches_exhaustive_rescore(self):
         rng = substream(31, 23)
-        perms = permutations(91, 8, 32)
-        metric = partial(wk_metric, window=8, stride=4, payload=slice(1, None))
+        # 300 payload symbols: three windows, which see the permutation
+        perms = permutations(91, 8, 300)
+        metric = partial(wk_metric, payload=slice(1, None))
         for _ in range(5):
-            payload = random_block(rng, 32)
+            payload = random_block(rng, 300)
             res = siss_encode(payload, perms, metric)
             rescored = []
             for i in range(8):
                 cand = np.concatenate([pilot_symbols(i, 1),
                                        payload[:, perms[i]]], axis=1)
-                rescored.append(metric(cand))
+                rescored.append(metric(cand[None])[0])
             assert res.index == int(np.argmin(rescored))
             assert abs(res.cost - min(rescored)) < 1e-12
 
     def test_monotone_selected_cost_in_family_size(self):
         rng = substream(31, 24)
-        perms = permutations(92, 16, 64)
-        blocks = [random_block(rng, 64) for _ in range(200)]
+        perms = permutations(92, 16, 256)
+        blocks = [random_block(rng, 256) for _ in range(200)]
         prev = None
         for n_t in (1, 2, 4, 8, 16):
             npil = siss_pilot_symbols(n_t)
-            metric = partial(wk_metric, window=32, stride=16, payload=slice(npil, None))
+            metric = partial(wk_metric, payload=slice(npil, None))
             mean_cost = float(np.mean([
                 siss_encode(b, perms[:n_t], metric).cost for b in blocks]))
             if prev is not None:

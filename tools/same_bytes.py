@@ -7,9 +7,10 @@ same script runs against the src of two checkouts; then
 `diff -rq base_out change_out` names every file that differs (it prints
 nothing when all are equal). It writes:
 
-- tiny.csv: acceptance criterion 8's sweep (mb and ess+bsss at n_t 1
-  and 2, 1 dBm, wk metric, seed 77);
-- bound.{csv,pkl}: the desk bound at 2 dBm, eta 0.5, m_total 100;
+- tiny.csv and its sidecar tiny.csv.meta.json: acceptance criterion 8's
+  sweep (mb and ess+bsss at n_t 1 and 2, 1 dBm, wk metric, seed 77);
+- bound.{csv,pkl} and bound.csv.meta.json: the desk bound at 2 dBm,
+  eta 0.5, m_total 100, its sidecar as `passel bound` writes it;
 - mb_2dBm, ess_4dBm, ess_bsss_16_2dBm and ess_siss_16_2dBm .{csv,pkl}: desk
   points at 100 blocks with the nli metric;
 - hashes.txt: the config_hash of the desk and paper presets;
@@ -19,7 +20,8 @@ nothing when all are equal). It writes:
   under np.errstate(over="raise"), and "two_shares", where blocks 40 and
   70 are over the bound, in different shares at 2 and 3 processes.
 
-Each .pkl is the pickled PointDetail. The desk points take a few minutes
+Each .pkl is the pickled PointDetail, and each .meta.json the sidecar
+write_meta writes beside a CSV. The desk points take a few minutes
 on one core, mostly in the two selection points. Its last printed line
 is the process's peak RSS in MiB (ru_maxrss, which Linux reports in KiB).
 """
@@ -28,6 +30,7 @@ import os
 import pickle
 import resource
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from passel.harness import (
     run_point_detailed,
     ss_bound_estimate,
     sweep,
+    write_meta,
 )
 
 DESK_POINTS = (("mb_2dBm", "mb", 2.0, 1), ("ess_4dBm", "ess", 4.0, 1),
@@ -112,13 +116,17 @@ def main(out_dir: str) -> None:
         for name, field in failing_links():
             for processes in (1, 2, 3):
                 fh.write("%s processes=%d %s\n" % (name, processes, link_error(field, processes)))
-    rows, errors, _ = sweep(tiny_config())
+    tiny = tiny_config()
+    rows, errors, resolved = sweep(tiny)
     if errors:
         raise SystemExit("tiny sweep failed: %s" % errors)
     emit_csv(rows, os.path.join(out_dir, "tiny.csv"))
+    write_meta(os.path.join(out_dir, "tiny.csv"), tiny, errors, resolved)
     desk = desk_preset()
-    write_detail(out_dir, "bound", ss_bound_estimate(desk, power_dbm=2.0, eta=0.5,
-                                                     m_total=100))
+    bound_cfg = replace(desk, bound_eta=0.5, bound_m_total=100)  # as `passel bound` reads them
+    bound = ss_bound_estimate(bound_cfg, power_dbm=2.0)
+    write_detail(out_dir, "bound", bound)
+    write_meta(os.path.join(out_dir, "bound.csv"), bound_cfg, {}, [bound.resolved])
     for name, scheme, power_dbm, n_t in DESK_POINTS:
         write_detail(out_dir, name, run_point_detailed(desk, scheme, power_dbm, n_t))
         print("wrote", name)
