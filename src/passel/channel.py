@@ -50,6 +50,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -353,16 +354,19 @@ def rrc_modulate(symbols: np.ndarray, wdm: WdmConfig,
     waveform, T = n * sps samples per block, and the (...) per-block
     amplitude factors that took each block to the launch power: dividing
     them out of the matched filter's samples gives constellation units.
+    The symbols are upsampled into the output array, which is filtered and
+    scaled in place.
     """
     sym = np.asarray(symbols, dtype=complex)
     if sym.ndim < 2 or sym.shape[-2] != 2:
         raise ChannelError("expected symbols of shape (..., 2, n)")
     n = sym.shape[-1]
     t_len = n * wdm.sps
-    up = np.zeros(sym.shape[:-1] + (t_len,), dtype=complex)
-    up[..., ::wdm.sps] = sym
-    h = pulse_spectrum(wdm, t_len)
-    wave = np.fft.ifft(np.fft.fft(up, axis=-1) * h, axis=-1)
+    wave = np.zeros(sym.shape[:-1] + (t_len,), dtype=complex)
+    wave[..., ::wdm.sps] = sym
+    np.fft.fft(wave, axis=-1, out=wave)
+    np.multiply(wave, pulse_spectrum(wdm, t_len), out=wave)
+    np.fft.ifft(wave, axis=-1, out=wave)
     power = (np.abs(wave) ** 2).sum(axis=-2).mean(axis=-1)
     if np.any(power <= 0):
         raise ChannelError("cannot scale an all-zero block to the launch power")
@@ -377,35 +381,48 @@ def _carrier_bin(wdm: WdmConfig, channel: int, n_samples: int) -> int:
     return int(round(wdm.channel_offset_hz(channel) / df))
 
 
-def wdm_mux(channels: list[FieldWaveform], wdm: WdmConfig) -> FieldWaveform:
+def wdm_mux(channels: Iterable[FieldWaveform], wdm: WdmConfig) -> FieldWaveform:
     """Sum per-channel waveforms onto the symmetric carrier grid.
 
-    Carriers are snapped to FFT bins of the block (sub-bin error is below
-    half the block line spacing) so the composite stays exactly cyclic.
+    channels: wdm.n_channels waveforms of one shape and sample rate, in
+    channel order, from any iterable. Each is added into the composite as
+    it arrives and is not written, so a generator that builds one waveform
+    at a time keeps one channel alive, not n_channels. Carriers are snapped
+    to FFT bins of the block (sub-bin error is below half the block line
+    spacing) so the composite stays exactly cyclic.
     """
-    if len(channels) != wdm.n_channels:
-        raise ChannelError("expected %d channel waveforms" % wdm.n_channels)
-    t_len = channels[0].n_samples
-    shape = channels[0].samples.shape
-    total = np.zeros(shape, dtype=complex)
+    total = rate = None
     for k, ch in enumerate(channels):
-        if ch.samples.shape != shape:
+        if k == wdm.n_channels:
+            raise ChannelError("expected %d channel waveforms" % wdm.n_channels)
+        if total is None:
+            total, rate = np.zeros_like(ch.samples), ch.sample_rate_hz
+        elif ch.samples.shape != total.shape:
             raise ChannelError("channel waveform shapes differ")
-        if ch.sample_rate_hz != channels[0].sample_rate_hz:
+        elif ch.sample_rate_hz != rate:
             raise ChannelError("channel sample rates differ")
-        spec = np.fft.fft(ch.samples, axis=-1)
-        total += np.fft.ifft(np.roll(spec, _carrier_bin(wdm, k, t_len), axis=-1), axis=-1)
-    return FieldWaveform(total, channels[0].sample_rate_hz)
+        spec = np.roll(np.fft.fft(ch.samples, axis=-1),
+                       _carrier_bin(wdm, k, total.shape[-1]), axis=-1)
+        del ch  # the generator's next waveform need not wait beside this one
+        total += np.fft.ifft(spec, axis=-1, out=spec)
+        del spec
+    if total is None or k + 1 != wdm.n_channels:
+        raise ChannelError("expected %d channel waveforms" % wdm.n_channels)
+    return FieldWaveform(total, rate)
 
 
 def wdm_demux(field: FieldWaveform, wdm: WdmConfig, channel: int) -> FieldWaveform:
-    """Shift one channel to baseband and brick-wall filter to half the spacing."""
+    """Shift one channel to baseband and brick-wall filter to half the spacing.
+
+    The output is one new array, filtered and transformed in place; the
+    input field is not written.
+    """
     t_len = field.n_samples
     spec = np.roll(np.fft.fft(field.samples, axis=-1),
                    -_carrier_bin(wdm, channel, t_len), axis=-1)
     f = np.fft.fftfreq(t_len, d=1.0 / field.sample_rate_hz)
     spec *= np.abs(f) <= wdm.spacing_hz / 2.0 + 1e-6
-    return FieldWaveform(np.fft.ifft(spec, axis=-1), field.sample_rate_hz)
+    return FieldWaveform(np.fft.ifft(spec, axis=-1, out=spec), field.sample_rate_hz)
 
 
 # Series rotation. sin(phi)/phi = sum_k (-1)^k u^k/(2k+1)!, u = phi^2. Four terms
@@ -658,6 +675,12 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     it outside keeps batched runs independent of batch composition. A link
     with zero spans returns the input unchanged.
 
+    Memory: one output array, allocated once and written in place every
+    span, beside the span's spectrum buffer, which holds sigma * noise
+    between spans. Neither the caller's field nor a noise
+    array is written, and a span's noise is read before the next span's is
+    asked for, so a source may return the same array, refilled, every span.
+
     processes: how many processes the split steps may use (past 1, the
     platform needs os.fork); the rows are split over up to that many while
     each share carries at least _FORK_SAMPLE_STEPS sample-steps. The result
@@ -671,17 +694,19 @@ def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParam
     gain = 10.0 ** (fiber.span_loss_db / 20.0)
     sigma = math.sqrt(amp.ase_variance_per_sample(fiber.span_loss_db, field.sample_rate_hz))
     samples = field.samples
+    out = np.empty_like(samples)
     with _Span(field, fiber, step_cfg, processes) as span_fn:
         for span in range(fiber.n_spans):
             if amp.noise_on:  # drawn before the steps, so a bad source fails before them
                 noise = unit_noise_for_span(span)
                 if noise.shape != samples.shape:
                     raise ChannelError("unit_noise shape mismatch")
-            try:  # a new array: the span's output is its buffer
-                samples = span_fn(samples) * gain
+            try:  # a view of the span's spectrum buffer, idle until the next span
+                spectrum = span_fn(samples)
             except StepSizeError as exc:
                 exc.span = span
                 raise
-            if amp.noise_on:
-                samples = samples + sigma * noise
+            samples = np.multiply(spectrum, gain, out=out)
+            if amp.noise_on:  # the operand orders of samples + sigma * noise
+                np.add(samples, np.multiply(sigma, noise, out=spectrum), out=samples)
     return FieldWaveform(samples, field.sample_rate_hz)

@@ -282,7 +282,9 @@ def config_text(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(config_text(cfg).encode()).hexdigest()[:16]
+    """The experiment's hash: its config_text at one worker, since the worker count
+    changes no output byte."""
+    return hashlib.sha256(config_text(replace(cfg, max_workers=1)).encode()).hexdigest()[:16]
 
 
 def desk_preset() -> ExperimentConfig:
@@ -498,19 +500,19 @@ class _PointState:
             return self.shaper.encode(bits), math.nan, 0
         return res.symbols, res.cost, res.index
 
-    def draw(self, n_blocks: int):
-        """Blocks 0..n_blocks-1 of every channel, one data substream each.
+    def draw(self, blocks: np.ndarray):
+        """The numbered blocks of every channel, one data substream per (channel, block).
 
         Returns (symbols (channels, blocks, 2, block_len_tx), costs, indices).
         """
         n_ch = self.cfg.n_channels
-        tx = np.empty((n_ch, n_blocks, 2, self.block_len_tx), dtype=complex)
-        costs = np.full((n_ch, n_blocks), math.nan)
-        indices = np.zeros((n_ch, n_blocks), dtype=int)
+        tx = np.empty((n_ch, len(blocks), 2, self.block_len_tx), dtype=complex)
+        costs = np.full((n_ch, len(blocks)), math.nan)
+        indices = np.zeros((n_ch, len(blocks)), dtype=int)
         for c in range(n_ch):
-            for b in range(n_blocks):
-                rng = substream(self.cfg.seed, TAG_DATA, c, b)
-                tx[c, b], costs[c, b], indices[c, b] = self.encode_block(rng)
+            for j, b in enumerate(blocks):
+                rng = substream(self.cfg.seed, TAG_DATA, c, int(b))
+                tx[c, j], costs[c, j], indices[c, j] = self.encode_block(rng)
         return tx, costs, indices
 
 
@@ -547,10 +549,19 @@ class PointDetail:
 
 
 def _ase_noise_source(seed: int, block_indices: np.ndarray, per_block_shape: tuple):
+    """Unit ASE of each block at a span, one substream per (block, span).
+
+    The first call allocates one array, and every call refills and returns
+    it: propagate_link reads a span's noise before it asks for the next, and
+    never writes it.
+    """
     idx = [int(b) for b in block_indices]
+    noise = None
 
     def unit_noise(span: int) -> np.ndarray:
-        noise = np.empty((len(idx), *per_block_shape), dtype=complex)
+        nonlocal noise
+        if noise is None:  # at the first span, so it never sits beside the mux's arrays
+            noise = np.empty((len(idx), *per_block_shape), dtype=complex)
         for row, b in zip(noise, idx):
             row[...] = standard_complex_noise(substream(seed, TAG_ASE, b, span), per_block_shape)
         return noise
@@ -619,7 +630,7 @@ def run_point_detailed(cfg: ExperimentConfig, scheme: str, power_dbm: float,
     """One sweep point; pool_width is how many points run at once (see _core_share)."""
     st = _PointState(cfg, scheme, power_dbm, n_t, pool_width)
     try:
-        tx, costs, indices = st.draw(cfg.n_blocks)
+        tx, costs, indices = st.draw(np.arange(cfg.n_blocks))
         sel_mean = float(np.nanmean(costs)) if scheme in SELECTION_SCHEMES else math.nan
         row = dict(scheme=scheme, metric=_metric_label(cfg, scheme), n_t=int(n_t),
                    sel_metric_mean=sel_mean)
@@ -639,6 +650,11 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
     propagated through the full WDM link and the achievable rate over that
     subset is adjusted by log2(eta)/n before the spectral-efficiency
     conversion. eta=1 reproduces the plain sphere-shaping point exactly.
+
+    The population is drawn, encoded and scored in batches of 64 blocks, and
+    after each batch only the cheapest bound_kept(cfg) blocks so far are
+    kept, on every channel. So memory holds one batch and the kept set, not
+    m_total blocks; only the m_total costs grow with it.
     """
     power = cfg.powers_dbm[0] if power_dbm is None else float(power_dbm)
     # an explicit eta or m_total is checked like the config value it replaces
@@ -658,14 +674,26 @@ def ss_bound_estimate(cfg: ExperimentConfig, power_dbm: float | None = None,
                             cfg, power, wdm, cfg.steps_per_span).resolve(fiber_for(cfg)),
                         "metric_steps_per_span": scorer.step_cfg.resolve(scorer.fiber)})
     try:
-        tx, _, indices = st.draw(m_total)
-        center = wdm.center_channel
-        costs = np.concatenate([scorer(tx[center, lo:lo + 64])
-                                for lo in range(0, m_total, 64)])
-        kept = np.sort(np.argsort(costs, kind="stable")[:bound_kept(cfg)])
+        n_keep, center = bound_kept(cfg), wdm.center_channel
+        costs = np.empty(m_total)
+        kept = np.empty(0, dtype=int)  # the cheapest blocks so far, by cost, ties by number
+        tx, _, indices = st.draw(kept)  # their symbols and pilot indices: none yet
+        for lo in range(0, m_total, 64):
+            blocks = np.arange(lo, min(lo + 64, m_total))
+            batch_tx, _, batch_indices = st.draw(blocks)
+            costs[blocks] = scorer(batch_tx[center])
+            # survivors precede the batch's higher numbers, so a stable sort breaks
+            # ties by block number, as one stable argsort over the population does
+            kept = np.concatenate([kept, blocks])
+            best = np.argsort(costs[kept], kind="stable")[:n_keep]
+            kept = kept[best]
+            tx = np.concatenate([tx, batch_tx], axis=1)[:, best]
+            indices = np.concatenate([indices, batch_indices], axis=1)[:, best]
+        order = np.argsort(kept)
+        kept = kept[order]
         row = dict(scheme="bound", metric="nli", n_t=n_t,
                    sel_metric_mean=float(costs[kept].mean()))
-        return _point_detail(st, tx[:, kept], indices[:, kept], kept, penalty, row,
+        return _point_detail(st, tx[:, order], indices[:, order], kept, penalty, row,
                              costs[None, :])
     except Exception as exc:
         exc.point_resolved = st.resolved  # for the bound's failure record

@@ -51,26 +51,29 @@ class ReceiverError(ValueError):
 def cdc(field: FieldWaveform, fiber: FiberParams) -> FieldWaveform:
     """All-pass compensation of the link's chromatic dispersion in the FFT domain.
 
-    Applies -beta2 * L over the whole link, L = n_spans * span length.
+    Applies -beta2 * L over the whole link, L = n_spans * span length. The
+    output is one new array, transformed in place; the input is not written.
     """
     dispersion_s2 = -fiber.beta2_s2_per_m * fiber.total_length_m
     w = 2.0 * np.pi * np.fft.fftfreq(field.n_samples, d=1.0 / field.sample_rate_hz)
     spec = np.fft.fft(field.samples, axis=-1)
     spec *= np.exp(0.5j * dispersion_s2 * w * w)
-    return FieldWaveform(np.fft.ifft(spec, axis=-1), field.sample_rate_hz)
+    return FieldWaveform(np.fft.ifft(spec, axis=-1, out=spec), field.sample_rate_hz)
 
 
 def matched_filter_sample(field: FieldWaveform, wdm: WdmConfig) -> np.ndarray:
     """Matched filter and symbol-rate sampling: the (..., 2, n) samples at the symbol instants.
 
-    Back to back, they are the sent symbols times rrc_modulate's scale.
+    Back to back, they are the sent symbols times rrc_modulate's scale. The
+    filter runs in place on one new array, which the result is a view of;
+    the input is not written.
     """
     sps = wdm.sps
     if field.n_samples % sps:
         raise ReceiverError("waveform length is not a whole number of symbols")
-    h = pulse_spectrum(wdm, field.n_samples)
-    filtered = np.fft.ifft(np.fft.fft(field.samples, axis=-1) * h, axis=-1)
-    return filtered[..., ::sps]
+    filtered = np.fft.fft(field.samples, axis=-1)
+    np.multiply(filtered, pulse_spectrum(wdm, field.n_samples), out=filtered)
+    return np.fft.ifft(filtered, axis=-1, out=filtered)[..., ::sps]
 
 
 def link_receive(tx: np.ndarray, wdm: WdmConfig, fiber: FiberParams, amp: AmplifierParams,
@@ -83,15 +86,28 @@ def link_receive(tx: np.ndarray, wdm: WdmConfig, fiber: FiberParams, amp: Amplif
     demultiplexes, compensates dispersion and matched-filters the center
     channel, and divides out its modulation scale. Sweep points, the bound
     and the NLI metric all run this one chain.
+
+    Memory: the mux takes the channels from a generator, so one channel's
+    waveform is alive at a time beside the composite, and every later stage
+    allocates one output. At every stage the chain holds at most about four
+    composite-field arrays, an ASE source's one array included, whatever the
+    channel count.
     """
-    # channel by channel: one call on all of them would hold n_channels times the temporaries
-    field = [rrc_modulate(ch, wdm, launch_power_dbm) for ch in tx]
-    scale = field[wdm.center_channel][1]
-    field = wdm_mux([f for f, _ in field], wdm)  # the per-channel waveforms go before the link
+    scale = []
+
+    def waves():  # one channel's waveform at a time; keeps the center channel's scale
+        for k, symbols in enumerate(tx):
+            wave, s = rrc_modulate(symbols, wdm, launch_power_dbm)
+            if k == wdm.center_channel:
+                scale.append(s)
+            yield wave
+            del wave
+
+    field = wdm_mux(waves(), wdm)
     field = propagate_link(field, fiber, amp, step_cfg,
                            unit_noise_for_span=unit_noise_for_span, processes=processes)
     field = cdc(wdm_demux(field, wdm, wdm.center_channel), fiber)
-    return matched_filter_sample(field, wdm) / scale[..., None, None]
+    return matched_filter_sample(field, wdm) / scale[0][..., None, None]
 
 
 def mean_phase_comp(rx_syms: np.ndarray, tx_syms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -149,6 +149,30 @@ class TestWdmMuxDemux:
         total = sum(power_w(w.samples) for w in self.waves)
         assert abs(power_w(composite.samples) - total) < 1e-3 * total
 
+    def test_generator_gives_the_list_forms_bits(self):
+        composite = wdm_mux(self.waves, self.wdm)
+        streamed = wdm_mux((w for w in self.waves), self.wdm)
+        assert np.array_equal(streamed.samples.view(np.int64), composite.samples.view(np.int64))
+        assert streamed.sample_rate_hz == composite.sample_rate_hz
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_generator_of_the_wrong_length_raises_the_list_forms_error(self, count):
+        waves = (self.waves * 2)[:count]
+        with pytest.raises(ChannelError) as listed:
+            wdm_mux(waves, self.wdm)
+        with pytest.raises(ChannelError) as streamed:
+            wdm_mux((w for w in waves), self.wdm)
+        assert str(streamed.value) == str(listed.value) == "expected 3 channel waveforms"
+
+    def test_inputs_left_unchanged(self):
+        before = [w.samples.copy() for w in self.waves]
+        composite = wdm_mux(self.waves, self.wdm)
+        kept = composite.samples.copy()
+        wdm_demux(composite, self.wdm, 0)
+        for w, b in zip(self.waves, before):
+            assert np.array_equal(w.samples, b)
+        assert np.array_equal(composite.samples, kept)
+
     def test_grid_validation(self):
         with pytest.raises(ChannelError):
             WdmConfig(n_channels=4)
@@ -497,6 +521,29 @@ class TestSsfmKernel:
 
         propagate_link(field, fiber, AmplifierParams(), step, unit_noise_for_span=noise)
         assert np.array_equal(field.samples, before)
+
+    def test_noise_array_left_unchanged_and_may_be_returned_every_span(self):
+        # a source may hand back one array every span: the link reads it, never writes it
+        field = desk_composite(np.random.default_rng(28), 0.0, n_blocks=2)
+        fiber = FiberParams(n_spans=3, span_length_km=50.0)
+        step = SsfmStepConfig(steps_per_span=20)
+        fixed = standard_complex_noise(substream(5, 2, 0), field.samples.shape)
+        before = fixed.copy()
+        spans = []
+
+        def same_array(span):
+            spans.append(span)
+            return fixed
+
+        def fresh_array(span):
+            return fixed.copy()
+
+        got = propagate_link(field, fiber, AmplifierParams(), step, unit_noise_for_span=same_array)
+        want = propagate_link(field, fiber, AmplifierParams(), step,
+                              unit_noise_for_span=fresh_array)
+        assert spans == [0, 1, 2]
+        assert np.array_equal(fixed.view(np.int64), before.view(np.int64))
+        assert np.array_equal(got.samples.view(np.int64), want.samples.view(np.int64))
 
 
     def test_step_error_names_block_span_and_step(self):

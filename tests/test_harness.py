@@ -115,6 +115,12 @@ class TestConfig:
         for cfg in (a, b):
             assert parse_config(config_text(cfg)) == cfg
 
+    def test_hash_does_not_depend_on_the_worker_count(self):
+        a, b = desk_preset(), replace(desk_preset(), max_workers=2)
+        assert config_hash(a) == config_hash(b) == "4e7164ce52ff53c8"
+        assert "max_workers = 2" in config_text(b).splitlines()
+        assert parse_config(config_text(b)) == b
+
     def test_integer_given_for_a_float_field_hashes_alike(self):
         a, b = tiny_config(span_length_km=80), tiny_config(span_length_km=80.0)
         assert a == b and config_hash(a) == config_hash(b)
@@ -268,6 +274,45 @@ class TestDegenerate:
         assert det.row.n_t == det.resolved["n_t"] == 2  # the record names the row's n_t
         assert det.kept_blocks.size == 64
 
+    def test_bound_memory_does_not_grow_with_m_total(self):
+        # 32 kept blocks of 3 channels out of m_total: holding the whole population
+        # grew the traced peak from 2.3 MiB at m_total 256 to 14 MiB at 4096
+        import tracemalloc
+        cfg = tiny_config(n_channels=3, block_len_4d=32, dm_blocklength=32, n_spans=1,
+                          steps_per_span=10, metric_steps_per_span=10)
+        peaks = []
+        for m_total in (256, 4096):
+            tracemalloc.start()
+            try:
+                at_entry = tracemalloc.get_traced_memory()[0]
+                det = ss_bound_estimate(cfg, power_dbm=0.0, eta=32 / m_total, m_total=m_total)
+                peaks.append(tracemalloc.get_traced_memory()[1] - at_entry)
+            finally:
+                tracemalloc.stop()
+            assert det.kept_blocks.size == 32 and det.sel_costs.shape == (1, m_total)
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_bound_keeps_the_cheapest_blocks_ties_by_number(self, monkeypatch):
+        # a cost with ties across batches: the kept set is the population's stable
+        # argsort, block numbers ascending
+        from passel import harness
+        nli_metric = harness._nli_metric
+
+        class Tied:
+            def __init__(self, *args):
+                metric = nli_metric(*args)
+                self.fiber, self.step_cfg = metric.fiber, metric.step_cfg
+
+            def __call__(self, stack):
+                return np.round(np.abs(stack[:, 0, :2]).sum(axis=-1))
+        monkeypatch.setattr(harness, "_nli_metric", Tied)
+        det = ss_bound_estimate(tiny_config(), power_dbm=1.0, eta=0.25, m_total=256)
+        costs = det.sel_costs[0]
+        assert np.unique(costs).size < 64  # ties span batches
+        want = np.sort(np.argsort(costs, kind="stable")[:64])
+        assert np.array_equal(det.kept_blocks, want)
+        assert det.row.sel_metric_mean == float(costs[want].mean())
+
     def test_bound_too_few_kept_rejected(self):
         with pytest.raises(HarnessError):
             ss_bound_estimate(tiny_config(bound_m_total=20, bound_eta=1.0))
@@ -373,6 +418,19 @@ class TestSweepDeterminism:
         assert meta["resolved_defaults"]["dm_bits_per_block"] == 42
         assert meta["points"][0]["scheme"] == "ess"
 
+
+    def test_meta_sidecar_hash_is_the_same_at_every_worker_count(self, tmp_path):
+        import json
+        metas = []
+        for workers in (1, 2):
+            cfg = tiny_config(powers_dbm=(0.0, 1.0), max_workers=workers)
+            rows, errors, resolved = sweep(cfg)
+            path = str(tmp_path / ("w%d.csv" % workers))
+            emit_csv(rows, path)
+            with open(write_meta(path, cfg, errors, resolved)) as fh:
+                metas.append(json.load(fh))
+        assert metas[0]["config_hash"] == metas[1]["config_hash"]
+        assert "max_workers = 2" in metas[1]["config"]
 
     def test_failed_point_sidecar_names_the_failing_frame(self, tmp_path):
         import json

@@ -34,7 +34,7 @@ from passel.receiver import (
     se_from_air,
 )
 from passel import receiver
-from passel.harness import desk_preset, fiber_for, link_wdm
+from passel.harness import _ase_noise_source, desk_preset, fiber_for, link_wdm
 from passel.receiver import _RAIL_LABELS, _RAIL_VALUES, _bit_equivocations
 from passel.seeding import substream
 from passel.shaping import LEVELS, mb_fit
@@ -224,6 +224,15 @@ class TestChainBackToBack:
         snr_wave = (sig_p / 2.0) / sigma_w2  # per polarization
         gain_db = 10 * math.log10(snr_sym / snr_wave)
         assert abs(gain_db - 10 * math.log10(wdm.sps)) < 0.05
+
+    def test_stages_leave_their_input_unchanged(self):
+        rng = substream(7, 16)
+        wdm = WdmConfig(n_channels=1, sps=8)
+        field, _ = rrc_modulate(random_symbols(rng, 256, blocks=2), wdm, launch_power_dbm=0.0)
+        before = field.samples.copy()
+        cdc(field, FiberParams(n_spans=4))
+        matched_filter_sample(field, wdm)
+        assert np.array_equal(field.samples, before)
 
     def test_length_must_divide(self):
         wdm = WdmConfig(n_channels=1, sps=8)
@@ -460,6 +469,29 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20
+
+
+    def test_link_receive_memory_is_bounded_at_paper_geometry(self):
+        # paper blocks and samples: 5 channels of 256 symbols at 16 samples per symbol.
+        # Modulating every channel before the mux, and a new array per stage and span,
+        # peaked at 9 composite fields; streamed and in place, at 4 plus the kernel's
+        # fixed work buffers (4.6 at these 16 blocks), the noise source's array included
+        wdm = WdmConfig()
+        rng = substream(7, 27)
+        blocks, n = 16, 256
+        tx = np.stack([random_symbols(rng, n, blocks=blocks) for _ in range(wdm.n_channels)])
+        noise = _ase_noise_source(7, np.arange(blocks), (2, n * wdm.sps))
+        composite_bytes = tx[0].nbytes * wdm.sps
+        tracemalloc.start()
+        try:
+            at_entry = tracemalloc.get_traced_memory()[0]
+            y = link_receive(tx, wdm, FiberParams(n_spans=1), AmplifierParams(),
+                             SsfmStepConfig(steps_per_span=10), -10.0, noise)
+            peak = tracemalloc.get_traced_memory()[1] - at_entry
+        finally:
+            tracemalloc.stop()
+        assert y.shape == tx[0].shape and np.isfinite(y).all()
+        assert peak <= 5 * composite_bytes, peak / composite_bytes
 
 
 class TestLogsumexp:
