@@ -585,11 +585,13 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
     the ResultRow fields fixed by the caller.
     """
     cfg, wdm = st.cfg, link_wdm(st.cfg)
-    noise = _ase_noise_source(cfg.seed, block_ids, (2, tx.shape[-1] * wdm.sps)) \
-        if cfg.noise_on else None
+    # the source's noise array lives only as long as link_receive
     y = link_receive(tx, wdm, fiber_for(cfg), amp_for(cfg),
                      step_schedule(cfg, st.power_dbm, wdm, cfg.steps_per_span),
-                     st.power_dbm, noise, st.processes)
+                     st.power_dbm,
+                     _ase_noise_source(cfg.seed, block_ids, (2, tx.shape[-1] * wdm.sps))
+                     if cfg.noise_on else None,
+                     st.processes)
     center = wdm.center_channel
     pay = slice(st.pilot_syms, None)
     y_pay, theta = mean_phase_comp(y[..., pay], tx[center][..., pay])

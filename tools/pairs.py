@@ -1,25 +1,27 @@
 """Alternating pairs of benchmark runs, base against head, with a verdict per metric.
 
-    python tools/pairs.py BASE HEAD --workload W --pairs N --seconds S [--first-seed K]
+    python tools/pairs.py BASE HEAD --workload W --pairs N --seconds S
 
 BASE and HEAD are directories that each hold src/, perfbench/ and
 BENCHMARK.json, such as a `git archive` of the base commit and the working
-tree. Pair i runs `perfbench/run.py --workload W --seed K+i --seconds S
+tree. Pair i runs `perfbench/run.py --workload W --seed i --seconds S
 --trace 0` once on each side, on the same seed; base runs first in even
 pairs and head first in odd ones. A run whose last line is not a result, or
 whose result is not `"correct": true`, stops the tool, which prints that
 line.
 
 For each end-to-end metric in HEAD's BENCHMARK.json it prints each side's
-median and quartiles, the change of the medians, head's wins, ties and
-losses by the metric's better direction, and a verdict:
+median and spread, the change of the medians, head's wins, ties and losses
+by the metric's better direction, and a verdict. The spread is HEAD's
+`perfbench/arith.spread`, the interquartile range as a share of the median,
+so the verdicts take their quartiles exactly as the benchmark does:
 
 - "gain": head wins at least 9 of every 10 pairs, and its median is better
   than base's by more than base's interquartile range;
 - "worse than bound": head's median is worse than base's by more than the
   metric's bound, a share of base's median;
-- "unresolved": neither, and base's interquartile range is wider than the
-  bound, unless every head run beats every base run;
+- "unresolved": neither, and base's spread is wider than the bound, unless
+  every head run beats every base run;
 - "within bound": otherwise.
 
 Standard library only.
@@ -28,6 +30,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -35,32 +38,37 @@ import sys
 from pathlib import Path
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """(q1, median, q3); the quartiles as perfbench's spread takes them."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, med, q3 = statistics.quantiles(values, n=4)
-    return q1, med, q3
+def load_arith(root: Path):
+    """root's perfbench/arith.py, the module the benchmark takes its spread from."""
+    spec = importlib.util.spec_from_file_location("perfbench_arith",
+                                                  root / "perfbench" / "arith.py")
+    arith = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = arith  # its dataclass looks itself up there
+    spec.loader.exec_module(arith)
+    return arith
 
 
-def compare(base: list[float], head: list[float], better: str, bound: float) -> dict:
-    """Paired values of one metric, pair i being (base[i], head[i]), and their verdict."""
+def compare(base: list[float], head: list[float], better: str, bound: float,
+            spread) -> dict:
+    """Paired values of one metric, pair i being (base[i], head[i]), and their verdict.
+
+    spread(values) is the interquartile range as a share of the median.
+    """
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
     losses = sum(sign * (h - b) < 0 for b, h in zip(base, head))
-    bq1, bmed, bq3 = quartiles(base)
-    hq1, hmed, hq3 = quartiles(head)
+    bmed, hmed = statistics.median(base), statistics.median(head)
+    bspread = spread(base)
     gain = sign * (hmed - bmed)  # > 0 when head's median is better
-    if 10 * wins >= 9 * len(base) and gain > bq3 - bq1:
+    if 10 * wins >= 9 * len(base) and gain > bspread * abs(bmed):
         verdict = "gain"
     elif -gain > bound * abs(bmed):
         verdict = "worse than bound"
-    elif bq3 - bq1 > bound * abs(bmed) and \
-            not min(sign * h for h in head) > max(sign * b for b in base):
+    elif bspread > bound and not min(sign * h for h in head) > max(sign * b for b in base):
         verdict = "unresolved"
     else:
         verdict = "within bound"
-    return {"base": (bq1, bmed, bq3), "head": (hq1, hmed, hq3),
+    return {"base": (bmed, bspread), "head": (hmed, spread(head)),
             "change": (hmed - bmed) / bmed if bmed else float("nan"),
             "wins": wins, "ties": len(base) - wins - losses, "losses": losses,
             "verdict": verdict}
@@ -90,30 +98,29 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=35.0)
-    p.add_argument("--first-seed", type=int, default=0)
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be >= 1")
+    if args.pairs < 2:
+        p.error("--pairs must be >= 2: a spread needs two runs")
     bench = json.loads((args.head / "BENCHMARK.json").read_text(encoding="ascii"))
+    spread = load_arith(args.head.resolve()).spread
     runs = {"base": [], "head": []}
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+    for seed in range(args.pairs):
+        for side in (("base", "head") if seed % 2 == 0 else ("head", "base")):
             runs[side].append(run_side(getattr(args, side).resolve(), args.workload, seed,
                                        args.seconds))
-        print("pair %d seed %d: %s" % (i, seed, ", ".join(
+        print("pair %d: %s" % (seed, ", ".join(
             "%s %.6g/%.6g" % (m["name"], runs["base"][-1][m["name"]], runs["head"][-1][m["name"]])
             for m in bench["end_to_end"])), flush=True)
     print("%s, %d pairs of %g s (base/head)" % (args.workload, args.pairs, args.seconds))
-    print("%-16s %-30s %-30s %8s %9s  %s" % ("metric", "base median [q1, q3]",
-                                           "head median [q1, q3]", "change", "w/t/l",
+    print("%-16s %-22s %-22s %8s %9s  %s" % ("metric", "base median (spread)",
+                                           "head median (spread)", "change", "w/t/l",
                                            "verdict"))
     for m in bench["end_to_end"]:
         name = m["name"]
         c = compare([r[name] for r in runs["base"]], [r[name] for r in runs["head"]],
-                    m["better"], m["bound"])
-        cells = ["%.6g [%.6g, %.6g]" % (med, q1, q3) for q1, med, q3 in (c["base"], c["head"])]
-        print("%-16s %-30s %-30s %+7.2f%% %3d/%d/%d  %s"
+                    m["better"], m["bound"], spread)
+        cells = ["%.6g (%.3g)" % side for side in (c["base"], c["head"])]
+        print("%-16s %-22s %-22s %+7.2f%% %3d/%d/%d  %s"
               % (name, cells[0], cells[1], 100.0 * c["change"], c["wins"], c["ties"],
                  c["losses"], c["verdict"]))
     return 0
