@@ -40,6 +40,13 @@ Rows share nothing, so propagate_link may split a batch by rows over
 several processes, with the bits of the serial loop at every count; when a
 block fails, the lowest block that fails alone raises its own error. The
 kernel's docstring, _Span's, states how.
+
+Each span ends in an EDFA whose gain undoes the span loss. The link draws
+its own amplifier noise (ASE): given ase = (amp, rng_for), it fills the
+span's spectrum buffer, idle once the span's output is scaled, with each
+row's unit noise from rng_for(row, span), and adds it at amp's variance.
+The caller keys the generators, so a block's noise follows the block, not
+its batch; ase None is a noiseless link.
 """
 
 from __future__ import annotations
@@ -88,24 +95,20 @@ class StepSizeError(RuntimeError):
     """A split step rotated one block by more than the per-step phase bound.
 
     The message names what reproduces the failure: the block (its row in
-    the propagated batch), the span (set by propagate_link), the step and
-    its length, the phase and the block's peak power, the bound, and the
-    schedule's peak allowance.
+    the propagated batch), the span, the step and its length, the phase and
+    the block's peak power, the bound, and the schedule's peak allowance.
     """
 
-    def __init__(self, block: int, step: int, step_m: float, phase_rad: float,
+    def __init__(self, block: int, span: int, step: int, step_m: float, phase_rad: float,
                  peak_w: float, bound_rad: float, peak_allowance_w: float):
-        super().__init__(block, step, step_m, phase_rad, peak_w, bound_rad,
+        super().__init__(block, span, step, step_m, phase_rad, peak_w, bound_rad,
                          peak_allowance_w)
-        self.span = None
 
     def __str__(self):
-        block, step, step_m, phase, peak, bound, allowance = self.args
-        where = "block %d" % block if self.span is None else \
-            "block %d, span %d" % (block, self.span)
-        return ("%s, step %d (%.6g m): nonlinear phase %.4g rad exceeds the %.3g rad "
-                "bound; peak %.4g W against a %.4g W step allowance"
-                % (where, step, step_m, phase, bound, peak, allowance))
+        block, span, step, step_m, phase, peak, bound, allowance = self.args
+        return ("block %d, span %d, step %d (%.6g m): nonlinear phase %.4g rad exceeds the "
+                "%.3g rad bound; peak %.4g W against a %.4g W step allowance"
+                % (block, span, step, step_m, phase, bound, peak, allowance))
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -281,11 +284,10 @@ class AmplifierParams:
     """Lumped EDFA model: flat amplitude gain plus white ASE per polarization."""
 
     noise_figure_db: float = 5.0
-    noise_on: bool = True
     center_frequency_thz: float = 193.41
 
     def __post_init__(self):
-        if self.noise_on and self.noise_figure_db < 3.0:
+        if self.noise_figure_db < 3.0:
             raise ChannelError("noise figure below the 3 dB quantum limit")
         if self.center_frequency_thz <= 0:
             raise ChannelError("center frequency must be positive")
@@ -462,10 +464,12 @@ class _Span:
     from its own first row in chunks of at most _CHUNK_SAMPLES. Every span,
     the parent writes the spectrum into the buffer, wakes the children over
     their pipes, steps its own share, reads one byte from each child in
-    share order and inverse-transforms the buffer in place. A child catches
-    nothing: an error ends it without a byte. The children inherit the
-    kernel through the fork and leave through os._exit; leaving the context
-    reaps them, and kills them first when the link is raising.
+    share order and inverse-transforms the buffer in place. Each call names
+    its span, which the guard's errors carry; a child counts its wake-ups
+    to know the span. A child catches nothing: an error ends it without a
+    byte. The children inherit the kernel through the fork and leave
+    through os._exit; leaving the context reaps them, and kills them first
+    when the link is raising.
 
     One rule raises every error. A share fails when the parent's own rows
     raise or a child ends without its reply. The parent takes the first
@@ -564,20 +568,22 @@ class _Span:
             for _, wake, reply in self.children:  # the earlier children's ends
                 os.close(wake)
                 os.close(reply)
+            span = 0
             while os.read(wake_r, 1):
-                self._steps(self.spec, lo, hi)  # an error ends the child: no reply
+                self._steps(self.spec, lo, hi, span)  # an error ends the child: no reply
                 os.write(reply_w, b"\0")
+                span += 1
             status = 0
         finally:
             os._exit(status)
 
-    def _steps(self, spec: np.ndarray, lo: int, hi: int) -> None:
-        """All steps of the span on rows lo..hi-1 of spec, chunk by chunk from lo."""
+    def _steps(self, spec: np.ndarray, lo: int, hi: int, span: int) -> None:
+        """All steps of span on rows lo..hi-1 of spec, chunk by chunk from lo."""
         for a in range(lo, hi, self.rows):
-            self._chunk(spec[a:min(a + self.rows, hi)], a)
+            self._chunk(spec[a:min(a + self.rows, hi)], a, span)
 
-    def _chunk(self, buf: np.ndarray, first_row: int) -> None:
-        """All steps of the span on a (rows, 2, t_len) spectrum, row first_row first, in place.
+    def _chunk(self, buf: np.ndarray, first_row: int, span: int) -> None:
+        """All steps of span on a (rows, 2, t_len) spectrum, row first_row first, in place.
 
         The guard takes one maximum per step and raises for the chunk's first
         row, the block when the chunk is one block alone. Scaling by |gnl|
@@ -598,8 +604,8 @@ class _Span:
             np.add(re_sq, im_sq, out=power)
             phase = gnl * power.max()
             if phase > MAX_STEP_PHASE_RAD:
-                raise StepSizeError(first_row, step, h, float(phase), float(phase / gnl),
-                                    MAX_STEP_PHASE_RAD, self.allowance)
+                raise StepSizeError(first_row, span, step, h, float(phase),
+                                    float(phase / gnl), MAX_STEP_PHASE_RAD, self.allowance)
             self._rotation(p, coefs, u, s, sin, cos)  # the guard capped every phase
             buf *= turn
             np.fft.fft(buf, axis=-1, out=buf)
@@ -622,8 +628,8 @@ class _Span:
         np.subtract(1.0, s, out=s)
         np.sqrt(s, out=cos)
 
-    def __call__(self, samples: np.ndarray) -> np.ndarray:
-        """The span's output for samples shaped like the field the span was built for.
+    def __call__(self, samples: np.ndarray, span: int) -> np.ndarray:
+        """The output of span number span for samples shaped like the kernel's field.
 
         The output is a view of the buffer, which the next span overwrites.
         """
@@ -636,7 +642,7 @@ class _Span:
                 pass
         error = None
         try:
-            self._steps(self.spec, 0, self.bounds[1])
+            self._steps(self.spec, 0, self.bounds[1], span)
         except Exception as exc:  # the parent's share failed
             error, lo, hi = exc, 0, self.bounds[1]
         else:  # in row order, each child's share
@@ -649,7 +655,7 @@ class _Span:
         # first that fails raises its own error, from these frames at every count
         for block in range(lo, hi):
             np.fft.fft(blocks[block:block + 1], axis=-1, out=self.spec[block:block + 1])
-            self._steps(self.spec, block, block + 1)
+            self._steps(self.spec, block, block + 1, span)
         if error is not None:  # every block passes alone
             raise error
         _, status = os.waitpid(child[0], 0)  # they passed: the child was killed
@@ -663,50 +669,45 @@ def standard_complex_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
-def propagate_link(field: FieldWaveform, fiber: FiberParams, amp: AmplifierParams,
-                   step_cfg: SsfmStepConfig, unit_noise_for_span=None,
-                   processes: int = 1) -> FieldWaveform:
+def propagate_link(field: FieldWaveform, fiber: FiberParams, step_cfg: SsfmStepConfig,
+                   ase=None, processes: int = 1) -> FieldWaveform:
     """Run n_spans of fiber, each followed by an EDFA.
 
     The EDFA multiplies the amplitude by sqrt(gain), the gain being the span
-    loss, and with ASE on adds white ASE of ase_variance_per_sample on both
-    polarizations. unit_noise_for_span: callable span_index -> unit-variance
-    complex array shaped like the samples; required when ASE is on. Drawing
-    it outside keeps batched runs independent of batch composition. A link
-    with zero spans returns the input unchanged.
+    loss. ase: None for noiseless amplifiers, or (amp, rng_for) for ASE of
+    amp.ase_variance_per_sample on both polarizations, drawn by the link:
+    rng_for(row, span) returns the generator of the unit noise of that row of
+    the (..., 2, T) batch, rows counted over the flattened leading axes, at
+    that span. Keying the noise by row and span, not by batch, keeps a
+    block's result independent of the batch it runs in. A link with zero
+    spans returns the input unchanged.
 
     Memory: one output array, allocated once and written in place every
-    span, beside the span's spectrum buffer, which holds sigma * noise
-    between spans. Neither the caller's field nor a noise
-    array is written, and a span's noise is read before the next span's is
-    asked for, so a source may return the same array, refilled, every span.
+    span, beside the span's spectrum buffer, into which each span's noise
+    is drawn once the span's output is scaled. The caller's field is not
+    written.
 
     processes: how many processes the split steps may use (past 1, the
     platform needs os.fork); the rows are split over up to that many while
-    each share carries at least _FORK_SAMPLE_STEPS sample-steps. The result
-    is bit-identical for every count. When a block fails, the lowest block
-    that fails alone raises its own error in the first span where any
-    fails, the same at every count; a StepSizeError names that block and
-    span. _Span states the rule.
+    each share carries at least _FORK_SAMPLE_STEPS sample-steps. The noise
+    is drawn in the calling process. The result is bit-identical for every
+    count. When a block fails, the lowest block that fails alone raises its
+    own error in the first span where any fails, the same at every count; a
+    StepSizeError names that block and span. _Span states the rule.
     """
-    if amp.noise_on and fiber.n_spans and unit_noise_for_span is None:
-        raise ChannelError("ASE enabled but no per-span noise source given")
     gain = 10.0 ** (fiber.span_loss_db / 20.0)
-    sigma = math.sqrt(amp.ase_variance_per_sample(fiber.span_loss_db, field.sample_rate_hz))
+    if ase is not None:
+        amp, rng_for = ase
+        sigma = math.sqrt(amp.ase_variance_per_sample(fiber.span_loss_db, field.sample_rate_hz))
     samples = field.samples
     out = np.empty_like(samples)
     with _Span(field, fiber, step_cfg, processes) as span_fn:
         for span in range(fiber.n_spans):
-            if amp.noise_on:  # drawn before the steps, so a bad source fails before them
-                noise = unit_noise_for_span(span)
-                if noise.shape != samples.shape:
-                    raise ChannelError("unit_noise shape mismatch")
-            try:  # a view of the span's spectrum buffer, idle until the next span
-                spectrum = span_fn(samples)
-            except StepSizeError as exc:
-                exc.span = span
-                raise
+            # a view of the span's spectrum buffer, idle until the next span
+            spectrum = span_fn(samples, span)
             samples = np.multiply(spectrum, gain, out=out)
-            if amp.noise_on:  # the operand orders of samples + sigma * noise
-                np.add(samples, np.multiply(sigma, noise, out=spectrum), out=samples)
+            if ase is not None:  # the operand orders of samples + sigma * noise
+                for row, noise in enumerate(spectrum.reshape(-1, 2, field.n_samples)):
+                    noise[...] = standard_complex_noise(rng_for(row, span), noise.shape)
+                np.add(samples, np.multiply(sigma, spectrum, out=spectrum), out=samples)
     return FieldWaveform(samples, field.sample_rate_hz)

@@ -135,8 +135,8 @@ def _check(ok, what: str) -> None:
 
 
 def _selftest_checks():
-    from .channel import (AmplifierParams, FieldWaveform, FiberParams, SsfmStepConfig,
-                          WdmConfig, propagate_link, rrc_modulate)
+    from .channel import (FieldWaveform, FiberParams, SsfmStepConfig, WdmConfig,
+                          propagate_link, rrc_modulate)
     from .receiver import air_bitwise, link_receive, matched_filter_sample
     from .seeding import substream
     from .selection import (bsss_decode, bsss_encode, bsss_pilot_bits, permutations,
@@ -206,8 +206,7 @@ def _selftest_checks():
                         rolloff=0.05, sps=4)
         rng = substream(13, 0)
         syms = (rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64)))
-        back = link_receive(syms[None], wdm, fiber, AmplifierParams(noise_on=False),
-                            SsfmStepConfig(), 0.0)
+        back = link_receive(syms[None], wdm, fiber, SsfmStepConfig(), 0.0)
         _check(np.abs(back - syms).max() < 1e-6, "dispersion not compensated")
 
     def spm_phase():
@@ -220,8 +219,7 @@ def _selftest_checks():
         leff = (1 - np.exp(-alpha * fiber.span_length_m)) / alpha
         want = 8.0 / 9.0 * fiber.gamma_per_w_m * p_w * leff
         for steps in (1, 7):
-            out = propagate_link(field, fiber, AmplifierParams(noise_on=False),
-                                 SsfmStepConfig(steps_per_span=steps))
+            out = propagate_link(field, fiber, SsfmStepConfig(steps_per_span=steps))
             got = np.angle(out.samples / field.samples)
             _check(np.abs(got - want).max() < 1e-9,
                    "%d-step phase %.12f rad, want %.12f" % (steps, got.max(), want))

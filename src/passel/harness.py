@@ -44,7 +44,6 @@ from .channel import (
     SsfmStepConfig,
     WdmConfig,
     dbm_to_watts,
-    standard_complex_noise,
 )
 from .receiver import (
     MIN_SYMBOLS_4D,
@@ -202,8 +201,10 @@ class ExperimentConfig:
                                "above the %d there are"
                                % (n_t, n_t, self.block_len_4d, math.factorial(self.block_len_4d)))
         try:
-            for build in (fiber_for, link_wdm, metric_wdm, amp_for):
+            for build in (fiber_for, link_wdm, metric_wdm):
                 build(self)
+            if self.noise_on:  # without noise no amplifier is built, so any noise figure goes
+                amp_for(self)
         except ChannelError as exc:
             raise HarnessError(str(exc)) from None
         # a point's blocks, and the bound's kept blocks, must hold enough symbols to rate
@@ -344,7 +345,7 @@ def fiber_for(cfg: ExperimentConfig) -> FiberParams:
 
 
 def amp_for(cfg: ExperimentConfig) -> AmplifierParams:
-    return AmplifierParams(noise_figure_db=cfg.noise_figure_db, noise_on=cfg.noise_on,
+    return AmplifierParams(noise_figure_db=cfg.noise_figure_db,
                            center_frequency_thz=cfg.center_frequency_thz)
 
 
@@ -548,26 +549,6 @@ class PointDetail:
     resolved: dict
 
 
-def _ase_noise_source(seed: int, block_indices: np.ndarray, per_block_shape: tuple):
-    """Unit ASE of each block at a span, one substream per (block, span).
-
-    The first call allocates one array, and every call refills and returns
-    it: propagate_link reads a span's noise before it asks for the next, and
-    never writes it.
-    """
-    idx = [int(b) for b in block_indices]
-    noise = None
-
-    def unit_noise(span: int) -> np.ndarray:
-        nonlocal noise
-        if noise is None:  # at the first span, so it never sits beside the mux's arrays
-            noise = np.empty((len(idx), *per_block_shape), dtype=complex)
-        for row, b in zip(noise, idx):
-            row[...] = standard_complex_noise(substream(seed, TAG_ASE, b, span), per_block_shape)
-        return noise
-    return unit_noise
-
-
 def _metric_label(cfg: ExperimentConfig, scheme: str) -> str:
     return cfg.selection_metric if scheme in SELECTION_SCHEMES else "none"
 
@@ -585,13 +566,13 @@ def _point_detail(st: _PointState, tx: np.ndarray, indices: np.ndarray,
     the ResultRow fields fixed by the caller.
     """
     cfg, wdm = st.cfg, link_wdm(st.cfg)
-    # the source's noise array lives only as long as link_receive
-    y = link_receive(tx, wdm, fiber_for(cfg), amp_for(cfg),
+    ase = None
+    if cfg.noise_on:  # a block's noise at a span is keyed by its number, not its row
+        ase = (amp_for(cfg),
+               lambda row, span: substream(cfg.seed, TAG_ASE, int(block_ids[row]), span))
+    y = link_receive(tx, wdm, fiber_for(cfg),
                      step_schedule(cfg, st.power_dbm, wdm, cfg.steps_per_span),
-                     st.power_dbm,
-                     _ase_noise_source(cfg.seed, block_ids, (2, tx.shape[-1] * wdm.sps))
-                     if cfg.noise_on else None,
-                     st.processes)
+                     st.power_dbm, ase, st.processes)
     center = wdm.center_channel
     pay = slice(st.pilot_syms, None)
     y_pay, theta = mean_phase_comp(y[..., pay], tx[center][..., pay])

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (AmplifierParams, FieldWaveform, FiberParams, SsfmStepConfig, WdmConfig,
-                      propagate_link, pulse_spectrum, rrc_modulate, wdm_demux, wdm_mux)
+from .channel import (FieldWaveform, FiberParams, SsfmStepConfig, WdmConfig, propagate_link,
+                      pulse_spectrum, rrc_modulate, wdm_demux, wdm_mux)
 from .shaping import BITS_PER_AMPLITUDE, LEVELS
 
 __all__ = [
@@ -76,22 +76,22 @@ def matched_filter_sample(field: FieldWaveform, wdm: WdmConfig) -> np.ndarray:
     return np.fft.ifft(filtered, axis=-1, out=filtered)[..., ::sps]
 
 
-def link_receive(tx: np.ndarray, wdm: WdmConfig, fiber: FiberParams, amp: AmplifierParams,
-                 step_cfg: SsfmStepConfig, launch_power_dbm: float,
-                 unit_noise_for_span=None, processes: int = 1) -> np.ndarray:
+def link_receive(tx: np.ndarray, wdm: WdmConfig, fiber: FiberParams, step_cfg: SsfmStepConfig,
+                 launch_power_dbm: float, ase=None, processes: int = 1) -> np.ndarray:
     """Center channel's (..., 2, n) received symbols for (n_channels, ..., 2, n) sent.
 
     Modulates each channel at launch_power_dbm, multiplexes, propagates
-    (unit_noise_for_span and processes as in propagate_link), then
+    (ase and processes as in propagate_link: rng_for's rows are the blocks
+    of the (..., 2, n) axes), then
     demultiplexes, compensates dispersion and matched-filters the center
     channel, and divides out its modulation scale. Sweep points, the bound
     and the NLI metric all run this one chain.
 
     Memory: the mux takes the channels from a generator, so one channel's
     waveform is alive at a time beside the composite, and every later stage
-    allocates one output. At every stage the chain holds at most about four
-    composite-field arrays, an ASE source's one array included, whatever the
-    channel count.
+    allocates one output. Whatever the channel count, the chain holds at most
+    about four composite-field arrays, in the mux, and the link about three
+    plus the split-step kernel's work buffers.
     """
     scale = []
 
@@ -104,8 +104,7 @@ def link_receive(tx: np.ndarray, wdm: WdmConfig, fiber: FiberParams, amp: Amplif
             del wave
 
     field = wdm_mux(waves(), wdm)
-    field = propagate_link(field, fiber, amp, step_cfg,
-                           unit_noise_for_span=unit_noise_for_span, processes=processes)
+    field = propagate_link(field, fiber, step_cfg, ase, processes)
     field = cdc(wdm_demux(field, wdm, wdm.center_channel), fiber)
     return matched_filter_sample(field, wdm) / scale[0][..., None, None]
 

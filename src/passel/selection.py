@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import AmplifierParams, FiberParams, SsfmStepConfig, WdmConfig
+from .channel import FiberParams, SsfmStepConfig, WdmConfig
 from .receiver import link_receive, mean_phase_comp
 from .seeding import TAG_PERMUTATION, TAG_SCRAMBLER, substream
 from .shaping import LEVELS, bits_to_index, index_to_bits
@@ -310,15 +310,14 @@ class NliMetric:
         self.step_cfg = step_cfg
         self.launch_power_dbm = launch_power_dbm
         self.payload = payload
-        self.amp = AmplifierParams(noise_on=False)
         self.processes = processes
 
     def __call__(self, symbols: np.ndarray) -> np.ndarray:
         x = np.asarray(symbols, dtype=complex)
         if x.ndim != 3 or x.shape[1] != 2:
             raise SelectionError("expected an (n_t, 2, T) candidate stack")
-        y = link_receive(x[None], self.wdm, self.fiber, self.amp, self.step_cfg,
-                         self.launch_power_dbm, processes=self.processes)
+        y = link_receive(x[None], self.wdm, self.fiber, self.step_cfg, self.launch_power_dbm,
+                         processes=self.processes)
         xp = x[..., self.payload]
         yp, _ = mean_phase_comp(y[..., self.payload], xp)
         return np.sqrt((np.abs(yp - xp) ** 2).sum(axis=(-2, -1)))

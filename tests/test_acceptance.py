@@ -13,7 +13,6 @@ import numpy as np
 from scipy import stats
 
 from passel.channel import (
-    AmplifierParams,
     FiberParams,
     FieldWaveform,
     SsfmStepConfig,
@@ -88,9 +87,8 @@ def test_criterion_2_ssfm_oracles():
     field = FieldWaveform(samples=np.full((2, 256), math.sqrt(p0 / 2),
                                           dtype=complex),
                           sample_rate_hz=186e9)
-    quiet = AmplifierParams(noise_on=False)
     # one span through the link: its EDFA's real gain leaves the phase as it is
-    out = propagate_link(field, fiber, quiet, SsfmStepConfig(steps_per_span=64))
+    out = propagate_link(field, fiber, SsfmStepConfig(steps_per_span=64))
     alpha = fiber.alpha_per_m
     leff = (1.0 - math.exp(-alpha * fiber.span_length_m)) / alpha
     expected = (8.0 / 9.0) * fiber.gamma_per_w_m * p0 * leff
@@ -106,7 +104,7 @@ def test_criterion_2_ssfm_oracles():
     pulse = np.exp(-t ** 2 / (2 * t0p ** 2)).astype(complex)
     field2 = FieldWaveform(samples=np.stack([pulse, np.zeros_like(pulse)]),
                            sample_rate_hz=fs)
-    out2 = propagate_link(field2, fiber2, quiet, SsfmStepConfig(steps_per_span=4))
+    out2 = propagate_link(field2, fiber2, SsfmStepConfig(steps_per_span=4))
     power = np.abs(out2.samples[0]) ** 2
     mu = (t * power).sum() / power.sum()
     rms = math.sqrt(((t - mu) ** 2 * power).sum() / power.sum())
@@ -121,9 +119,7 @@ def test_criterion_2_ssfm_oracles():
                          alpha_db_per_km=0.2, span_length_km=100.0, n_spans=4)
     rng = substream(2026, 0)
     syms = rng.normal(size=(2, 256)) + 1j * rng.normal(size=(2, 256))
-    back = link_receive(syms[None], wdm, fiber3,
-                        AmplifierParams(noise_figure_db=5.0, noise_on=False),
-                        SsfmStepConfig(), 0.0)
+    back = link_receive(syms[None], wdm, fiber3, SsfmStepConfig(), 0.0)
     rel = np.linalg.norm(back - syms) / np.linalg.norm(syms)
     assert rel < 1e-6
 

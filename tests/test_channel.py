@@ -23,7 +23,6 @@ from passel.channel import (
     propagate_link,
     pulse_spectrum,
     rrc_modulate,
-    standard_complex_noise,
     wdm_demux,
     wdm_mux,
 )
@@ -67,8 +66,7 @@ def span_gain(fiber):
 def one_span(field, fiber, step_cfg):
     """One noiseless span of fiber through propagate_link, its EDFA gain divided out."""
     fiber = replace(fiber, n_spans=1)
-    out = propagate_link(field, fiber, AmplifierParams(noise_on=False), step_cfg)
-    return out.samples / span_gain(fiber)
+    return propagate_link(field, fiber, step_cfg).samples / span_gain(fiber)
 
 
 def _rc_closed_form(f_over_rs, rolloff):
@@ -341,7 +339,7 @@ def reference_span(field, fiber, step_cfg=None, lengths=None):
         peaks = power.reshape(-1, field.n_samples).max(axis=1)
         if gnl * peaks.max() > bound:
             block = int(np.argmax(gnl * peaks > bound))
-            raise StepSizeError(block, step, dz, gnl * peaks[block], peaks[block], bound,
+            raise StepSizeError(block, 0, step, dz, gnl * peaks[block], peaks[block], bound,
                                 step_cfg.peak_allowance_w)
         cur *= np.exp(1j * gnl * power)[..., None, :]
         spec = np.fft.fft(cur, axis=-1) * half
@@ -378,7 +376,7 @@ def uniform_span_before_schedules(field, fiber, steps):
             phase = abs(gnl) * power.max(axis=1)
             if np.any(phase > MAX_STEP_PHASE_RAD):
                 row = int(np.argmax(phase > MAX_STEP_PHASE_RAD))
-                raise StepSizeError(lo + row, step, dz, float(phase[row]),
+                raise StepSizeError(lo + row, 0, step, dz, float(phase[row]),
                                     float(phase[row] / abs(gnl)), MAX_STEP_PHASE_RAD, 0.0)
             u = power * power
             sin = (((u * coef[3] + coef[2]) * u + coef[1]) * u + coef[0]) * power
@@ -408,15 +406,14 @@ class TestSsfmKernel:
         # one noiseless span of propagate_link: the kernel's output times the EDFA gain
         cfg = desk_preset()
         fiber = replace(fiber_for(cfg), n_spans=1)
-        quiet = AmplifierParams(noise_on=False)
         field = desk_composite(np.random.default_rng(21), 4.0, n_blocks=18)
-        got = propagate_link(field, fiber, quiet, SsfmStepConfig(steps_per_span=200))
+        got = propagate_link(field, fiber, SsfmStepConfig(steps_per_span=200))
         want = uniform_span_before_schedules(field, fiber, 200) * span_gain(fiber)
         assert np.array_equal(got.samples, want)
         batch = modulate(random_symbols(np.random.default_rng(22), 64, batch=(16,)),
                          metric_wdm(cfg), 2.0)
         step = step_schedule(cfg, 2.0, metric_wdm(cfg), cfg.metric_steps_per_span)
-        got = propagate_link(batch, fiber, quiet, step)
+        got = propagate_link(batch, fiber, step)
         want = uniform_span_before_schedules(batch, fiber, cfg.metric_steps_per_span)
         assert np.array_equal(got.samples, want * span_gain(fiber))
 
@@ -515,36 +512,9 @@ class TestSsfmKernel:
         before = field.samples.copy()
         fiber = FiberParams(n_spans=2, span_length_km=50.0)
         step = SsfmStepConfig(steps_per_span=20)
-
-        def noise(span):
-            return standard_complex_noise(substream(5, 2, span), field.samples.shape)
-
-        propagate_link(field, fiber, AmplifierParams(), step, unit_noise_for_span=noise)
+        ase = (AmplifierParams(), lambda row, span: substream(5, 2, row, span))
+        propagate_link(field, fiber, step, ase)
         assert np.array_equal(field.samples, before)
-
-    def test_noise_array_left_unchanged_and_may_be_returned_every_span(self):
-        # a source may hand back one array every span: the link reads it, never writes it
-        field = desk_composite(np.random.default_rng(28), 0.0, n_blocks=2)
-        fiber = FiberParams(n_spans=3, span_length_km=50.0)
-        step = SsfmStepConfig(steps_per_span=20)
-        fixed = standard_complex_noise(substream(5, 2, 0), field.samples.shape)
-        before = fixed.copy()
-        spans = []
-
-        def same_array(span):
-            spans.append(span)
-            return fixed
-
-        def fresh_array(span):
-            return fixed.copy()
-
-        got = propagate_link(field, fiber, AmplifierParams(), step, unit_noise_for_span=same_array)
-        want = propagate_link(field, fiber, AmplifierParams(), step,
-                              unit_noise_for_span=fresh_array)
-        assert spans == [0, 1, 2]
-        assert np.array_equal(fixed.view(np.int64), before.view(np.int64))
-        assert np.array_equal(got.samples.view(np.int64), want.samples.view(np.int64))
-
 
     def test_step_error_names_block_span_and_step(self):
         # beta2 = 0 and no noise: every span sees the launch peaks again
@@ -553,11 +523,10 @@ class TestSsfmKernel:
         samples[2] *= 8.0
         step = SsfmStepConfig(steps_per_span=100, peak_allowance_w=0.01)
         with pytest.raises(StepSizeError) as info:
-            propagate_link(FieldWaveform(samples, 100e9), fiber,
-                           AmplifierParams(noise_on=False), step)
+            propagate_link(FieldWaveform(samples, 100e9), fiber, step)
         exc = info.value
-        block, index, step_m, phase, peak, bound, allowance = exc.args
-        assert (block, exc.span, index, bound, allowance) == (2, 0, 0, 0.05, 0.01)
+        block, span, index, step_m, phase, peak, bound, allowance = exc.args
+        assert (block, span, index, bound, allowance) == (2, 0, 0, 0.05, 0.01)
         assert step_m == step.step_lengths(fiber)[0] and phase > bound
         assert str(exc).startswith("block 2, span 0, step 0 (%.6g m): " % step_m)
         assert "peak %.4g W against a 0.01 W step allowance" % peak in str(exc)
@@ -572,7 +541,7 @@ class TestEdfa:
 
     def test_pure_gain_when_noise_off(self):
         field = FieldWaveform(np.ones((2, 16), dtype=complex), 1e9)
-        out = propagate_link(field, self.fiber, AmplifierParams(noise_on=False), self.step)
+        out = propagate_link(field, self.fiber, self.step)
         assert self.fiber.span_loss_db == 20.0
         want = uniform_span_before_schedules(field, self.fiber, 1) * 10.0
         assert np.array_equal(out.samples, want)
@@ -581,8 +550,8 @@ class TestEdfa:
     def ase(self, amp, fs, seed):
         """The ASE of one span on a zero field, which the span leaves at zero."""
         field = FieldWaveform(np.zeros((2, 500_000), dtype=complex), fs)
-        noise = standard_complex_noise(np.random.default_rng(seed), field.samples.shape)
-        return propagate_link(field, self.fiber, amp, self.step, lambda span: noise).samples
+        ase = (amp, lambda row, span: np.random.default_rng(seed))
+        return propagate_link(field, self.fiber, self.step, ase).samples
 
     def test_ase_variance_matches_formula(self):
         fs = 100e9
@@ -600,87 +569,64 @@ class TestEdfa:
         assert abs(corr) < 5e-3
         assert abs(np.var(noise.real) / np.var(noise.imag) - 1) < 0.02
 
-    def test_noise_requires_source(self):
-        field = FieldWaveform(np.zeros((2, 8), dtype=complex), 1e9)
-        with pytest.raises(ChannelError, match="no per-span noise source"):
-            propagate_link(field, self.fiber, AmplifierParams(), self.step)
-        with pytest.raises(ChannelError, match="unit_noise shape mismatch"):
-            propagate_link(field, self.fiber, AmplifierParams(), self.step,
-                           lambda span: np.zeros((2, 4), dtype=complex))
-
     def test_missing_source_raises_before_any_split_step(self, monkeypatch):
         def no_steps(*args, **kwargs):
             raise AssertionError("a split step ran")
         monkeypatch.setattr(_Span, "_chunk", no_steps)
         field = FieldWaveform(np.ones((2, 8), dtype=complex), 1e9)
-        with pytest.raises(ChannelError, match="no per-span noise source"):
-            propagate_link(field, FiberParams(n_spans=3), AmplifierParams(), self.step)
-        # a link with no spans needs no source and returns its input
-        out = propagate_link(field, FiberParams(n_spans=0), AmplifierParams(), self.step)
+
+        def no_noise(row, span):
+            raise AssertionError("noise drawn")
+        # a link with no spans draws no noise and returns its input
+        out = propagate_link(field, FiberParams(n_spans=0), self.step,
+                             (AmplifierParams(), no_noise))
         assert np.array_equal(out.samples, field.samples)
         with pytest.raises(AssertionError, match="a split step ran"):
-            propagate_link(field, self.fiber, AmplifierParams(noise_on=False), self.step)
-
-    def test_wrong_noise_shape_raises_before_any_split_step(self, monkeypatch):
-        # each span's noise is drawn before its steps, so the loud field, which would
-        # fail its first step, never reaches one
-        calls = []
-        chunk = _Span._chunk
-
-        def counted(*args):
-            calls.append(args)
-            chunk(*args)
-        monkeypatch.setattr(_Span, "_chunk", counted)
-        field = FieldWaveform(np.ones((2, 8), dtype=complex), 1e9)
-        with pytest.raises(ChannelError, match="unit_noise shape mismatch"):
-            propagate_link(field, FiberParams(n_spans=2), AmplifierParams(),
-                           SsfmStepConfig(steps_per_span=1),
-                           lambda span: np.zeros((2, 4), dtype=complex))
-        assert calls == []
+            propagate_link(field, self.fiber, self.step)
 
     def test_quantum_limit_validated(self):
         with pytest.raises(ChannelError):
             AmplifierParams(noise_figure_db=2.0)
-        AmplifierParams(noise_figure_db=2.0, noise_on=False)  # fine when off
 
 
 class TestLink:
     def test_zero_spans_identity(self):
         field = FieldWaveform(np.ones((2, 32), dtype=complex), 1e9)
-        out = propagate_link(field, FiberParams(n_spans=0), AmplifierParams(),
-                             SsfmStepConfig())
+        out = propagate_link(field, FiberParams(n_spans=0), SsfmStepConfig())
         assert np.array_equal(out.samples, field.samples)
 
     def test_gain_exactly_compensates_loss(self):
         fiber = FiberParams(n_spans=3)
         wdm = WdmConfig(n_channels=1, sps=4)
         wave = modulate(random_symbols(np.random.default_rng(8), 128), wdm, 0.0)
-        out = propagate_link(wave, fiber, AmplifierParams(noise_on=False),
-                             SsfmStepConfig(steps_per_span=25))
+        out = propagate_link(wave, fiber, SsfmStepConfig(steps_per_span=25))
         want = power_w(wave.samples)
         assert abs(power_w(out.samples) - want) < 1e-9 * want
-
-    def test_noise_source_required(self):
-        field = FieldWaveform(np.ones((2, 32), dtype=complex) * 1e-3, 10e9)
-        with pytest.raises(ChannelError):
-            propagate_link(field, FiberParams(n_spans=1), AmplifierParams(),
-                           SsfmStepConfig(steps_per_span=10))
 
     def test_link_deterministic_given_substreams(self):
         fiber = FiberParams(n_spans=2)
         wdm = WdmConfig(n_channels=1, sps=4)
         wave = modulate(random_symbols(np.random.default_rng(9), 64), wdm, 0.0)
-
-        def noise(span):
-            rng = substream(123, 2, 0, span)
-            return standard_complex_noise(rng, wave.samples.shape)
-
-        a = propagate_link(wave, fiber, AmplifierParams(), SsfmStepConfig(steps_per_span=20),
-                           unit_noise_for_span=noise)
-        b = propagate_link(wave, fiber, AmplifierParams(),
-                           SsfmStepConfig(steps_per_span=20), unit_noise_for_span=noise)
+        ase = (AmplifierParams(), lambda row, span: substream(123, 2, row, span))
+        a = propagate_link(wave, fiber, SsfmStepConfig(steps_per_span=20), ase)
+        b = propagate_link(wave, fiber, SsfmStepConfig(steps_per_span=20), ase)
         assert np.array_equal(a.samples, b.samples)
 
+    def test_noisy_blocks_alone_match_their_rows_of_a_batch(self):
+        # the noise is keyed by block number, so blocks 3 and 7 run alone get the bits
+        # of rows 3 and 7 of a 10-block batch, noise included
+        cfg = desk_preset()
+        fiber = replace(fiber_for(cfg), n_spans=2)
+        step = step_schedule(cfg, 2.0, link_wdm(cfg), cfg.steps_per_span)
+        field = desk_composite(np.random.default_rng(10), 2.0, n_blocks=10)
+
+        def ase(blocks):
+            return (AmplifierParams(), lambda row, span: substream(11, 2, blocks[row], span))
+        batch = propagate_link(field, fiber, step, ase(range(10))).samples
+        for block in (3, 7):
+            alone = FieldWaveform(field.samples[block:block + 1], field.sample_rate_hz)
+            got = propagate_link(alone, fiber, step, ase([block])).samples
+            assert np.array_equal(got[0].view(np.int64), batch[block].view(np.int64))
 
 
 def open_fds():
@@ -727,8 +673,8 @@ class TestForkedLink:
         fds = open_fds()
         forks = count_forks(monkeypatch)
         for processes in (2, 3):
-            got = propagate_link(field, fiber, AmplifierParams(noise_on=False),
-                                 SsfmStepConfig(steps_per_span=200), processes=processes)
+            got = propagate_link(field, fiber, SsfmStepConfig(steps_per_span=200),
+                                 processes=processes)
             assert np.array_equal(got.samples, want)
             assert_nothing_left(fds)
         # a child per share past the first, at a share per _FORK_SAMPLE_STEPS
@@ -741,13 +687,9 @@ class TestForkedLink:
         cfg = desk_preset()
         fiber = replace(fiber_for(cfg), n_spans=2)
         field = desk_composite(np.random.default_rng(31), 4.0, n_blocks=33)
-
-        def noise(span):
-            return standard_complex_noise(substream(7, 2, 0, span), field.samples.shape)
-
+        ase = (AmplifierParams(), lambda row, span: substream(7, 2, row, span))
         step = step_schedule(cfg, 4.0, link_wdm(cfg), cfg.steps_per_span)
-        links = [propagate_link(field, fiber, AmplifierParams(), step,
-                                noise, processes=p).samples for p in (1, 2)]
+        links = [propagate_link(field, fiber, step, ase, processes=p).samples for p in (1, 2)]
         assert np.array_equal(links[0], links[1])
         assert len(forks) == 1
 
@@ -765,18 +707,17 @@ class TestForkedLink:
         errors = []
         for processes in (1, 2, 3):
             with pytest.raises(StepSizeError) as info:
-                propagate_link(field, fiber, AmplifierParams(noise_on=False),
-                               SsfmStepConfig(steps_per_span=100), processes=processes)
-            errors.append((info.value.args, info.value.span, str(info.value),
-                           frames(info.value)))
+                propagate_link(field, fiber, SsfmStepConfig(steps_per_span=100),
+                               processes=processes)
+            errors.append((info.value.args, str(info.value), frames(info.value)))
             assert_nothing_left(fds)
         assert len(forks) == 3  # one child at two processes, two at three
         assert errors == [errors[0]] * 3
-        assert errors[0][3][-4:] == ["propagate_link", "__call__", "_steps", "_chunk"]
+        assert errors[0][2][-4:] == ["propagate_link", "__call__", "_steps", "_chunk"]
         assert errors[0][0][0] == loud[0]  # the lowest loud block's
         with pytest.raises(StepSizeError) as info:  # span 0 under a per-row guard
             uniform_span_before_schedules(field, fiber, 100)
-        assert errors[0][:2] == (info.value.args, 0)
+        assert errors[0][0] == info.value.args
 
     @pytest.mark.parametrize("overflow", [False, True], ids=["late_trip", "overflow_above"])
     def test_step_error_names_the_lowest_block_over_the_bound(self, monkeypatch, overflow):
@@ -802,15 +743,14 @@ class TestForkedLink:
         for processes in (1, 2, 3):
             with np.errstate(over="raise" if overflow else "warn"), \
                     pytest.raises(StepSizeError) as info:
-                propagate_link(field, fiber, AmplifierParams(noise_on=False),
-                               SsfmStepConfig(steps_per_span=20), processes=processes)
-            errors.append((info.value.args, info.value.span, str(info.value),
-                           frames(info.value)))
+                propagate_link(field, fiber, SsfmStepConfig(steps_per_span=20),
+                               processes=processes)
+            errors.append((info.value.args, str(info.value), frames(info.value)))
             assert_nothing_left(fds)
         assert len(forks) == 3
         assert errors == [errors[0]] * 3
-        assert errors[0][0][:2] == (49, 0 if overflow else 3) and errors[0][1] == 0
-        assert errors[0][3][-4:] == ["propagate_link", "__call__", "_steps", "_chunk"]
+        assert errors[0][0][:3] == (49, 0, 0 if overflow else 3)
+        assert errors[0][2][-4:] == ["propagate_link", "__call__", "_steps", "_chunk"]
 
     @pytest.mark.parametrize("overflow, loud", [(25, None), (12, 25)],
                              ids=["overflow", "overflow_below_loud"])
@@ -828,8 +768,8 @@ class TestForkedLink:
         errors = []
         for processes in (1, 2, 3):
             with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
-                propagate_link(field, FiberParams(n_spans=2), AmplifierParams(noise_on=False),
-                               SsfmStepConfig(steps_per_span=100), processes=processes)
+                propagate_link(field, FiberParams(n_spans=2), SsfmStepConfig(steps_per_span=100),
+                               processes=processes)
             errors.append((type(info.value), info.value.args, str(info.value),
                            frames(info.value)))
             assert_nothing_left(fds)
@@ -843,14 +783,13 @@ class TestForkedLink:
             pass
         chunk = _Span._chunk
 
-        def raising(self, buf, first_row):
+        def raising(self, buf, first_row, span):
             if first_row >= 16:
                 raise Unpicklable("rows from %d" % first_row)
-            chunk(self, buf, first_row)
+            chunk(self, buf, first_row, span)
         monkeypatch.setattr(_Span, "_chunk", raising)
         field = desk_composite(np.random.default_rng(36), -10.0, n_blocks=33)
-        link = [FiberParams(n_spans=1), AmplifierParams(noise_on=False),
-                SsfmStepConfig(steps_per_span=100)]
+        link = [FiberParams(n_spans=1), SsfmStepConfig(steps_per_span=100)]
         fds = open_fds()
         forks = count_forks(monkeypatch)
         for processes in (1, 2):  # the child's error never leaves it
@@ -863,18 +802,17 @@ class TestForkedLink:
         # the parent's first chunk raises once; then each block of its share passes alone
         parent, chunk, raised, alone = os.getpid(), _Span._chunk, [], []
 
-        def fails_once(self, buf, first_row):
+        def fails_once(self, buf, first_row, span):
             if os.getpid() == parent:
                 if not raised:
                     raised.append(first_row)
                     raise MemoryError("rows from %d" % first_row)
                 if len(buf) == 1:
                     alone.append(first_row)
-            chunk(self, buf, first_row)
+            chunk(self, buf, first_row, span)
         monkeypatch.setattr(_Span, "_chunk", fails_once)
         field = desk_composite(np.random.default_rng(36), -10.0, n_blocks=33)
-        link = [FiberParams(n_spans=1), AmplifierParams(noise_on=False),
-                SsfmStepConfig(steps_per_span=100)]
+        link = [FiberParams(n_spans=1), SsfmStepConfig(steps_per_span=100)]
         fds = open_fds()
         forks = count_forks(monkeypatch)
         errors = []
@@ -893,7 +831,7 @@ class TestForkedLink:
     @pytest.mark.parametrize("between_spans", [False, True])
     def test_dead_child_makes_the_link_raise(self, monkeypatch, between_spans):
         # the child dies in its first span, or right after replying to it; then the
-        # parent waits for the death, when it draws the second span's noise, before its
+        # parent waits for the death, when it draws the first span's noise, before its
         # next wake-up finds the pipe broken
         parent, children, fork = os.getpid(), [], os.fork
         target, name = (os, "write") if between_spans else (_Span, "_steps")
@@ -911,25 +849,24 @@ class TestForkedLink:
                 os._exit(3)
             return out
 
-        def no_noise(span):
-            if between_spans and span == 1:
+        def rng_for(row, span):
+            if between_spans and (row, span) == (0, 0):
                 os.waitid(os.P_PID, children[0], os.WEXITED | os.WNOWAIT)
-            return np.zeros(field.samples.shape, dtype=complex)
+            return substream(3, 2, row, span)
         monkeypatch.setattr(os, "fork", fork_and_note)
         monkeypatch.setattr(target, name, die_in_child)
         field = desk_composite(np.random.default_rng(33), -10.0, n_blocks=33)
         fds = open_fds()
         with pytest.raises(RuntimeError, match=r"rows 16\.\.32 ended mid-span with exit code 3"):
-            propagate_link(field, FiberParams(n_spans=2), AmplifierParams(),
-                           SsfmStepConfig(steps_per_span=50), no_noise, processes=2)
+            propagate_link(field, FiberParams(n_spans=2), SsfmStepConfig(steps_per_span=50),
+                           (AmplifierParams(), rng_for), processes=2)
         assert_nothing_left(fds)
         assert len(children) == 1
 
     def test_a_process_with_threads_runs_serially(self, monkeypatch):
         # two shares' work, which forks without the thread
         field = desk_composite(np.random.default_rng(34), -10.0, n_blocks=17)
-        link = [FiberParams(n_spans=1), AmplifierParams(noise_on=False),
-                SsfmStepConfig(steps_per_span=200)]
+        link = [FiberParams(n_spans=1), SsfmStepConfig(steps_per_span=200)]
         want = propagate_link(field, *link).samples
         forks = count_forks(monkeypatch)
         stop = threading.Event()

@@ -77,6 +77,13 @@ class TestConfig:
         with pytest.raises(HarnessError):
             parse_config("noise_on = maybe")
 
+    def test_noise_figure_checked_only_with_noise_on(self):
+        # a noiseless link builds no amplifier, so the quantum limit binds only with noise
+        cfg = parse_config("noise_on = false\nnoise_figure_db = 2", base=tiny_config())
+        assert cfg.noise_figure_db == 2.0
+        with pytest.raises(HarnessError, match="3 dB quantum limit"):
+            parse_config("noise_on = true\nnoise_figure_db = 2", base=tiny_config())
+
     @pytest.mark.parametrize("line", ["n_blocks = 1.5", "powers_dbm = 1, x",
                                       "gamma_per_w_km = fast", "powers_dbm = 1,,2",
                                       "n_t_values = 4, 16,"])
@@ -774,7 +781,7 @@ class TestSelftest:
         rc, lines = run_optimized("-c", (
             "import sys\n"
             "import passel.channel as ch\n"
-            "ch._Span.__call__ = lambda self, field: field\n"
+            "ch._Span.__call__ = lambda self, samples, span: samples\n"
             "from passel.cli import main\n"
             "sys.exit(main(['selftest']))\n"))
         assert rc == 1

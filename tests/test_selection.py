@@ -15,7 +15,6 @@ import pytest
 
 from passel import harness
 from passel.channel import (
-    AmplifierParams,
     FiberParams,
     SsfmStepConfig,
     WdmConfig,
@@ -446,7 +445,7 @@ def desk_candidates(cfg, scheme, n_t):
 def reference_nli_costs(x, fiber, wdm, step_cfg, power_dbm, payload):
     """The NLI cost by its own single-channel chain: modulate, link, cdc, matched filter."""
     field, scale = rrc_modulate(x, wdm, power_dbm)
-    out = propagate_link(field, fiber, AmplifierParams(noise_on=False), step_cfg)
+    out = propagate_link(field, fiber, step_cfg)
     y = matched_filter_sample(cdc(out, fiber), wdm) / scale[..., None, None]
     yp, _ = mean_phase_comp(y[..., payload], x[..., payload])
     return np.sqrt((np.abs(yp - x[..., payload]) ** 2).sum(axis=(-2, -1)))

@@ -2,10 +2,10 @@
 
     PYTHONPATH=src python tools/same_bytes.py OUT_DIR
 
-Runs whichever passel is importable, through its public API only, so the
-same script runs against the src of two checkouts; then
-`diff -rq base_out change_out` names every file that differs (it prints
-nothing when all are equal). It writes:
+Runs whichever passel is importable, through its public API only. Run each
+checkout's own copy on that checkout's src, so that a change to the API
+still compares outputs; then `diff -rq base_out change_out` names every file
+that differs (it prints nothing when all are equal). It writes:
 
 - tiny.csv and its sidecar tiny.csv.meta.json: acceptance criterion 8's
   sweep (mb and ess+bsss at n_t 1 and 2, 1 dBm, wk metric, seed 77);
@@ -35,7 +35,6 @@ from dataclasses import replace
 import numpy as np
 
 from passel.channel import (
-    AmplifierParams,
     FiberParams,
     SsfmStepConfig,
     WdmConfig,
@@ -94,8 +93,7 @@ def link_error(field, processes: int) -> str:
     try:
         with np.errstate(over="raise"):
             propagate_link(field, FiberParams(n_spans=2, alpha_db_per_km=0.0),
-                           AmplifierParams(noise_on=False), SsfmStepConfig(steps_per_span=20),
-                           processes=processes)
+                           SsfmStepConfig(steps_per_span=20), processes=processes)
     except Exception as exc:
         return "%s: %s" % (type(exc).__name__, exc)
     return "no error"
